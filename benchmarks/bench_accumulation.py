@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Benchmark the accumulation kernels: numba JIT versus pure numpy.
+"""Benchmark the accumulation kernel at q = 0, 1 and 2.
 
-The resampled accumulation curve is the package's hot loop (replicates x
-samples x taxa). Run with defaults, or scale the problem:
+The resampled accumulation curve is the package's hot loop. For each
+order the script reports the median wall time of ``--repeats`` calls and
+checks a few steps of one replicate against ``hill_number`` of the
+pooled prefix. Run with defaults, or scale the problem:
 
-    python benchmarks/bench_accumulation.py --samples 400 --taxa 3000 --replicates 200
+    python benchmarks/bench_accumulation.py --samples 400 --taxa 4000 --replicates 50
 """
 
 import argparse
+import statistics
 import time
 
 import numpy as np
 
 from tplec import _kernels
+from tplec.diversity import hill_number
+
+ORDERS = (0.0, 1.0, 2.0)
 
 
 def build_problem(n_samples, n_taxa, replicates, density, seed=0):
@@ -31,50 +37,48 @@ def build_problem(n_samples, n_taxa, replicates, density, seed=0):
     return counts, perms
 
 
-def time_impl(impl, counts, perms, q, repeats):
-    impl(counts, perms[: max(2, perms.shape[0] // 10)], q)  # warm up / JIT
-    best = float("inf")
+def median_time(counts, perms, q, repeats):
+    times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        impl(counts, perms, q)
-        best = min(best, time.perf_counter() - start)
-    return best
+        curves = _kernels.accumulation_curves(counts, perms, q)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times), curves
+
+
+def max_check_error(counts, perms, curves, q):
+    """Largest relative error of a few steps of replicate 0 against hill_number."""
+    n = perms.shape[1]
+    worst = 0.0
+    for k in sorted({1, n // 3, 2 * n // 3, n - 1, n}):
+        want = hill_number(counts[perms[0, :k]].sum(axis=0), q)
+        worst = max(worst, abs(curves[0, k - 1] - want) / want)
+    return worst
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=300)
     parser.add_argument("--taxa", type=int, default=2000)
     parser.add_argument("--replicates", type=int, default=100)
     parser.add_argument("--density", type=float, default=0.08)
-    parser.add_argument("--q", type=float, default=0.0)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
     counts, perms = build_problem(args.samples, args.taxa, args.replicates, args.density)
     print(
         f"problem: {args.samples} samples x {args.taxa} taxa, "
-        f"{args.replicates} replicates, q={args.q}, "
-        f"nnz={int((counts > 0).sum())}"
+        f"{args.replicates} replicates, nnz={int((counts > 0).sum())}, "
+        f"median of {args.repeats}"
     )
-    print(f"numba available: {_kernels.HAS_NUMBA}")
-
-    t_numpy = time_impl(
-        _kernels.accumulation_curves_numpy, counts, perms, args.q, args.repeats
-    )
-    print(f"numpy path: {t_numpy * 1000:9.2f} ms")
-
-    if _kernels.HAS_NUMBA:
-        t_numba = time_impl(
-            _kernels.accumulation_curves_numba, counts, perms, args.q, args.repeats
-        )
-        print(f"numba path: {t_numba * 1000:9.2f} ms")
-        print(f"speedup:    {t_numpy / t_numba:9.2f}x")
-        a = _kernels.accumulation_curves_numba(counts, perms, args.q)
-        b = _kernels.accumulation_curves_numpy(counts, perms, args.q)
-        print(f"max |rel diff|: {np.max(np.abs(a - b) / np.maximum(np.abs(b), 1)):.3e}")
-    else:
-        print("numba path skipped (set TPLEC_DISABLE_NUMBA=0 or install numba)")
+    failed = False
+    for q in ORDERS:
+        seconds, curves = median_time(counts, perms, q, args.repeats)
+        err = max_check_error(counts, perms, curves, q)
+        failed |= err > 1e-12
+        print(f"q={q:g}: {seconds * 1000:9.2f} ms   max rel err vs hill_number {err:.1e}")
+    if failed:
+        raise SystemExit("kernel disagrees with hill_number beyond 1e-12")
 
 
 if __name__ == "__main__":

@@ -1,35 +1,30 @@
-"""Hot accumulation kernels, numba-compiled with a pure-numpy fallback.
+"""Hot accumulation kernel: per-step Hill numbers along sample orderings.
 
-The numba path walks each permutation once, updating pooled counts and
-the running diversity sum per nonzero entry, with replicates spread over
-threads. The numpy path computes per-replicate cumulative count matrices
-instead. Set ``TPLEC_DISABLE_NUMBA=1`` in the environment to force the
-numpy path; ``benchmarks/bench_accumulation.py`` compares the two.
+The table is sparse (most taxa are absent from most samples), so the
+kernel works on the list of nonzero entries and never forms a
+cumulative samples-by-taxa matrix. For each replicate:
 
-Both paths evaluate the final accumulation step directly from the fully
-pooled count vector, so every replicate ends on the bit-identical value.
+1. gather the nonzero entries in step order, using the row offsets of
+   the sample-major (CSR) entry list built once per call;
+2. stable-sort them by taxon id, which leaves each taxon's entries in
+   step order (the ids are stored in the narrowest unsigned dtype, so
+   up to 65536 taxa numpy radix-sorts them);
+3. take each taxon's running total with a segmented ``cumsum``;
+4. add ``f(new) - f(old)`` per step with ``bincount`` and ``cumsum``
+   over steps, where ``f(x) = x ln x`` at q = 1 and ``x**q`` otherwise.
+   At q = 0 the curve counts each taxon at its first-occurrence step.
+
+Memory per replicate is O(nnz); replicates are processed one at a time.
+The final step is evaluated directly from the fully pooled count vector,
+so every replicate ends on the bit-identical value.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("TPLEC_DISABLE_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _FLAG in {"1", "true", "yes", "on"}
 
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via TPLEC_DISABLE_NUMBA")
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-
-def hill_direct_numpy(pooled: np.ndarray, q: float) -> float:
+def hill_direct(pooled: np.ndarray, q: float) -> float:
     """q-order Hill number of one pooled count vector (caller validates)."""
     c = pooled[pooled > 0].astype(np.float64)
     n = c.sum()
@@ -42,116 +37,52 @@ def hill_direct_numpy(pooled: np.ndarray, q: float) -> float:
     return float((sq / n**q) ** (1.0 / (1.0 - q)))
 
 
-def accumulation_curves_numpy(
+def accumulation_curves(
     counts: np.ndarray, perms: np.ndarray, q: float
 ) -> np.ndarray:
     """Per-step Hill numbers along each permutation, one row per replicate."""
     n_rep, n_steps = perms.shape
+    last = n_steps - 1
     out = np.empty((n_rep, n_steps), dtype=np.float64)
-    final = hill_direct_numpy(counts.sum(axis=0), q)
-    for r in range(n_rep):
-        cum = np.cumsum(counts[perms[r]], axis=0)
-        if q == 0.0:
-            vals = np.count_nonzero(cum > 0, axis=1).astype(np.float64)
-        else:
-            cf = cum.astype(np.float64)
-            n_k = cf.sum(axis=1)
-            safe = np.where(cf > 0, cf, 1.0)
-            if q == 1.0:
-                s1 = (safe * np.log(safe)).sum(axis=1)
-                vals = np.exp(np.log(n_k) - s1 / n_k)
-            else:
-                sq = np.where(cf > 0, cf**q, 0.0).sum(axis=1)
-                vals = (sq / n_k**q) ** (1.0 / (1.0 - q))
-        vals[n_steps - 1] = final
-        out[r] = vals
-    return out
+    out[:, last] = hill_direct(counts.sum(axis=0), q)
 
-
-def _csr(counts: np.ndarray):
-    """Row-compressed view of the nonzero table entries."""
     rows, cols = np.nonzero(counts)
-    data = counts[rows, cols].astype(np.float64)
-    indptr = np.zeros(counts.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=counts.shape[0]), out=indptr[1:])
-    return indptr, cols.astype(np.int64), data
+    data = counts[rows, cols]
+    sample_total = counts.sum(axis=1)
+    row_len = np.bincount(rows, minlength=counts.shape[0])
+    row_start = np.cumsum(row_len) - row_len
+    taxon = cols.astype(np.min_scalar_type(max(counts.shape[1] - 1, 0)))
+    # every replicate sorts the same entries by taxon, so each taxon's
+    # segment sits at the same sorted positions every time
+    col_len = np.bincount(cols, minlength=counts.shape[1])
+    col_len = col_len[col_len > 0]
+    col_start = np.cumsum(col_len) - col_len
+    seg_start = np.repeat(col_start, col_len)
+    first = np.zeros(rows.size, dtype=bool)
+    first[col_start] = True
 
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _hill_direct_nb(pooled, q):
-        n = 0.0
-        for v in pooled:
-            n += v
+    for r in range(n_rep):
+        perm = perms[r]
+        lens = row_len[perm]
+        ends = np.cumsum(lens)
+        # CSR positions of the entries in step order, then stably by taxon
+        idx = np.arange(rows.size) + np.repeat(row_start[perm] - (ends - lens), lens)
+        order = np.argsort(taxon[idx], kind="stable")
+        steps = np.repeat(np.arange(n_steps), lens)[order]
         if q == 0.0:
-            npos = 0.0
-            for v in pooled:
-                if v > 0.0:
-                    npos += 1.0
-            return npos
+            gained = np.bincount(steps[first], minlength=n_steps)
+            out[r, :last] = np.cumsum(gained[:last])
+            continue
+        before = np.concatenate(([0], np.cumsum(data[idx[order]])))
+        total = (before[1:] - before[seg_start]).astype(np.float64)
+        f = total * np.log(total) if q == 1.0 else total**q
+        delta = f.copy()
+        delta[1:] -= f[:-1]
+        delta[first] = f[first]
+        acc = np.cumsum(np.bincount(steps, weights=delta, minlength=n_steps)[:last])
+        n_k = np.cumsum(sample_total[perm[:last]]).astype(np.float64)
         if q == 1.0:
-            s1 = 0.0
-            for v in pooled:
-                if v > 0.0:
-                    s1 += v * np.log(v)
-            return np.exp(np.log(n) - s1 / n)
-        sq = 0.0
-        for v in pooled:
-            if v > 0.0:
-                sq += v**q
-        return (sq / n**q) ** (1.0 / (1.0 - q))
-
-    @njit(parallel=True, cache=True)
-    def _curves_nb(indptr, taxon, data, n_taxa, perms, q):
-        n_rep, n_steps = perms.shape
-        out = np.empty((n_rep, n_steps), dtype=np.float64)
-        for r in prange(n_rep):
-            pooled = np.zeros(n_taxa, dtype=np.float64)
-            total = 0.0
-            acc = 0.0  # richness, sum c*ln(c), or sum c**q depending on q
-            for k in range(n_steps):
-                s = perms[r, k]
-                for p in range(indptr[s], indptr[s + 1]):
-                    j = taxon[p]
-                    add = data[p]
-                    old = pooled[j]
-                    new = old + add
-                    pooled[j] = new
-                    total += add
-                    if q == 0.0:
-                        if old == 0.0:
-                            acc += 1.0
-                    elif q == 1.0:
-                        t_old = old * np.log(old) if old > 0.0 else 0.0
-                        acc += new * np.log(new) - t_old
-                    else:
-                        t_old = old**q if old > 0.0 else 0.0
-                        acc += new**q - t_old
-                if q == 0.0:
-                    out[r, k] = acc
-                elif q == 1.0:
-                    out[r, k] = np.exp(np.log(total) - acc / total)
-                else:
-                    out[r, k] = (acc / total**q) ** (1.0 / (1.0 - q))
-            out[r, n_steps - 1] = _hill_direct_nb(pooled, q)
-        return out
-
-    def hill_direct_numba(pooled: np.ndarray, q: float) -> float:
-        return float(_hill_direct_nb(np.asarray(pooled, dtype=np.float64), q))
-
-    def accumulation_curves_numba(
-        counts: np.ndarray, perms: np.ndarray, q: float
-    ) -> np.ndarray:
-        indptr, taxon, data = _csr(counts)
-        return _curves_nb(
-            indptr, taxon, data, counts.shape[1], np.ascontiguousarray(perms), q
-        )
-
-    hill_direct = hill_direct_numba
-    accumulation_curves = accumulation_curves_numba
-else:
-    hill_direct_numba = None
-    accumulation_curves_numba = None
-    hill_direct = hill_direct_numpy
-    accumulation_curves = accumulation_curves_numpy
+            out[r, :last] = np.exp(np.log(n_k) - acc / n_k)
+        else:
+            out[r, :last] = (acc / n_k**q) ** (1.0 / (1.0 - q))
+    return out

@@ -176,10 +176,14 @@ def _dar_point_fit(curve):
 
 
 def cmd_dar(args) -> int:
-    table_text = _read_text(args.abundance, "parse_abundance_table")
-    table = _stage("parse_abundance_table", parse_abundance_table, table_text)
     if args.replicates < 2:
         raise CliInputError("cmd_dar: --replicates must be at least 2")
+    if not (math.isfinite(args.q) and args.q >= 0):
+        raise CliInputError(f"cmd_dar: --q must be finite and >= 0, got {args.q}")
+    if args.seed < 0:
+        raise CliInputError(f"cmd_dar: --seed must be >= 0, got {args.seed}")
+    table_text = _read_text(args.abundance, "parse_abundance_table")
+    table = _stage("parse_abundance_table", parse_abundance_table, table_text)
     curve = _stage(
         "resample_accumulation",
         resample_accumulation,

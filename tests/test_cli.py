@@ -232,6 +232,21 @@ class TestDarCommand:
         )
         assert status == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--q", "-1"), ("--q", "nan"), ("--q", "inf"), ("--seed", "-1")],
+    )
+    def test_bad_argument_exits_2_with_one_line(
+        self, dar_paths, tmp_path, capsys, flag, value
+    ):
+        path, _ = dar_paths
+        status = run_dar(path, tmp_path / "x.csv", extra=(flag, value))
+        assert status == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cmd_dar: {flag} ")
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestCurveCommand:
     def test_observed_column_round_trips(self, ftr_paths, tmp_path):
