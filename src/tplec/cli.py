@@ -28,6 +28,7 @@ from .diversity import resample_accumulation
 from .errors import TplecError
 from .ingest import (
     aggregate_regions,
+    country_totals,
     parse_abundance_table,
     parse_continent_map,
     parse_jhu_deaths,
@@ -72,27 +73,20 @@ def _parse_iso(value: str) -> date:
         raise argparse.ArgumentTypeError(f"{value!r} is not a YYYY-MM-DD date")
 
 
-def _collapse_by_country(series) -> dict[str, np.ndarray]:
-    totals: dict[str, np.ndarray] = {}
-    for s in series:
-        arr = np.asarray(s.cumulative, dtype=np.int64)
-        if s.region in totals:
-            totals[s.region] = totals[s.region] + arr
-        else:
-            totals[s.region] = arr
-    return totals
+def _vm_pairs_for_unit(members: np.ndarray, lo: int, hi: int):
+    """Per-day (mean, variance) of cumulative counts across member countries.
 
-
-def _vm_pairs_for_unit(country_totals, members, lo: int, hi: int):
-    """Per-day (mean, variance) of cumulative counts across member countries."""
-    pairs = []
-    stacked = np.stack([country_totals[c] for c in members])[:, lo : hi + 1]
-    for col in stacked.T:
-        mean = float(col.mean())
-        var = float(col.var(ddof=1)) if col.size > 1 else 0.0
-        if mean > 0.0 and var > 0.0:
-            pairs.append((mean, var))
-    return pairs
+    ``members`` is a members x days matrix. Each day's members are
+    reduced as one contiguous row, which sums in the same order as a
+    reduction over that day's column alone, so the pairs are the same
+    to the last bit.
+    """
+    if members.shape[0] < 2:
+        return []
+    days = np.ascontiguousarray(members[:, lo : hi + 1].T)
+    means = days.mean(axis=1).tolist()
+    variances = days.var(axis=1, ddof=1).tolist()
+    return [(m, v) for m, v in zip(means, variances) if m > 0.0 and v > 0.0]
 
 
 def cmd_ftr(args) -> int:
@@ -104,7 +98,7 @@ def cmd_ftr(args) -> int:
     if args.start >= args.end:
         raise CliInputError("cmd_ftr: --start must precede --end")
 
-    country_totals = _collapse_by_country(rows)
+    countries, totals = country_totals(rows)
     horizon_dates = args.horizon or [
         args.end + timedelta(days=k) for k in (30, 60, 90)
     ]
@@ -120,14 +114,14 @@ def cmd_ftr(args) -> int:
             "truncate_series", truncate_series, unit, args.start, args.end
         )
         if unit.region == "World":
-            members = sorted(country_totals)
+            members = totals
         else:
-            members = sorted(
-                c for c in country_totals if continent_map.get(c) == unit.region
-            )
+            members = totals[
+                [i for i, c in enumerate(countries) if continent_map[c] == unit.region]
+            ]
         dates0 = unit.dates.index(args.start)
         dates1 = unit.dates.index(args.end)
-        vm_pairs = _vm_pairs_for_unit(country_totals, members, dates0, dates1)
+        vm_pairs = _vm_pairs_for_unit(members, dates0, dates1)
         result = _stage(
             "run_ftr_pipeline",
             run_ftr_pipeline,

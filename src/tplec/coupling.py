@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import Sequence
 
-from .errors import NoAsymptote, NonPositiveValue, SingularNormalEquations
+from .errors import (
+    InvalidArgument,
+    NoAsymptote,
+    NonPositiveValue,
+    SingularNormalEquations,
+)
 from .ingest import TruncatedSeries
 from .plec import FitDiagnostics, FitOptions, PlecModel, fit_plec, plec_eval
 from .regression import PlFit, TplFit, fit_loglog, fit_pl_growth, predict_variance
@@ -99,7 +104,7 @@ def confidence_band(
     if point <= 0:
         raise NonPositiveValue(f"point estimate must be > 0, got {point}")
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidArgument(f"n must be >= 1, got {n}")
     if variance is None:
         variance = predict_variance(tpl, point)
     if variance < 0:

@@ -5,6 +5,10 @@ class TplecError(Exception):
     """Base class for every error this package raises on bad input."""
 
 
+class InvalidArgument(TplecError, ValueError):
+    """An argument is outside its valid range (also a ``ValueError``)."""
+
+
 class TooFewPoints(TplecError):
     """Fewer data points than the fit requires."""
 

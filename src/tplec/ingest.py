@@ -4,6 +4,12 @@ Cumulative-fatality time series arrive in the public JHU CSV layout
 (``Province/State,Country/Region,Lat,Long`` then one ``M/D/YY`` column
 per day). Abundance tables arrive as TSV with taxa across the top and
 one sample per row. Continent assignments come from a two-column CSV.
+
+Each parser converts its whole count block to int64 in one numpy call,
+which applies ``int()`` to every cell and so accepts exactly what the
+per-cell scanner accepts. The scanner runs only when that conversion
+fails or yields a negative count; it names the row and column of the
+first bad cell in row-major order. Counts must fit in int64.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
-from datetime import date, datetime
-from typing import Iterable, Mapping
+from datetime import date, datetime, timedelta
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -32,13 +38,27 @@ from .errors import (
 _JHU_FIXED_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class RegionSeries:
-    """Daily cumulative counts for one region (one source row)."""
+    """Daily cumulative counts for one region (one source row).
+
+    ``cumulative`` is a read-only int64 array; any integer sequence
+    passed in is converted.
+    """
 
     region: str
     dates: tuple[date, ...]
-    cumulative: tuple[int, ...]
+    cumulative: np.ndarray
+
+    def __post_init__(self):
+        counts = np.asarray(self.cumulative, dtype=np.int64)
+        if counts.flags.writeable:
+            counts = counts.copy()  # never freeze the caller's array
+            counts.flags.writeable = False
+        object.__setattr__(self, "cumulative", counts)
 
 
 @dataclass(frozen=True)
@@ -71,6 +91,25 @@ def _parse_header_date(cell: str, column: int) -> date:
         ) from None
 
 
+def _parse_header_dates(cells: list[str]) -> tuple[date, ...]:
+    """Header dates, numbered from column 5.
+
+    A cell that spells the day after its predecessor in canonical M/D/YY
+    skips ``strptime``; ``%y`` maps it back to that day only up to 2068.
+    """
+    dates: list[date] = []
+    for column, cell in enumerate(cells, start=5):
+        if dates:
+            nxt = dates[-1] + timedelta(days=1)
+            if nxt.year <= 2068 and cell.strip() == (
+                f"{nxt.month}/{nxt.day}/{nxt.year % 100:02d}"
+            ):
+                dates.append(nxt)
+                continue
+        dates.append(_parse_header_date(cell, column))
+    return tuple(dates)
+
+
 def _parse_count(cell: str, row: int, column_name: str) -> int:
     try:
         value = int(cell.strip())
@@ -82,7 +121,36 @@ def _parse_count(cell: str, row: int, column_name: str) -> int:
         raise UnparseableCount(
             f"row {row}, column {column_name}: count {value} is negative"
         )
+    if value > _INT64_MAX:
+        raise UnparseableCount(
+            f"row {row}, column {column_name}: count {value} exceeds the int64 range"
+        )
     return value
+
+
+def _scan_counts(block, columns, first_row: int) -> np.ndarray:
+    """Cell-by-cell parse; raises for the first bad cell in row-major order."""
+    counts = np.empty((len(block), len(columns)), dtype=np.int64)
+    for i, row in enumerate(block):
+        for j, cell in enumerate(row):
+            counts[i, j] = _parse_count(cell, first_row + i, columns[j])
+    return counts
+
+
+def _count_block(block: list[list[str]], columns, first_row: int) -> np.ndarray:
+    """int64 matrix of a rectangular block of count cells.
+
+    One numpy call converts the block; it applies ``int()`` to each
+    cell. ``_scan_counts`` runs only when that fails or finds a negative
+    count, so every diagnostic names the same cell as a per-cell parse.
+    """
+    try:
+        counts = np.array(block, dtype=np.int64).reshape(len(block), len(columns))
+    except (ValueError, OverflowError):
+        counts = None
+    if counts is None or (counts < 0).any():
+        counts = _scan_counts(block, columns, first_row)
+    return counts
 
 
 def parse_jhu_deaths(text) -> list[RegionSeries]:
@@ -103,33 +171,34 @@ def parse_jhu_deaths(text) -> list[RegionSeries]:
         )
     if len(header) < 5:
         raise MalformedHeader("no date columns present")
-    dates = tuple(
-        _parse_header_date(cell, i) for i, cell in enumerate(header[4:], start=5)
-    )
+    dates = _parse_header_dates(header[4:])
     for a, b in zip(dates, dates[1:]):
         if (b - a).days != 1:
             raise MalformedHeader(f"date axis is not daily between {a} and {b}")
 
-    series = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise RaggedRow(
-                f"row {i} has {len(row)} fields, header has {len(header)}"
-            )
-        country = row[1].strip()
-        counts = tuple(
-            _parse_count(cell, i, header[4 + j])
-            for j, cell in enumerate(row[4:])
+    body = rows[1:]
+    # rows before a ragged one are parsed (and warned about) first
+    n_ok = next(
+        (i for i, row in enumerate(body) if len(row) != len(header)), len(body)
+    )
+    body, ragged = body[:n_ok], body[n_ok:]
+    counts = _count_block([row[4:] for row in body], header[4:], first_row=2)
+    counts.flags.writeable = False
+    drops = np.diff(counts, axis=1) < 0
+    for i in np.flatnonzero(drops.any(axis=1)):
+        warnings.warn(
+            f"cumulative counts for {body[i][1].strip()!r} decrease at "
+            f"{dates[int(drops[i].argmax()) + 1]} (source correction retained as-is)",
+            stacklevel=2,
         )
-        drops = [k for k in range(1, len(counts)) if counts[k] < counts[k - 1]]
-        if drops:
-            warnings.warn(
-                f"cumulative counts for {country!r} decrease at {dates[drops[0]]}"
-                " (source correction retained as-is)",
-                stacklevel=2,
-            )
-        series.append(RegionSeries(region=country, dates=dates, cumulative=counts))
-    return series
+    if ragged:
+        raise RaggedRow(
+            f"row {n_ok + 2} has {len(ragged[0])} fields, header has {len(header)}"
+        )
+    return [
+        RegionSeries(region=row[1].strip(), dates=dates, cumulative=counts[i])
+        for i, row in enumerate(body)
+    ]
 
 
 def serialize_jhu_deaths(series: list[RegionSeries]) -> str:
@@ -160,6 +229,37 @@ def parse_continent_map(text) -> dict[str, str]:
     return mapping
 
 
+def _group_sum(
+    series: list[RegionSeries], key: Callable[[RegionSeries], str]
+) -> tuple[list[str], np.ndarray]:
+    """Sum the series sharing ``key(series)``: sorted keys, one row each.
+
+    All series must share one date axis; the result is read-only.
+    """
+    dates = series[0].dates
+    keys = []
+    for s in series:
+        if s.dates != dates:
+            raise MisalignedDates(
+                f"series for {s.region!r} does not share the common date axis"
+            )
+        keys.append(key(s))
+    names = sorted(set(keys))
+    index = {name: i for i, name in enumerate(names)}
+    totals = np.zeros((len(names), len(dates)), dtype=np.int64)
+    for k, s in zip(keys, series):
+        totals[index[k]] += s.cumulative
+    totals.flags.writeable = False
+    return names, totals
+
+
+def country_totals(series: list[RegionSeries]) -> tuple[list[str], np.ndarray]:
+    """Province rows summed per country: sorted names and a countries x days matrix."""
+    if not series:
+        return [], np.zeros((0, 0), dtype=np.int64)
+    return _group_sum(series, lambda s: s.region)
+
+
 def aggregate_regions(
     series: list[RegionSeries], continent_map: Mapping[str, str]
 ) -> list[RegionSeries]:
@@ -170,28 +270,17 @@ def aggregate_regions(
     """
     if not series:
         return []
-    dates = series[0].dates
-    totals: dict[str, np.ndarray] = {}
-    world = np.zeros(len(dates), dtype=np.int64)
-    for s in series:
-        if s.dates != dates:
-            raise MisalignedDates(
-                f"series for {s.region!r} does not share the common date axis"
-            )
-        continent = continent_map.get(s.region)
-        if continent is None:
+
+    def continent(s: RegionSeries) -> str:
+        name = continent_map.get(s.region)
+        if name is None:
             raise UnmappedCountry(f"no continent assigned for {s.region!r}")
-        counts = np.asarray(s.cumulative, dtype=np.int64)
-        totals.setdefault(continent, np.zeros(len(dates), dtype=np.int64))
-        totals[continent] += counts
-        world += counts
-    out = [
-        RegionSeries(region=name, dates=dates, cumulative=tuple(int(v) for v in totals[name]))
-        for name in sorted(totals)
-    ]
-    out.append(
-        RegionSeries(region="World", dates=dates, cumulative=tuple(int(v) for v in world))
-    )
+        return name
+
+    names, totals = _group_sum(series, continent)
+    dates = series[0].dates
+    out = [RegionSeries(name, dates, row) for name, row in zip(names, totals)]
+    out.append(RegionSeries("World", dates, totals.sum(axis=0)))
     return out
 
 
@@ -215,13 +304,13 @@ def truncate_series(
         )
     i0 = series.dates.index(start_date)
     i1 = series.dates.index(stop)
-    baseline = series.cumulative[i0 - 1] if i0 > 0 else 0
+    baseline = int(series.cumulative[i0 - 1]) if i0 > 0 else 0
     window = series.cumulative[i0 : i1 + 1]
     return TruncatedSeries(
         start_date=start_date,
         baseline=baseline,
         t_index=tuple(range(1, len(window) + 1)),
-        f_rel=tuple(v - baseline for v in window),
+        f_rel=tuple((window - baseline).tolist()),
     )
 
 
@@ -238,7 +327,7 @@ def parse_abundance_table(text) -> AbundanceTable:
 
     The header may either list only the taxon identifiers or carry a
     leading corner label above the sample-id column; both layouts are
-    accepted. Counts must be nonnegative integers.
+    accepted. Counts must be nonnegative integers that fit in int64.
     """
     rows = _split_tsv(text)
     if not rows or rows == [[""]]:
@@ -258,18 +347,26 @@ def parse_abundance_table(text) -> AbundanceTable:
         raise MalformedHeader("duplicate taxon identifiers in header")
 
     sample_ids: list[str] = []
-    counts = np.zeros((len(body), len(taxa)), dtype=np.int64)
+    seen: set[str] = set()
+    error = None
     for i, row in enumerate(body):
         if len(row) != len(taxa) + 1:
-            raise RaggedRow(
+            error = RaggedRow(
                 f"row {i + 2} has {len(row)} fields, expected {len(taxa) + 1}"
             )
+            break
         sid = row[0].strip()
-        if sid in sample_ids:
-            raise DuplicateSampleId(f"sample id {sid!r} appears more than once")
+        if sid in seen:
+            error = DuplicateSampleId(f"sample id {sid!r} appears more than once")
+            break
+        seen.add(sid)
         sample_ids.append(sid)
-        for j, cell in enumerate(row[1:]):
-            counts[i, j] = _parse_count(cell, i + 2, taxa[j])
+    # a bad count in a row before the first bad row is reported first
+    counts = _count_block(
+        [row[1:] for row in body[: len(sample_ids)]], taxa, first_row=2
+    )
+    if error is not None:
+        raise error
     return AbundanceTable(
         sample_ids=tuple(sample_ids), taxon_ids=tuple(taxa), counts=counts
     )

@@ -14,7 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonPositiveValue, SingularNormalEquations, TooFewPoints
+from .errors import (
+    InvalidArgument,
+    NonPositiveValue,
+    SingularNormalEquations,
+    TooFewPoints,
+)
 from .regression import _ols_loglog
 
 _DAMPING_LIMIT = 1e15
@@ -37,7 +42,7 @@ class PlecModel:
         if not self.c > 0:
             raise NonPositiveValue(f"scale c must be > 0, got {self.c}")
         if self.d > 0:
-            raise ValueError(f"taper parameter d must be <= 0, got {self.d}")
+            raise InvalidArgument(f"taper parameter d must be <= 0, got {self.d}")
 
 
 @dataclass(frozen=True)

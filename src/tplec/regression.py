@@ -14,7 +14,7 @@ from datetime import date
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .errors import DegenerateX, NonPositiveValue, TooFewPoints
 
@@ -96,7 +96,7 @@ def _ols_loglog(x: np.ndarray, y: np.ndarray):
         p_value = 0.0 if slope != 0.0 else 1.0
     else:
         t_stat = slope / math.sqrt(slope_se_sq)
-        p_value = float(2.0 * stats.t.sf(abs(t_stat), dof))
+        p_value = float(2.0 * stdtr(dof, -abs(t_stat)))
     return slope, intercept, r, r_squared, p_value
 
 

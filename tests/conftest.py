@@ -61,8 +61,7 @@ def build_deaths_csv(first_date: date, rows: dict[str, list[int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.fixture
-def ftr_fixture():
+def build_ftr_fixture():
     """Deaths CSV + continent map engineered from known curves.
 
     Two continents follow exact cutoff curves (plus a known baseline and
@@ -143,6 +142,11 @@ def ftr_fixture():
         "end": end,
         "meta": meta,
     }
+
+
+@pytest.fixture
+def ftr_fixture():
+    return build_ftr_fixture()
 
 
 def build_saturating_table(rng_seed=7, n_taxa=150, n_samples=120):

@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from tplec.cli import main
+from tplec.cli import _vm_pairs_for_unit, main
 from tplec.reporting import CURVE_COLUMNS, FALLBACK_COLUMNS, REPORT_COLUMNS
 
 from conftest import abundance_tsv, build_saturating_table
@@ -321,3 +322,77 @@ class TestCurveCommand:
         )
         assert status == 2
         assert "Nowhere" in capsys.readouterr().err
+
+
+def _per_column_vm_pairs(members, lo, hi):
+    """The per-column loop the variance-mean pairs were first computed with."""
+    pairs = []
+    for col in members[:, lo : hi + 1].T:
+        mean = float(col.mean())
+        var = float(col.var(ddof=1)) if col.size > 1 else 0.0
+        if mean > 0.0 and var > 0.0:
+            pairs.append((mean, var))
+    return pairs
+
+
+@pytest.mark.parametrize("n_members", [1, 2, 3, 9, 129, 260])
+def test_vm_pairs_equal_per_column_loop_exactly(n_members):
+    rng = np.random.default_rng(n_members)
+    days = 400
+    steps = rng.integers(0, 10 ** rng.integers(1, 7, size=(n_members, 1)), (n_members, days))
+    members = np.cumsum(steps, axis=1)
+    members[:, :20] = 0  # days with zero mean are dropped
+    members[0, 20:40] = members[1:, 20:40] = 7  # and days with zero variance
+    members.flags.writeable = False
+    for lo, hi in ((0, days - 1), (15, 300), (100, 100)):
+        got = _vm_pairs_for_unit(members, lo, hi)
+        assert got == _per_column_vm_pairs(members, lo, hi)
+        assert all(type(m) is float and type(v) is float for m, v in got)
+
+
+def _with_last_cell(path, value):
+    sep = "," if path.suffix == ".csv" else "\t"
+    head = path.read_text().rstrip("\n").rpartition(sep)[0]
+    path.write_text(f"{head}{sep}{value}\n")
+
+
+BEYOND_INT64 = "99999999999999999999"
+CURVE_ARGS = ["curve", "--tpl", "0.0,1.0", "--horizon", "10"]
+
+
+@pytest.mark.parametrize(
+    "case, expect",
+    [
+        ("ftr --n 0", "InvalidArgument: n must be >= 1"),
+        ("dar --n 0", "InvalidArgument: n must be >= 1"),
+        ("curve --n 0", "InvalidArgument: n must be >= 1"),
+        ("curve d > 0", "InvalidArgument: taper parameter d must be <= 0"),
+        ("ftr count beyond int64", "exceeds the int64 range"),
+        ("dar count beyond int64", "exceeds the int64 range"),
+    ],
+)
+def test_bad_argument_or_count_exits_2_with_one_line(
+    case, expect, ftr_paths, dar_paths, tmp_path, capsys
+):
+    out = tmp_path / "x.csv"
+    if case.startswith("ftr"):
+        if "int64" in case:
+            _with_last_cell(ftr_paths[0], BEYOND_INT64)
+        extra = ("--n", "0") if "--n" in case else ()
+        status, out = run_ftr(ftr_paths, tmp_path, extra=extra)
+    elif case.startswith("dar"):
+        if "int64" in case:
+            _with_last_cell(dar_paths[0], BEYOND_INT64)
+        extra = ("--n", "0") if "--n" in case else ()
+        status = run_dar(dar_paths[0], out, extra=extra)
+    else:
+        params = "1,1,0.1" if "d > 0" in case else "1,1,-0.1"
+        n = "0" if "--n" in case else "5"
+        status = main(CURVE_ARGS + ["--params", params, "--n", n, "--out", str(out)])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert expect in lines[0]
+    assert not out.exists()

@@ -19,7 +19,7 @@ from tplec import (
     run_dar_pipeline,
     run_ftr_pipeline,
 )
-from tplec.errors import NoAsymptote, NonPositiveValue
+from tplec.errors import InvalidArgument, NoAsymptote, NonPositiveValue
 from tplec.regression import PlFit
 
 
@@ -107,6 +107,8 @@ class TestConfidenceBand:
         with pytest.raises(NonPositiveValue):
             confidence_band(0.0, None, 4, variance=1.0)
         with pytest.raises(ValueError):
+            confidence_band(1.0, None, 0, variance=1.0)
+        with pytest.raises(InvalidArgument):
             confidence_band(1.0, None, 0, variance=1.0)
 
 

@@ -12,7 +12,7 @@ from tplec import (
     plec_eval,
     plec_jacobian,
 )
-from tplec.errors import NonPositiveValue, TooFewPoints
+from tplec.errors import InvalidArgument, NonPositiveValue, TooFewPoints
 from tplec.regression import _ols_loglog
 
 # frozen from a 50-digit evaluation of c * x**w * exp(d*x)
@@ -75,6 +75,8 @@ class TestEval:
         with pytest.raises(NonPositiveValue):
             PlecModel(c=0.0, w=1.0, d=-0.1)
         with pytest.raises(ValueError):
+            PlecModel(c=1.0, w=1.0, d=0.1)
+        with pytest.raises(InvalidArgument):
             PlecModel(c=1.0, w=1.0, d=0.1)
 
 

@@ -173,6 +173,16 @@ class TestFitPlGrowth:
         assert expected == pytest.approx(PL_P_VALUE, rel=1e-12)
         assert fit.p_value == pytest.approx(expected, rel=1e-8)
 
+    def test_p_value_kernel_equals_scipy_t_survival_bit_for_bit(self):
+        # the slope p-value uses scipy.special.stdtr instead of importing
+        # scipy.stats; both give the same double for every t and dof
+        from scipy import stats
+        from scipy.special import stdtr
+
+        for dof in (1, 2, 3, 7, 30, 61, 650):
+            for t in (0.0, 1e-8, 0.3, 1.96, 4.5, 17.0, 250.0, 1e6):
+                assert 2.0 * stdtr(dof, -t) == 2.0 * stats.t.sf(t, dof)
+
     def test_perfect_fit_p_value_negligible(self):
         series = [(t, 3.0 * t**2) for t in range(1, 6)]
         assert fit_pl_growth(series).p_value < 1e-30
