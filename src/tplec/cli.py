@@ -25,7 +25,7 @@ from .coupling import (
     run_ftr_pipeline,
 )
 from .diversity import resample_accumulation
-from .errors import TplecError
+from .errors import InvalidArgument, TplecError
 from .ingest import (
     aggregate_regions,
     country_totals,
@@ -66,6 +66,11 @@ def _sibling(out: str, suffix: str) -> str:
     return str(p.with_name(p.stem + suffix + (p.suffix or ".csv")))
 
 
+def _check_n(n: int | None) -> None:
+    if n is not None and n < 1:
+        raise InvalidArgument(f"n must be >= 1, got {n}")
+
+
 def _parse_iso(value: str) -> date:
     try:
         return date.fromisoformat(value)
@@ -90,6 +95,7 @@ def _vm_pairs_for_unit(members: np.ndarray, lo: int, hi: int):
 
 
 def cmd_ftr(args) -> int:
+    _stage("cmd_ftr", _check_n, args.n)
     deaths_text = _read_text(args.deaths, "parse_jhu_deaths")
     map_text = _read_text(args.continents, "parse_continent_map")
     rows = _stage("parse_jhu_deaths", parse_jhu_deaths, deaths_text)
@@ -176,6 +182,7 @@ def cmd_dar(args) -> int:
         raise CliInputError(f"cmd_dar: --q must be finite and >= 0, got {args.q}")
     if args.seed < 0:
         raise CliInputError(f"cmd_dar: --seed must be >= 0, got {args.seed}")
+    _stage("cmd_dar", _check_n, args.n)
     table_text = _read_text(args.abundance, "parse_abundance_table")
     table = _stage("parse_abundance_table", parse_abundance_table, table_text)
     curve = _stage(
@@ -281,6 +288,7 @@ def _model_from_payload(payload) -> tuple:
 
 
 def cmd_curve(args) -> int:
+    _stage("cmd_curve", _check_n, args.n)
     if args.report:
         document = json.loads(_read_text(args.report, "cmd_curve"))
         match = [u for u in document.get("units", []) if u["unit"] == args.unit]

@@ -118,7 +118,7 @@ def confidence_band(
 def day_index_to_date(start: date, t: int) -> date:
     """Calendar date of day index t, with t = 1 on the start date."""
     if t < 1:
-        raise ValueError(f"day index must be >= 1, got {t}")
+        raise InvalidArgument(f"day index must be >= 1, got {t}")
     return start + timedelta(days=t - 1)
 
 

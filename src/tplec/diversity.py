@@ -7,7 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import EmptyCommunity, InvalidPermutation, NegativeCount
+from .errors import (
+    EmptyCommunity,
+    InvalidArgument,
+    InvalidPermutation,
+    NegativeCount,
+)
 
 
 @dataclass(frozen=True)
@@ -22,7 +27,7 @@ class AbundanceTable:
         counts = np.asarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
         if counts.shape != (len(self.sample_ids), len(self.taxon_ids)):
-            raise ValueError(
+            raise InvalidArgument(
                 f"counts shape {counts.shape} does not match "
                 f"{len(self.sample_ids)} samples x {len(self.taxon_ids)} taxa"
             )
@@ -65,10 +70,10 @@ def hill_number(counts, q: float) -> float:
     inverse Simpson at q = 2, and ``(sum p_i**q)**(1/(1-q))`` in general.
     """
     if q < 0:
-        raise ValueError(f"diversity order q must be >= 0, got {q}")
+        raise InvalidArgument(f"diversity order q must be >= 0, got {q}")
     arr = np.asarray(counts, dtype=np.float64)
     if arr.ndim != 1:
-        raise ValueError("counts must be one-dimensional")
+        raise InvalidArgument("counts must be one-dimensional")
     if np.any(arr < 0):
         raise NegativeCount("counts must be nonnegative")
     if not np.any(arr > 0):
@@ -83,7 +88,7 @@ def accumulate(table: AbundanceTable, order, q: float) -> np.ndarray:
     k samples in ``order``.
     """
     if q < 0:
-        raise ValueError(f"diversity order q must be >= 0, got {q}")
+        raise InvalidArgument(f"diversity order q must be >= 0, got {q}")
     perm = np.asarray(order, dtype=np.int64)
     if perm.shape != (table.n_samples,) or not np.array_equal(
         np.sort(perm), np.arange(table.n_samples)
@@ -106,11 +111,11 @@ def resample_accumulation(
     replicate agrees bit-for-bit report exactly zero.
     """
     if replicates < 2:
-        raise ValueError(f"need at least 2 replicates, got {replicates}")
+        raise InvalidArgument(f"need at least 2 replicates, got {replicates}")
     if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+        raise InvalidArgument(f"seed must be nonnegative, got {seed}")
     if q < 0:
-        raise ValueError(f"diversity order q must be >= 0, got {q}")
+        raise InvalidArgument(f"diversity order q must be >= 0, got {q}")
     n = table.n_samples
     perms = np.empty((replicates, n), dtype=np.int64)
     for r in range(replicates):

@@ -13,6 +13,10 @@ class TooFewPoints(TplecError):
     """Fewer data points than the fit requires."""
 
 
+class NonFiniteValue(TplecError):
+    """A value is NaN or infinite."""
+
+
 class NonPositiveValue(TplecError):
     """A value that must be strictly positive is zero or negative."""
 
@@ -51,6 +55,10 @@ class UnparseableDate(TplecError):
 
 class UnparseableCount(TplecError):
     """A count cell is not a nonnegative integer."""
+
+
+class CountOverflow(TplecError):
+    """A sum of counts exceeds the int64 range."""
 
 
 class NegativeCount(TplecError):

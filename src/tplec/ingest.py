@@ -5,10 +5,14 @@ Cumulative-fatality time series arrive in the public JHU CSV layout
 per day). Abundance tables arrive as TSV with taxa across the top and
 one sample per row. Continent assignments come from a two-column CSV.
 
-Each parser converts its whole count block to int64 in one numpy call,
-which applies ``int()`` to every cell and so accepts exactly what the
-per-cell scanner accepts. The scanner runs only when that conversion
-fails or yields a negative count; it names the row and column of the
+Both parsers hand their count rows, as text, to one byte-level
+converter. It takes a fixed number of cells at a time, encodes them as
+ASCII and reads every cell of 1 to 18 plain digits with a few numpy
+passes; at most 18 digits, a count cannot overflow int64. When any
+cell is something else (a sign, a space, a non-ASCII digit, a 19th
+digit, a quoted separator), the converter declines and the per-cell
+scanner parses every count with ``int()``. So the accepted counts
+are exactly ``int()``'s, and the scanner names the row and column of the
 first bad cell in row-major order. Counts must fit in int64.
 """
 
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
@@ -25,6 +30,7 @@ import numpy as np
 
 from .diversity import AbundanceTable
 from .errors import (
+    CountOverflow,
     DateOutOfRange,
     DuplicateSampleId,
     MalformedHeader,
@@ -39,6 +45,8 @@ _JHU_FIXED_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_BLOCK_CELLS = 1 << 14  # cells per converter pass: its scratch arrays stay small
+_MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1, so no overflow check is needed
 
 
 @dataclass(frozen=True)
@@ -137,19 +145,54 @@ def _scan_counts(block, columns, first_row: int) -> np.ndarray:
     return counts
 
 
-def _count_block(block: list[list[str]], columns, first_row: int) -> np.ndarray:
-    """int64 matrix of a rectangular block of count cells.
+def _digit_block(
+    rows: Iterable[str], n_rows: int, n_cols: int, sep: str
+) -> np.ndarray | None:
+    """int64 matrix of ``n_rows`` rows of ``n_cols`` plain-digit cells.
 
-    One numpy call converts the block; it applies ``int()`` to each
-    cell. ``_scan_counts`` runs only when that fails or finds a negative
-    count, so every diagnostic names the same cell as a per-cell parse.
+    Each row is one string of cells joined by ``sep``. Rows are taken a
+    block of about ``_BLOCK_CELLS`` cells at a time (a wider row is a
+    block of its own). Returns None at the first block that holds a cell
+    other than 1 to ``_MAX_DIGITS`` ASCII digits or a row with the wrong
+    number of cells; the caller then scans every cell.
     """
-    try:
-        counts = np.array(block, dtype=np.int64).reshape(len(block), len(columns))
-    except (ValueError, OverflowError):
-        counts = None
-    if counts is None or (counts < 0).any():
-        counts = _scan_counts(block, columns, first_row)
+    counts = np.empty((n_rows, n_cols), dtype=np.int64)
+    rows = iter(rows)
+    per_block = max(1, _BLOCK_CELLS // n_cols)
+    for r0 in range(0, n_rows, per_block):
+        k = min(per_block, n_rows - r0)
+        chunk = list(itertools.islice(rows, k))
+        chunk.append("")  # every row, the last included, ends in "\n"
+        try:
+            raw = np.frombuffer("\n".join(chunk).encode("ascii"), dtype=np.uint8)
+        except UnicodeEncodeError:
+            return None
+        digits = raw - ord("0")  # wraps: every other byte lands above 9
+        ends = np.flatnonzero(digits > 9)
+        if ends.size != k * n_cols:
+            return None
+        terminators = raw[ends].reshape(k, n_cols)
+        if not (
+            (terminators[:, :-1] == ord(sep)).all()
+            and (terminators[:, -1] == ord("\n")).all()
+        ):
+            return None
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        starts[1:] = ends[:-1] + 1
+        widths = ends - starts
+        if widths.min() < 1 or widths.max() > _MAX_DIGITS:
+            return None
+        values = digits[ends - 1].astype(np.int64)
+        multi = np.flatnonzero(widths > 1)  # most cells of a sparse table are "0"
+        if multi.size:
+            first, width = starts[multi], widths[multi]
+            acc = digits[first].astype(np.int64)
+            for j in range(1, int(width.max())):
+                live = np.flatnonzero(width > j)
+                acc[live] = acc[live] * 10 + digits[first[live] + j]
+            values[multi] = acc
+        counts[r0 : r0 + k] = values.reshape(k, n_cols)
     return counts
 
 
@@ -182,7 +225,10 @@ def parse_jhu_deaths(text) -> list[RegionSeries]:
         (i for i, row in enumerate(body) if len(row) != len(header)), len(body)
     )
     body, ragged = body[:n_ok], body[n_ok:]
-    counts = _count_block([row[4:] for row in body], header[4:], first_row=2)
+    joined = (",".join(row[4:]) for row in body)
+    counts = _digit_block(joined, len(body), len(header) - 4, ",")
+    if counts is None:  # csv cells: a quoted "1,000" is one cell here
+        counts = _scan_counts([row[4:] for row in body], header[4:], first_row=2)
     counts.flags.writeable = False
     drops = np.diff(counts, axis=1) < 0
     for i in np.flatnonzero(drops.any(axis=1)):
@@ -248,9 +294,17 @@ def _group_sum(
     index = {name: i for i, name in enumerate(names)}
     totals = np.zeros((len(names), len(dates)), dtype=np.int64)
     for k, s in zip(keys, series):
-        totals[index[k]] += s.cumulative
+        _add_checked(totals[index[k]], s.cumulative, k)
     totals.flags.writeable = False
     return names, totals
+
+
+def _add_checked(total: np.ndarray, row: np.ndarray, name: str) -> None:
+    """``total += row`` for nonnegative rows; raises if a sum exceeds int64."""
+    total += row
+    # two addends in [0, 2**63) wrap to a negative sum, never a positive one
+    if total.min() < 0:
+        raise CountOverflow(f"the total for {name!r} exceeds the int64 range")
 
 
 def country_totals(series: list[RegionSeries]) -> tuple[list[str], np.ndarray]:
@@ -280,7 +334,10 @@ def aggregate_regions(
     names, totals = _group_sum(series, continent)
     dates = series[0].dates
     out = [RegionSeries(name, dates, row) for name, row in zip(names, totals)]
-    out.append(RegionSeries("World", dates, totals.sum(axis=0)))
+    world = np.zeros(len(dates), dtype=np.int64)
+    for row in totals:
+        _add_checked(world, row, "World")
+    out.append(RegionSeries("World", dates, world))
     return out
 
 
@@ -314,12 +371,12 @@ def truncate_series(
     )
 
 
-def _split_tsv(text) -> list[list[str]]:
+def _tsv_lines(text) -> list[str]:
     raw = text if isinstance(text, str) else text.read()
     lines = raw.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    return [line.rstrip("\r").split("\t") for line in lines]
+    return [line.rstrip("\r") for line in lines]
 
 
 def parse_abundance_table(text) -> AbundanceTable:
@@ -329,15 +386,16 @@ def parse_abundance_table(text) -> AbundanceTable:
     leading corner label above the sample-id column; both layouts are
     accepted. Counts must be nonnegative integers that fit in int64.
     """
-    rows = _split_tsv(text)
-    if not rows or rows == [[""]]:
+    lines = _tsv_lines(text)
+    if not lines or lines == [""]:
         raise MalformedHeader("empty input")
-    header = rows[0]
-    body = rows[1:]
+    header = lines[0].split("\t")
+    body = lines[1:]
     if not body:
         raise MalformedHeader("no sample rows present")
 
-    if all(len(r) == len(header) + 1 for r in body):
+    widths = [line.count("\t") + 1 for line in body]
+    if all(w == len(header) + 1 for w in widths):
         taxa = header  # header lists taxa only
     else:
         taxa = header[1:]  # leading corner label above the sample ids
@@ -347,24 +405,28 @@ def parse_abundance_table(text) -> AbundanceTable:
         raise MalformedHeader("duplicate taxon identifiers in header")
 
     sample_ids: list[str] = []
+    count_rows: list[str] = []  # each row's count cells, still one string
     seen: set[str] = set()
     error = None
-    for i, row in enumerate(body):
-        if len(row) != len(taxa) + 1:
+    for i, (line, width) in enumerate(zip(body, widths)):
+        if width != len(taxa) + 1:
             error = RaggedRow(
-                f"row {i + 2} has {len(row)} fields, expected {len(taxa) + 1}"
+                f"row {i + 2} has {width} fields, expected {len(taxa) + 1}"
             )
             break
-        sid = row[0].strip()
+        sid, rest = line.split("\t", 1)
+        sid = sid.strip()
         if sid in seen:
             error = DuplicateSampleId(f"sample id {sid!r} appears more than once")
             break
         seen.add(sid)
         sample_ids.append(sid)
+        count_rows.append(rest)
     # a bad count in a row before the first bad row is reported first
-    counts = _count_block(
-        [row[1:] for row in body[: len(sample_ids)]], taxa, first_row=2
-    )
+    counts = _digit_block(count_rows, len(count_rows), len(taxa), "\t")
+    if counts is None:
+        cells = [row.split("\t") for row in count_rows]
+        counts = _scan_counts(cells, taxa, first_row=2)
     if error is not None:
         raise error
     return AbundanceTable(

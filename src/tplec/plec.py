@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     InvalidArgument,
+    NonFiniteValue,
     NonPositiveValue,
     SingularNormalEquations,
     TooFewPoints,
@@ -56,13 +57,13 @@ class FitOptions:
 
     def __post_init__(self):
         if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
+            raise InvalidArgument("max_iterations must be positive")
         if self.residual_tolerance <= 0:
-            raise ValueError("residual_tolerance must be positive")
+            raise InvalidArgument("residual_tolerance must be positive")
         if self.initial_damping <= 0:
-            raise ValueError("initial_damping must be positive")
+            raise InvalidArgument("initial_damping must be positive")
         if self.d_ceiling >= 0:
-            raise ValueError("d_ceiling must be negative")
+            raise InvalidArgument("d_ceiling must be negative")
 
 
 @dataclass(frozen=True)
@@ -107,10 +108,12 @@ def _validated_points(points) -> tuple[np.ndarray, np.ndarray]:
         raise TooFewPoints(f"need at least 4 points, got {len(points)}")
     x = np.asarray([p[0] for p in points], dtype=np.float64)
     y = np.asarray([p[1] for p in points], dtype=np.float64)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteValue("all points must have finite x and y")
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise NonPositiveValue("all points must have x > 0 and y > 0")
     if np.any(np.diff(x) <= 0.0):
-        raise ValueError("x values must be strictly increasing")
+        raise InvalidArgument("x values must be strictly increasing")
     return x, y
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import stdtr
 
-from .errors import DegenerateX, NonPositiveValue, TooFewPoints
+from .errors import DegenerateX, NonFiniteValue, NonPositiveValue, TooFewPoints
 
 
 class VarianceMeanPair(NamedTuple):
@@ -105,6 +105,8 @@ def _validated_xy(pairs, what: str) -> tuple[np.ndarray, np.ndarray]:
         raise TooFewPoints(f"need at least 3 {what}, got {len(pairs)}")
     x = np.asarray([p[0] for p in pairs], dtype=np.float64)
     y = np.asarray([p[1] for p in pairs], dtype=np.float64)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteValue(f"every value in {what} must be finite")
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise NonPositiveValue(f"every value in {what} must be > 0 to take logs")
     return x, y

@@ -365,6 +365,8 @@ CURVE_ARGS = ["curve", "--tpl", "0.0,1.0", "--horizon", "10"]
     [
         ("ftr --n 0", "InvalidArgument: n must be >= 1"),
         ("dar --n 0", "InvalidArgument: n must be >= 1"),
+        ("dar --q 1 --n 0", "InvalidArgument: n must be >= 1, got 0"),
+        ("dar --n -1", "InvalidArgument: n must be >= 1, got -1"),
         ("curve --n 0", "InvalidArgument: n must be >= 1"),
         ("curve d > 0", "InvalidArgument: taper parameter d must be <= 0"),
         ("ftr count beyond int64", "exceeds the int64 range"),
@@ -378,12 +380,12 @@ def test_bad_argument_or_count_exits_2_with_one_line(
     if case.startswith("ftr"):
         if "int64" in case:
             _with_last_cell(ftr_paths[0], BEYOND_INT64)
-        extra = ("--n", "0") if "--n" in case else ()
+        extra = case.split()[1:] if "--n" in case else ()
         status, out = run_ftr(ftr_paths, tmp_path, extra=extra)
     elif case.startswith("dar"):
         if "int64" in case:
             _with_last_cell(dar_paths[0], BEYOND_INT64)
-        extra = ("--n", "0") if "--n" in case else ()
+        extra = case.split()[1:] if "--n" in case else ()
         status = run_dar(dar_paths[0], out, extra=extra)
     else:
         params = "1,1,0.1" if "d > 0" in case else "1,1,-0.1"
@@ -395,4 +397,39 @@ def test_bad_argument_or_count_exits_2_with_one_line(
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert expect in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ftr", "dar", "curve"])
+def test_bad_n_is_rejected_before_any_input_is_read(command, tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    argv = {
+        "ftr": ["ftr", "--deaths", missing, "--continents", missing]
+        + ["--start", "2021-03-01", "--end", "2021-04-01"],
+        "dar": ["dar", "--abundance", missing, "--q", "1"],
+        "curve": ["curve", "--report", missing, "--unit", "X", "--horizon", "10"],
+    }[command]
+    assert main(argv + ["--n", "0", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cmd_{command}: InvalidArgument: n must be >= 1, got 0\n"
+    )
+
+
+def test_aggregation_overflow_exits_2_with_one_line(tmp_path, capsys):
+    deaths = tmp_path / "deaths.csv"
+    continents = tmp_path / "continents.csv"
+    deaths.write_text(
+        "Province/State,Country/Region,Lat,Long,3/1/21,3/2/21\n"
+        ",A,0,0,1,6900000000000000000\n"
+        ",B,0,0,2,6900000000000000000\n"
+    )
+    continents.write_text("country,continent\nA,K\nB,K\n")
+    out = tmp_path / "x.csv"
+    argv = ["ftr", "--deaths", str(deaths), "--continents", str(continents)]
+    argv += ["--start", "2021-03-01", "--end", "2021-03-02", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: aggregate_regions: CountOverflow: "
+        "the total for 'K' exceeds the int64 range\n"
+    )
     assert not out.exists()

@@ -16,6 +16,7 @@ from tplec import (
     truncate_series,
 )
 from tplec.errors import (
+    CountOverflow,
     DateOutOfRange,
     DuplicateSampleId,
     MalformedHeader,
@@ -25,6 +26,7 @@ from tplec.errors import (
     UnparseableCount,
     UnparseableDate,
 )
+from tplec.ingest import _digit_block
 
 SMALL_CSV = (
     "Province/State,Country/Region,Lat,Long,3/1/21,3/2/21,3/3/21\n"
@@ -146,6 +148,32 @@ class TestAggregateRegions:
         b = RegionSeries("B", (date(2021, 3, 2),), (1,))
         with pytest.raises(MisalignedDates):
             aggregate_regions([a, b], {"A": "K", "B": "K"})
+
+
+class TestAggregationOverflow:
+    # each count fits in int64; any two of them summed do not
+    TEXT = (
+        "Province/State,Country/Region,Lat,Long,3/1/21,3/2/21\n"
+        ",A,0,0,1,6900000000000000000\n"
+        ",B,0,0,2,6900000000000000000\n"
+    )
+
+    def test_continent_total(self):
+        series = parse_jhu_deaths(self.TEXT)
+        with pytest.raises(CountOverflow, match="total for 'K' exceeds the int64"):
+            aggregate_regions(series, {"A": "K", "B": "K"})
+
+    def test_world_total(self):
+        series = parse_jhu_deaths(self.TEXT)
+        with pytest.raises(CountOverflow, match="total for 'World' exceeds the int64"):
+            aggregate_regions(series, {"A": "K1", "B": "K2"})
+
+    def test_largest_total_accepted(self):
+        top = 2**63 - 1
+        a = RegionSeries("A", (date(2021, 3, 1),), (top - 5,))
+        b = RegionSeries("B", (date(2021, 3, 1),), (5,))
+        out = aggregate_regions([a, b], {"A": "K", "B": "K"})
+        assert [s.cumulative.tolist() for s in out] == [[top], [top]]
 
 
 class TestTruncateSeries:
@@ -300,14 +328,16 @@ def _corrupt_grid(cell, positions):
 
 
 def _as_jhu(grid):
-    dates = [f"3/{d}/21" for d in range(1, N_COLS + 1)]
+    first = date(2021, 3, 1).toordinal()
+    days = [date.fromordinal(first + k) for k in range(len(grid[0]))]
+    dates = [f"{d.month}/{d.day}/{d.year % 100:02d}" for d in days]
     lines = ["Province/State,Country/Region,Lat,Long," + ",".join(dates)]
     lines += [f",C{i},0,0," + ",".join(row) for i, row in enumerate(grid)]
     return "\n".join(lines) + "\n", dates
 
 
 def _as_tsv(grid):
-    taxa = [f"t{j}" for j in range(N_COLS)]
+    taxa = [f"t{j}" for j in range(len(grid[0]))]
     lines = ["sample_id\t" + "\t".join(taxa)]
     lines += [f"s{i}\t" + "\t".join(row) for i, row in enumerate(grid)]
     return "\n".join(lines) + "\n", taxa
@@ -411,3 +441,150 @@ def test_header_dates_match_strptime(cells, expected):
     else:
         with pytest.raises(expected):
             parse_jhu_deaths(text)
+
+
+# --- the byte-level count converter and its fallback to the per-cell scanner
+
+
+def _parse_both(grid):
+    """Count matrices of ``grid`` written as a JHU file and as a TSV table."""
+    jhu, _ = _as_jhu(grid)
+    tsv, _ = _as_tsv(grid)
+    series = parse_jhu_deaths(jhu)
+    from_jhu = np.array([s.cumulative for s in series]).reshape(len(grid), -1)
+    return from_jhu, parse_abundance_table(tsv).counts
+
+
+def _random_grid(rng, shape, max_digits):
+    """Cells of 1..max_digits digits, leading zeros included; 19-digit
+    cells start with 0..8 so that every value fits in int64."""
+    grid = []
+    for _ in range(shape[0]):
+        row = []
+        for _ in range(shape[1]):
+            n = int(rng.integers(1, max_digits + 1))
+            first = str(rng.integers(0, 9 if n == 19 else 10))
+            row.append(first + "".join(str(d) for d in rng.integers(0, 10, n - 1)))
+        grid.append(row)
+    for row in grid:
+        row[0] = "1" + row[0][1:]  # no all-zero sample in the TSV
+    return grid
+
+
+@pytest.mark.filterwarnings("ignore:cumulative counts")
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (12, 31), (50, 400)])
+@pytest.mark.parametrize("max_digits", [1, 3, 18, 19])
+def test_converter_matches_numpy_int_oracle(shape, max_digits):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1] + max_digits)
+    grid = _random_grid(rng, shape, max_digits)
+    oracle = np.array(grid, dtype=np.int64)  # int() per cell
+    for counts in _parse_both(grid):
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, oracle)
+    fast = _digit_block(("\t".join(r) for r in grid), *shape, "\t")
+    if max(len(c) for r in grid for c in r) <= 18:
+        assert np.array_equal(fast, oracle)
+    else:
+        assert fast is None  # 19 digits: the scanner converts the block
+
+
+@pytest.mark.parametrize(
+    "grid, expect",
+    [
+        ([["0", "00", "007"], ["0" * 18, "0", "010"]], [[0, 0, 7], [0, 0, 10]]),
+        ([["0", "0", "0"]] * 2, [[0, 0, 0]] * 2),  # all zero
+    ],
+)
+def test_converter_zero_and_leading_zero_cells(grid, expect):
+    jhu, _ = _as_jhu(grid)
+    assert [s.cumulative.tolist() for s in parse_jhu_deaths(jhu)] == expect
+    assert _digit_block([",".join(r) for r in grid], 2, 3, ",").tolist() == expect
+
+
+def test_converter_digit_limit():
+    eighteen, nineteen = "9" * 18, "1" + "0" * 18
+    assert _digit_block([eighteen], 1, 1, "\t").tolist() == [[10**18 - 1]]
+    assert _digit_block([nineteen], 1, 1, "\t") is None
+    top = str(2**63 - 1)
+    assert _digit_block([top], 1, 1, ",") is None
+    jhu, _ = _as_jhu([[eighteen, nineteen, top]])
+    expect = [10**18 - 1, 10**18, 2**63 - 1]
+    assert parse_jhu_deaths(jhu)[0].cumulative.tolist() == expect
+
+
+@pytest.mark.parametrize(
+    "rows, n_cols",
+    [
+        (["1\t2", "3"], 2),  # a short row
+        (["1\t2\t3", "4\t5"], 2),  # a long row, same number of cells overall
+        (["1\t2", "3,4"], 2),  # the wrong separator
+        (["1\t", "3\t4"], 2),  # an empty cell
+        (["1\t2", " 3\t4"], 2),  # a space
+        (["1\t٣"], 2),  # a non-ASCII digit
+    ],
+)
+def test_converter_declines_what_it_does_not_accept(rows, n_cols):
+    assert _digit_block(rows, len(rows), n_cols, "\t") is None
+
+
+@pytest.mark.parametrize("layout", ["jhu", "tsv"])
+def test_bad_cell_in_a_later_block_is_named(layout):
+    rows, cols = 300, 700  # 14 converter blocks
+    grid = [[str(i * cols + j) for j in range(cols)] for i in range(rows)]
+    grid[250][333] = "4x"
+    text, columns = _as_jhu(grid) if layout == "jhu" else _as_tsv(grid)
+    _, message = _per_cell_first_error(grid, columns)
+    assert message == f"row 252, column {columns[333]}: '4x' is not an integer"
+    parse = parse_jhu_deaths if layout == "jhu" else parse_abundance_table
+    with pytest.raises(UnparseableCount) as err:
+        parse(text)
+    assert str(err.value) == message
+    grid[250][333] = str(250 * cols + 333)
+    for counts in _parse_both(grid):
+        assert np.array_equal(counts, np.array(grid, dtype=np.int64))
+
+
+def test_rows_wider_than_a_block():
+    cols = (1 << 16) + 3  # four times the converter's block
+    grid = [[str(j % 1000) for j in range(cols)] for _ in range(2)]
+    text, taxa = _as_tsv(grid)
+    assert np.array_equal(
+        parse_abundance_table(text).counts, np.array(grid, dtype=np.int64)
+    )
+    grid[1][-2] = "-1"
+    text, taxa = _as_tsv(grid)
+    with pytest.raises(UnparseableCount) as err:
+        parse_abundance_table(text)
+    assert str(err.value) == f"row 3, column {taxa[-2]}: count -1 is negative"
+
+
+class TestConverterBoundaries:
+    HEAD = "Province/State,Country/Region,Lat,Long,3/1/21,3/2/21"
+
+    def test_header_only_jhu_file(self):
+        assert parse_jhu_deaths(self.HEAD + "\n") == []
+
+    def test_trailing_empty_cell(self):
+        with pytest.raises(UnparseableCount) as err:
+            parse_abundance_table("sample_id\tt1\tt2\ns1\t1\t\n")
+        assert str(err.value) == "row 2, column t2: '' is not an integer"
+
+    def test_crlf_tsv_with_multi_digit_counts(self):
+        text = "sample_id\tt1\tt2\r\ns1\t120\t0\r\ns2\t7\t31\r\n"
+        for variant in (text, text.replace("\r\n", "\n")):
+            assert parse_abundance_table(variant).counts.tolist() == [[120, 0], [7, 31]]
+
+    def test_quoted_count_with_comma_goes_to_the_scanner(self):
+        with pytest.raises(UnparseableCount) as err:
+            parse_jhu_deaths(self.HEAD + '\n,X,0,0,"1,000",5\n')
+        assert str(err.value) == "row 2, column 3/1/21: '1,000' is not an integer"
+        series = parse_jhu_deaths(self.HEAD + '\n,X,0,0,"12",15\n')
+        assert series[0].cumulative.tolist() == [12, 15]
+
+    def test_cell_holding_a_newline(self):
+        with pytest.raises(UnparseableCount) as err:
+            parse_jhu_deaths(self.HEAD + '\n,X,0,0,0,"1\n2"\n,Y,0,0,1,2\n')
+        assert str(err.value) == "row 2, column 3/2/21: '1\\n2' is not an integer"
+        # int() strips the newline, so the scanner accepts the count
+        series = parse_jhu_deaths(self.HEAD + '\n,X,0,0,"3\n",4\n,Y,0,0,1,2\n')
+        assert [s.cumulative.tolist() for s in series] == [[3, 4], [1, 2]]
