@@ -18,12 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coupling import (
-    date_to_day_index,
-    fit_cutoff,
-    run_dar_pipeline,
-    run_ftr_pipeline,
-)
+from .coupling import date_to_day_index, run_dar_pipeline, run_ftr_pipeline
 from .diversity import resample_accumulation
 from .errors import InvalidArgument, TplecError
 from .ingest import (
@@ -34,8 +29,8 @@ from .ingest import (
     parse_jhu_deaths,
     truncate_series,
 )
-from .plec import FitOptions, PlecModel
-from .regression import PlFit, TplFit, fit_pl_growth
+from .plec import PlecModel
+from .regression import PlFit, TplFit
 from . import reporting
 
 
@@ -129,7 +124,7 @@ def cmd_ftr(args) -> int:
         dates1 = unit.dates.index(args.end)
         vm_pairs = _vm_pairs_for_unit(members, dates0, dates1)
         result = _stage(
-            "run_ftr_pipeline",
+            f"run_ftr_pipeline: {unit.region}",
             run_ftr_pipeline,
             truncated,
             vm_pairs,
@@ -164,17 +159,6 @@ def cmd_ftr(args) -> int:
     return 0
 
 
-def _dar_point_fit(curve):
-    """Cutoff fit for q > 0: point predictions only, no scaling-law band."""
-    points = [
-        (int(k), float(m)) for k, m in zip(curve.steps, curve.mean_diversity) if m > 0
-    ]
-    model, diagnostics, asymptote = fit_cutoff(points, FitOptions())
-    if asymptote is None:
-        model = fit_pl_growth(points)
-    return model, diagnostics, asymptote
-
-
 def cmd_dar(args) -> int:
     if args.replicates < 2:
         raise CliInputError("cmd_dar: --replicates must be at least 2")
@@ -194,73 +178,49 @@ def cmd_dar(args) -> int:
         args.seed,
     )
     unit = Path(args.abundance).stem
-    observed = float(curve.mean_diversity[-1])
-    n_steps = int(curve.steps[-1])
-
-    if args.q == 0:
-        result = _stage("run_dar_pipeline", run_dar_pipeline, curve, n=args.n)
-        row = reporting.report_row(unit, result, observed)
-        tpl = result.tpl
-        model = result.model
-        asymptote = result.asymptote
-    else:
-        # the variance-mean scaling law only couples at q = 0; point
-        # predictions are still emitted with the confidence columns blank
+    observed_series = curve.mean_diversity.tolist()
+    observed = observed_series[-1]
+    result = _stage("run_dar_pipeline", run_dar_pipeline, curve, n=args.n)
+    if result.tpl is None:
         print(
             "note: confidence bands are only available at q = 0; "
             "emitting point predictions without intervals",
             file=sys.stderr,
         )
-        model, diagnostics, asymptote = _stage("fit_cutoff", _dar_point_fit, curve)
-        tpl = None
-        row = {col: None for col in reporting.REPORT_COLUMNS}
-        row["unit"] = unit
-        row["observed"] = observed
-        row["fallback_used"] = asymptote is None
-        if isinstance(model, PlecModel):
-            row["c"], row["w"], row["d"] = model.c, model.w, model.d
-        else:
-            row["c"], row["w"] = math.exp(model.ln_c), model.exponent
-        if diagnostics is not None:
-            row["r_squared"] = diagnostics.r_squared
-        if asymptote is not None:
-            row["t_max"] = asymptote.x_max
-            row["f_max"] = asymptote.y_max
-
-    if asymptote is not None:
-        default_horizon = max(n_steps, int(math.ceil(asymptote.x_max)))
-    else:
-        default_horizon = n_steps
-    horizon = args.horizon or default_horizon
-    observed_map = {int(k): float(m) for k, m in zip(curve.steps, curve.mean_diversity)}
-    rows = reporting.curve_rows(
-        model,
-        tpl,
-        baseline=0.0,
-        n=args.n or n_steps,
-        horizon=horizon,
-        observed=observed_map,
-    )
-
     if args.format == "obj":
-        payload = {
+        document = {
             "command": "dar",
-            "unit": unit,
             "q": args.q,
             "replicates": args.replicates,
             "seed": args.seed,
-            "report": {k: reporting.format_cell(v) for k, v in row.items()},
-            "curve": [
-                {k: reporting.format_cell(v) for k, v in r.items()} for r in rows
+            "units": [
+                reporting.unit_payload(
+                    unit, result, observed, observed_series=observed_series
+                )
             ],
         }
-        _write_text(args.out, reporting.to_json(payload))
+        _write_text(args.out, reporting.to_json(document))
+        return 0
+
+    n_steps = int(curve.steps[-1])
+    if result.asymptote is not None:
+        default_horizon = max(n_steps, int(math.ceil(result.asymptote.x_max)))
     else:
-        _write_text(args.out, reporting.rows_to_dsv(reporting.REPORT_COLUMNS, [row]))
-        _write_text(
-            _sibling(args.out, "_curve"),
-            reporting.rows_to_dsv(reporting.CURVE_COLUMNS, rows),
-        )
+        default_horizon = n_steps
+    rows = reporting.curve_rows(
+        result.model,
+        result.tpl,
+        baseline=result.baseline,
+        n=result.n,
+        horizon=args.horizon or default_horizon,
+        observed={t: v for t, v in enumerate(observed_series, start=1)},
+    )
+    row = reporting.report_row(unit, result, observed)
+    _write_text(args.out, reporting.rows_to_dsv(reporting.REPORT_COLUMNS, [row]))
+    _write_text(
+        _sibling(args.out, "_curve"),
+        reporting.rows_to_dsv(reporting.CURVE_COLUMNS, rows),
+    )
     return 0
 
 
@@ -278,30 +238,51 @@ def _model_from_payload(payload) -> tuple:
     else:
         model = PlecModel(c=model_info["c"], w=model_info["w"], d=model_info["d"])
     tpl_info = payload["tpl"]
-    tpl = TplFit(
-        ln_a=tpl_info["ln_a"],
-        b=tpl_info["b"],
-        r_squared=tpl_info["r_squared"],
-        n_pairs=tpl_info["n_pairs"],
-    )
-    return model, tpl
+    return model, None if tpl_info is None else TplFit(**tpl_info)
+
+
+def _read_report_unit(path: str, unit: str) -> tuple:
+    """What ``curve`` needs from one unit of an ``ftr`` or ``dar`` obj report.
+
+    Returns the model, the scaling law (None without one), baseline,
+    n, start date and the observed values keyed by day index.
+    """
+    try:
+        document = json.loads(_read_text(path, "cmd_curve"))
+    except json.JSONDecodeError as exc:
+        raise CliInputError(f"cmd_curve: {path} is not JSON: {exc}") from exc
+    units = document.get("units") if isinstance(document, dict) else None
+    if not isinstance(units, list):
+        raise CliInputError(f"cmd_curve: {path} has no 'units' list")
+    match = [u for u in units if isinstance(u, dict) and u.get("unit") == unit]
+    if not match:
+        raise CliInputError(f"cmd_curve: unit {unit!r} not in {path}")
+    payload = match[0]
+    try:
+        model, tpl = _model_from_payload(payload)
+        baseline = float(payload["baseline"])
+        n = payload["n"]
+        start = payload.get("start_date")
+        start_date = date.fromisoformat(start) if start else None
+        series = payload.get("observed_series") or []
+    except KeyError as exc:
+        raise CliInputError(f"cmd_curve: unit {unit!r} in {path} lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CliInputError(
+            f"cmd_curve: unit {unit!r} in {path} is malformed: {exc}"
+        ) from exc
+    if type(n) is not int:
+        raise CliInputError(f"cmd_curve: unit {unit!r} in {path} has n = {n!r}")
+    observed = {t: v for t, v in enumerate(series, start=1)}
+    return model, tpl, baseline, n, start_date, observed
 
 
 def cmd_curve(args) -> int:
     _stage("cmd_curve", _check_n, args.n)
     if args.report:
-        document = json.loads(_read_text(args.report, "cmd_curve"))
-        match = [u for u in document.get("units", []) if u["unit"] == args.unit]
-        if not match:
-            raise CliInputError(f"cmd_curve: unit {args.unit!r} not in {args.report}")
-        payload = match[0]
-        model, tpl = _model_from_payload(payload)
-        baseline = payload["baseline"]
-        n = payload["n"]
-        start = payload.get("start_date")
-        start_date = date.fromisoformat(start) if start else None
-        series = payload.get("observed_series") or []
-        observed = {t + 1: v for t, v in enumerate(series)}
+        model, tpl, baseline, n, start_date, observed = _read_report_unit(
+            args.report, args.unit
+        )
     else:
         try:
             c, w, d = (float(v) for v in args.params.split(","))
@@ -380,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     curve = sub.add_parser("curve", help="emit plot-ready band curves")
     source = curve.add_mutually_exclusive_group(required=True)
-    source.add_argument("--report", help="obj-format report from ftr")
+    source.add_argument("--report", help="obj-format report from ftr or dar")
     source.add_argument("--params", help="c,w,d cutoff parameters")
     curve.add_argument("--unit", help="unit name inside --report")
     curve.add_argument("--tpl", help="ln_a,b scaling-law parameters (with --params)")

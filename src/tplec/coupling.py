@@ -59,11 +59,13 @@ class CoupledPrediction:
     ``PlecModel`` with an asymptote and a band on the maximal accrual
     value, or ``model`` is a ``PlFit`` with ``fallback_used`` set and
     bands on the requested day indices. Reported values are shifted by
-    ``baseline`` (counts absorbed at the truncation point).
+    ``baseline`` (counts absorbed at the truncation point). Without a
+    scaling-law fit (``tpl`` None: a diversity curve of order q != 0)
+    there are no bands.
     """
 
     model: PlecModel | PlFit
-    tpl: TplFit
+    tpl: TplFit | None
     asymptote: AsymptotePrediction | None
     band: ConfidenceBand | None
     baseline: float
@@ -227,19 +229,23 @@ def run_dar_pipeline(
     diversity) with no baseline offset and no calendar dates. The
     scaling law is fitted to the curve's own (mean, variance) pairs,
     dropping steps where either is zero (the final step always is).
-    ``n`` defaults to the number of accumulation steps.
+    The scaling law only couples at ``curve.q`` = 0; at any other order
+    the cutoff or power-law fit is returned with ``tpl`` and ``band``
+    None. ``n`` defaults to the number of accumulation steps.
     """
     points = [
         (int(k), float(m))
         for k, m in zip(curve.steps, curve.mean_diversity)
         if m > 0
     ]
-    vm_pairs = [
-        (float(m), float(v))
-        for m, v in zip(curve.mean_diversity, curve.variance_diversity)
-        if m > 0 and v > 0
-    ]
-    tpl = fit_loglog(vm_pairs)
+    tpl = None
+    if curve.q == 0:
+        vm_pairs = [
+            (float(m), float(v))
+            for m, v in zip(curve.mean_diversity, curve.variance_diversity)
+            if m > 0 and v > 0
+        ]
+        tpl = fit_loglog(vm_pairs)
     n_eff = n if n is not None else len(curve.steps)
 
     model, diagnostics, asymptote = fit_cutoff(points, opts)
@@ -256,7 +262,7 @@ def run_dar_pipeline(
             diagnostics=diagnostics,
         )
 
-    band = confidence_band(asymptote.y_max, tpl, n_eff)
+    band = None if tpl is None else confidence_band(asymptote.y_max, tpl, n_eff)
     return CoupledPrediction(
         model=model,
         tpl=tpl,

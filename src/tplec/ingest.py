@@ -33,6 +33,7 @@ from .errors import (
     CountOverflow,
     DateOutOfRange,
     DuplicateSampleId,
+    InvalidArgument,
     MalformedHeader,
     MisalignedDates,
     RaggedRow,
@@ -53,8 +54,8 @@ _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1, so no overflow check is needed
 class RegionSeries:
     """Daily cumulative counts for one region (one source row).
 
-    ``cumulative`` is a read-only int64 array; any integer sequence
-    passed in is converted.
+    ``cumulative`` is a read-only int64 array of nonnegative counts;
+    any integer sequence passed in is converted.
     """
 
     region: str
@@ -63,6 +64,8 @@ class RegionSeries:
 
     def __post_init__(self):
         counts = np.asarray(self.cumulative, dtype=np.int64)
+        if counts.size and counts.min() < 0:
+            raise InvalidArgument(f"region {self.region!r} has a negative count")
         if counts.flags.writeable:
             counts = counts.copy()  # never freeze the caller's array
             counts.flags.writeable = False
@@ -300,7 +303,10 @@ def _group_sum(
 
 
 def _add_checked(total: np.ndarray, row: np.ndarray, name: str) -> None:
-    """``total += row`` for nonnegative rows; raises if a sum exceeds int64."""
+    """``total += row`` for nonnegative rows; raises if a sum exceeds int64.
+
+    Every ``RegionSeries`` row is nonnegative (its constructor checks).
+    """
     total += row
     # two addends in [0, 2**63) wrap to a negative sum, never a positive one
     if total.min() < 0:

@@ -8,15 +8,17 @@ One fixed column set per table so downstream comparisons are mechanical:
   p_value,start_date,horizon_date,predicted,lower_95,upper_95``
 * curve files: ``t,date,predicted,lower,upper,observed``
 
-The ``obj`` format is a single JSON document embedding, per unit, both
-fits and everything needed to redraw curves (baseline, n, start date,
-observed values).
+The ``obj`` format is a single JSON document with a ``units`` list, the
+same for ``ftr`` and ``dar``, embedding per unit both fits and
+everything needed to redraw curves (baseline, n, start date, observed
+values); ``tpl`` is null and ``band`` absent when there is no scaling law.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from datetime import date
 from typing import Mapping, Sequence
 
@@ -99,9 +101,10 @@ def report_row(unit: str, result: CoupledPrediction, observed: float) -> dict:
     row["r_squared"] = result.diagnostics.r_squared
     row["t_max"] = result.asymptote.x_max
     row["date_max"] = result.calendar_date_of_max
-    row["f_max"] = result.band.point
-    row["lower_95"] = result.band.lower
-    row["upper_95"] = result.band.upper
+    row["f_max"] = result.baseline + result.asymptote.y_max
+    if result.band is not None:
+        row["lower_95"] = result.band.lower
+        row["upper_95"] = result.band.upper
     if result.completion_pct is not None:
         row["completion_pct"] = f"{result.completion_pct:.1f}"
     return row
@@ -198,17 +201,17 @@ def unit_payload(
     start_date: date | None = None,
     observed_series: Sequence[float] | None = None,
 ) -> dict:
-    """Full machine-readable record for one unit (obj format)."""
+    """Full machine-readable record for one unit (obj format).
+
+    The ``tpl``, ``diagnostics``, ``band`` and horizon-band records
+    carry the fields of ``TplFit``, ``FitDiagnostics`` and
+    ``ConfidenceBand`` in declaration order.
+    """
     payload = {
         "unit": unit,
         "fallback_used": result.fallback_used,
         "model": _model_payload(result),
-        "tpl": {
-            "ln_a": result.tpl.ln_a,
-            "b": result.tpl.b,
-            "r_squared": result.tpl.r_squared,
-            "n_pairs": result.tpl.n_pairs,
-        },
+        "tpl": asdict(result.tpl) if result.tpl is not None else None,
         "baseline": result.baseline,
         "n": result.n,
         "start_date": _jsonable(start_date),
@@ -216,38 +219,19 @@ def unit_payload(
         "observed_series": list(observed_series) if observed_series else None,
     }
     if result.diagnostics is not None:
-        payload["diagnostics"] = {
-            "converged": result.diagnostics.converged,
-            "iterations": result.diagnostics.iterations,
-            "sum_squared_residuals": result.diagnostics.sum_squared_residuals,
-            "r_squared": result.diagnostics.r_squared,
-            "constraint_active": result.diagnostics.constraint_active,
-        }
+        payload["diagnostics"] = asdict(result.diagnostics)
     if result.asymptote is not None:
         payload["asymptote"] = {
             "x_max": result.asymptote.x_max,
             "y_max": result.asymptote.y_max,
             "date_of_max": _jsonable(result.calendar_date_of_max),
         }
-        payload["band"] = {
-            "point": result.band.point,
-            "lower": result.band.lower,
-            "upper": result.band.upper,
-            "n": result.band.n,
-            "variance": result.band.variance,
-        }
+        if result.band is not None:
+            payload["band"] = asdict(result.band)
         payload["completion_pct"] = result.completion_pct
     if result.horizon_bands:
         payload["horizon_bands"] = [
-            {
-                "t": t,
-                "point": band.point,
-                "lower": band.lower,
-                "upper": band.upper,
-                "n": band.n,
-                "variance": band.variance,
-            }
-            for t, band in result.horizon_bands
+            {"t": t, **asdict(band)} for t, band in result.horizon_bands
         ]
     return payload
 

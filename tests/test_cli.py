@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from tplec import AccumulationCurve, cli, fit_pl_growth
 from tplec.cli import _vm_pairs_for_unit, main
 from tplec.reporting import CURVE_COLUMNS, FALLBACK_COLUMNS, REPORT_COLUMNS
 
@@ -249,6 +250,70 @@ class TestDarCommand:
         assert not (tmp_path / "x.csv").exists()
 
 
+    @pytest.mark.parametrize("q", ["0", "1"])
+    def test_obj_report_has_the_ftr_unit_schema(self, dar_paths, tmp_path, q):
+        path, _ = dar_paths
+        out = tmp_path / "d.json"
+        assert run_dar(path, out, extra=("--q", q, "--format", "obj")) == 0
+        document = json.loads(out.read_text())
+        assert list(document) == ["command", "q", "replicates", "seed", "units"]
+        assert document["command"] == "dar" and document["q"] == float(q)
+        assert (document["replicates"], document["seed"]) == (60, 11)
+        [unit] = document["units"]
+        assert unit["unit"] == "community"
+        assert type(unit["observed_latest"]) is float
+        assert unit["observed_latest"] == unit["observed_series"][-1]
+        assert len(unit["observed_series"]) == unit["n"]
+        if q == "0":
+            assert unit["tpl"]["n_pairs"] > 2
+            assert unit["band"]["point"] == unit["asymptote"]["y_max"]
+        else:
+            assert unit["tpl"] is None
+            assert "band" not in unit and "asymptote" in unit
+
+    def test_fallback_r_squared_is_the_power_law_fit_at_every_q(
+        self, dar_paths, tmp_path, monkeypatch
+    ):
+        # convex and noisy: the cutoff fit pins its taper, the power law takes over
+        k = np.arange(1, 121)
+        noise = 1 + 0.01 * np.random.default_rng(3).standard_normal(k.size)
+        mean = 5.0 * k**0.8 * np.exp(0.004 * k) * noise
+        variance = 0.3 * mean**1.4
+        variance[-1] = 0.0
+
+        def convex_curve(table, replicates, q, seed):
+            return AccumulationCurve(k, mean, variance, replicates, q, seed)
+
+        monkeypatch.setattr(cli, "resample_accumulation", convex_curve)
+        points = [(int(t), float(m)) for t, m in zip(k, mean)]
+        expected = fit_pl_growth(points).r ** 2
+        r_squared = {}
+        for q in ("0", "1"):
+            out = tmp_path / f"q{q}.csv"
+            assert run_dar(dar_paths[0], out, extra=("--q", q)) == 0
+            _, [row] = read_rows(out)
+            assert row["fallback_used"] == "true"
+            r_squared[q] = float(row["r_squared"])
+        assert r_squared["1"] == expected
+        assert r_squared["1"] == r_squared["0"]
+
+
+def _without_unit_field(name):
+    def spoil(document):
+        del document["units"][0][name]
+        return json.dumps(document)
+
+    return spoil
+
+
+def _with_unit_field(name, value):
+    def spoil(document):
+        document["units"][0][name] = value
+        return json.dumps(document)
+
+    return spoil
+
+
 class TestCurveCommand:
     def test_observed_column_round_trips(self, ftr_paths, tmp_path):
         status, report = run_ftr(ftr_paths, tmp_path, fmt="obj")
@@ -322,6 +387,48 @@ class TestCurveCommand:
         )
         assert status == 2
         assert "Nowhere" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("q", ["0", "1"])
+    def test_reads_a_dar_report(self, dar_paths, tmp_path, q):
+        report = tmp_path / "d.json"
+        assert run_dar(dar_paths[0], report, extra=("--q", q, "--format", "obj")) == 0
+        assert run_dar(dar_paths[0], tmp_path / "d.csv", extra=("--q", q)) == 0
+        out = tmp_path / "c.csv"
+        argv = ["curve", "--report", str(report), "--unit", "community"]
+        assert main(argv + ["--horizon", "120", "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "d_curve.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "spoil, expect",
+        [
+            (lambda doc: "{not json", "is not JSON"),
+            (lambda doc: json.dumps({"command": "dar"}), "has no 'units' list"),
+            (lambda doc: json.dumps([doc]), "has no 'units' list"),
+            (_without_unit_field("model"), "lacks 'model'"),
+            (_without_unit_field("tpl"), "lacks 'tpl'"),
+            (_without_unit_field("n"), "lacks 'n'"),
+            (_with_unit_field("n", "12"), "has n = '12'"),
+            (_with_unit_field("model", ["plec"]), "is malformed"),
+        ],
+        ids=[
+            "not_json", "no_units", "top_level_list", "no_model", "no_tpl",
+            "no_n", "n_text", "model_list",
+        ],
+    )  # fmt: skip
+    def test_malformed_report_exits_2_with_one_line(
+        self, dar_paths, tmp_path, capsys, spoil, expect
+    ):
+        report = tmp_path / "d.json"
+        assert run_dar(dar_paths[0], report, extra=("--format", "obj")) == 0
+        report.write_text(spoil(json.loads(report.read_text())))
+        out = tmp_path / "c.csv"
+        argv = ["curve", "--report", str(report), "--unit", "community"]
+        assert main(argv + ["--horizon", "10", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cmd_curve: ")
+        assert expect in lines[0]
+        assert not out.exists()
 
 
 def _per_column_vm_pairs(members, lo, hi):
@@ -413,6 +520,38 @@ def test_bad_n_is_rejected_before_any_input_is_read(command, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: cmd_{command}: InvalidArgument: n must be >= 1, got 0\n"
     )
+
+
+def test_single_country_continent_fails_fast_naming_it(ftr_paths, tmp_path, capsys):
+    # one member country gives no cross-country variance, so no scaling law
+    deaths, continents, _ = ftr_paths
+    n_days = len(deaths.read_text().splitlines()[0].split(",")) - 4
+    with deaths.open("a") as f:
+        f.write(",Solo-A,,," + ",".join(str(10 * t) for t in range(n_days)) + "\n")
+    with continents.open("a") as f:
+        f.write("Solo-A,Solo\n")
+    status, out = run_ftr(ftr_paths, tmp_path)
+    assert status == 2
+    assert capsys.readouterr().err == (
+        "error: run_ftr_pipeline: Solo: TooFewPoints: "
+        "need at least 3 variance-mean pairs, got 0\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q, expect", [("0", "3 variance-mean pairs"), ("1", "4 points")])
+def test_dar_fit_failure_exits_2_with_one_line(tmp_path, capsys, q, expect):
+    # three samples: too few steps for the cutoff fit or the scaling law
+    table = tmp_path / "tiny.tsv"
+    table.write_text("sample_id\tt1\tt2\ns1\t1\t0\ns2\t2\t3\ns3\t0\t4\n")
+    out = tmp_path / "x.csv"
+    assert run_dar(table, out, extra=("--q", q)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        f"error: run_dar_pipeline: TooFewPoints: need at least {expect}, got "
+    )
+    assert not out.exists()
 
 
 def test_aggregation_overflow_exits_2_with_one_line(tmp_path, capsys):

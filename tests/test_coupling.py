@@ -1,6 +1,7 @@
 """Tests for asymptotes, confidence bands, and the coupled pipelines."""
 
 import math
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -267,3 +268,17 @@ class TestDarPipeline:
         curve = _curve_from_model(model, steps=300)
         result = run_dar_pipeline(curve)
         assert result.tpl.n_pairs == 299
+
+    def test_nonzero_order_fits_without_scaling_law(self):
+        model = PlecModel(c=50.0, w=0.5, d=-0.001)
+        # no usable variance-mean pair: only q = 0 would need one
+        curve = replace(
+            _curve_from_model(model, steps=300), q=1.0, variance_diversity=np.zeros(300)
+        )
+        result = run_dar_pipeline(curve)
+        assert result.tpl is None and result.band is None
+        assert not result.fallback_used
+        assert result.asymptote.y_max == pytest.approx(
+            compute_asymptote(model).y_max, rel=1e-6
+        )
+        assert result.n == 300

@@ -1,15 +1,21 @@
 """Typed errors for bad arguments and non-finite fit inputs."""
 
+import ast
+import importlib
 import math
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tplec
 from tplec import (
     AbundanceTable,
     FitOptions,
+    RegionSeries,
     accumulate,
+    aggregate_regions,
     day_index_to_date,
     fit_cutoff,
     fit_loglog,
@@ -21,6 +27,7 @@ from tplec import (
 from tplec.errors import InvalidArgument, NonFiniteValue, TplecError
 
 TABLE = AbundanceTable(("s1", "s2"), ("t1", "t2"), np.array([[1, 0], [2, 3]]))
+DAY = (date(2021, 3, 1),)
 
 
 @pytest.mark.parametrize(
@@ -39,11 +46,15 @@ TABLE = AbundanceTable(("s1", "s2"), ("t1", "t2"), np.array([[1, 0], [2, 3]]))
         lambda: resample_accumulation(TABLE, 2, -1.0, 0),
         lambda: AbundanceTable(("s1",), ("t1", "t2"), np.array([[1, 2], [3, 4]])),
         lambda: fit_plec([(1, 1), (3, 2), (2, 3), (4, 4)]),
+        lambda: aggregate_regions(
+            [RegionSeries("A", DAY, (-3,)), RegionSeries("B", DAY, (1,))],
+            {"A": "K", "B": "K"},
+        ),
     ],
     ids=[
         "max_iterations", "residual_tolerance", "initial_damping", "d_ceiling",
         "day_index", "hill_q", "hill_ndim", "accumulate_q", "replicates", "seed",
-        "resample_q", "table_shape", "x_not_increasing",
+        "resample_q", "table_shape", "x_not_increasing", "negative_region_count",
     ],
 )  # fmt: skip
 def test_bad_argument_raises_invalid_argument(call):
@@ -71,3 +82,90 @@ def test_non_finite_fit_input_is_rejected(fit, axis, value):
     points = _spoil(GROWTH, 2, value, axis)
     with pytest.raises(NonFiniteValue, match="finite"):
         fit(points)
+
+
+def test_negative_region_count_names_the_region():
+    with pytest.raises(InvalidArgument, match="region 'A' has a negative count"):
+        RegionSeries("A", DAY + (date(2021, 3, 2),), (4, -1))
+
+
+SOURCES = sorted(Path(tplec.__file__).parent.glob("*.py"))
+
+
+def _untyped_raises(source: str, module_name: str) -> list[int]:
+    """Lines of ``raise`` statements that raise anything but a TplecError.
+
+    Allowed: a bare re-raise; a name that resolves in the module to a
+    ``TplecError`` subclass (called or not); a local that every
+    assignment in its function binds to such a call; and, in the CLI,
+    ``argparse.ArgumentTypeError``, which argparse turns into exit 2.
+    """
+    tree = ast.parse(source)
+    scope = {}
+    for node in ast.walk(tree):  # breadth first: parents before children
+        for child in ast.iter_child_nodes(node):
+            is_function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            scope[child] = node if is_function else scope.get(node, tree)
+
+    def tplec_error(name: str) -> bool:
+        cls = getattr(importlib.import_module(module_name), name, None)
+        return isinstance(cls, type) and issubclass(cls, TplecError)
+
+    def allowed(node: ast.Raise) -> bool:
+        exc = node.exc
+        if exc is None:
+            return True
+        target = exc.func if isinstance(exc, ast.Call) else exc
+        if isinstance(target, ast.Attribute):
+            return (
+                module_name == "tplec.cli"
+                and isinstance(target.value, ast.Name)
+                and (target.value.id, target.attr) == ("argparse", "ArgumentTypeError")
+            )
+        if not isinstance(target, ast.Name):
+            return False
+        if target is exc and isinstance(scope[node], ast.FunctionDef):
+            bound = [
+                a.value
+                for a in ast.walk(scope[node])
+                if isinstance(a, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == exc.id for t in a.targets)
+            ]
+            if bound:
+                return all(
+                    (isinstance(v, ast.Constant) and v.value is None)
+                    or (
+                        isinstance(v, ast.Call)
+                        and isinstance(v.func, ast.Name)
+                        and tplec_error(v.func.id)
+                    )
+                    for v in bound
+                )
+        return tplec_error(target.id)
+
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and not allowed(node)
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_raise_in_the_package_is_a_tplec_error(path):
+    module = "tplec" if path.stem == "__init__" else f"tplec.{path.stem}"
+    assert _untyped_raises(path.read_text(), module) == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        'raise ValueError("bad")',
+        "raise KeyError",
+        'raise argparse.ArgumentTypeError("bad")',
+        "error = ValueError()\n    raise error",
+        'error = InvalidArgument("bad") if x else ValueError()\n    raise error',
+    ],
+)
+def test_raise_guard_flags_untyped_raises(line):
+    source = f"def f(x):\n    {line}\n"
+    assert _untyped_raises(source, "tplec.ingest") != []

@@ -15,6 +15,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import pytest
+
 from tplec.cli import main
 
 from conftest import abundance_tsv, build_ftr_fixture, build_saturating_table
@@ -63,6 +65,15 @@ def test_outputs_match_golden_files(tmp_path, capsys):
     assert names == sorted(p.name for p in GOLDEN.iterdir())
     for name in names:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_curve_from_dar_report_matches_dar_curve(tmp_path, q):
+    out = tmp_path / "curve.csv"
+    argv = ["curve", "--report", str(GOLDEN / f"dar_q{q}.json")]
+    argv += ["--unit", "community", "--horizon", "120", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / f"dar_q{q}_curve.csv").read_bytes()
 
 
 if __name__ == "__main__":
