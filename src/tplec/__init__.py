@@ -47,7 +47,6 @@ from .plec import (
 from .regression import (
     PlFit,
     TplFit,
-    VarianceMeanPair,
     fit_loglog,
     fit_pl_growth,
     predict_variance,
@@ -68,7 +67,6 @@ __all__ = [
     "RegionSeries",
     "TplFit",
     "TruncatedSeries",
-    "VarianceMeanPair",
     "accumulate",
     "aggregate_regions",
     "compute_asymptote",

@@ -280,6 +280,17 @@ def _read_report_unit(path: str, unit: str) -> tuple:
 def cmd_curve(args) -> int:
     _stage("cmd_curve", _check_n, args.n)
     if args.report:
+        # the report supplies these; a flag that would be ignored is an error
+        for flag, value in (
+            ("--n", args.n),
+            ("--baseline", args.baseline),
+            ("--start", args.start),
+            ("--tpl", args.tpl),
+        ):
+            if value is not None:
+                raise CliInputError(f"cmd_curve: {flag} cannot be used with --report")
+        if args.unit is None:
+            raise CliInputError("cmd_curve: --unit is required with --report")
         model, tpl, baseline, n, start_date, observed = _read_report_unit(
             args.report, args.unit
         )
@@ -293,7 +304,7 @@ def cmd_curve(args) -> int:
             raise CliInputError("cmd_curve: --n is required with --params")
         model = _stage("cmd_curve", PlecModel, c, w, d)
         tpl = TplFit(ln_a=ln_a, b=b, r_squared=float("nan"), n_pairs=0)
-        baseline = args.baseline
+        baseline = 0.0 if args.baseline is None else args.baseline
         n = args.n
         start_date = args.start
         observed = {}
@@ -366,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--unit", help="unit name inside --report")
     curve.add_argument("--tpl", help="ln_a,b scaling-law parameters (with --params)")
     curve.add_argument("--n", type=int, default=None)
-    curve.add_argument("--baseline", type=float, default=0.0)
+    curve.add_argument(
+        "--baseline", type=float, default=None, help="with --params (default 0)"
+    )
     curve.add_argument("--start", type=_parse_iso, default=None)
     curve.add_argument("--horizon", type=int, required=True)
     curve.add_argument("--out", required=True)

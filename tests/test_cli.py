@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from tplec.cli import _vm_pairs_for_unit, main
 from tplec.reporting import CURVE_COLUMNS, FALLBACK_COLUMNS, REPORT_COLUMNS
 
 from conftest import abundance_tsv, build_saturating_table
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def read_rows(path):
@@ -429,6 +435,41 @@ class TestCurveCommand:
         assert len(lines) == 1 and lines[0].startswith("error: cmd_curve: ")
         assert expect in lines[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, expect",
+        [
+            ("--n 3", "--n cannot be used with --report"),
+            ("--baseline 5", "--baseline cannot be used with --report"),
+            ("--baseline 0", "--baseline cannot be used with --report"),
+            ("--start 2020-01-01", "--start cannot be used with --report"),
+            ("--tpl 1,2", "--tpl cannot be used with --report"),
+            ("", "--unit is required with --report"),
+        ],
+        ids=["n", "baseline", "baseline_zero", "start", "tpl", "no_unit"],
+    )
+    def test_report_rejects_flags_it_would_ignore(
+        self, tmp_path, capsys, extra, expect
+    ):
+        out = tmp_path / "c.csv"
+        argv = ["curve", "--report", str(GOLDEN / "ftr.json"), "--horizon", "3"]
+        argv += ["--unit", "Alphia", *extra.split()] if extra else []
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cmd_curve: {expect}\n"
+        assert not out.exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.special alone took about 0.3 s of every cold start
+    code = (
+        "import tplec.cli, sys; "
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def _per_column_vm_pairs(members, lo, hi):

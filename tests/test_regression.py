@@ -12,6 +12,7 @@ from tplec import (
     predict_variance,
 )
 from tplec.errors import DegenerateX, NonPositiveValue, TooFewPoints
+from tplec.regression import _t_two_sided_p
 
 
 def ols_oracle(xs, ys):
@@ -125,7 +126,7 @@ PL_Y = [
 PL_P_VALUE = 6.999177703078980e-12
 
 
-def t_sf_oracle(t_stat: float, dof: int) -> float:
+def t_sf_oracle(t_stat: float, dof: float) -> float:
     """Survival function of Student's t via the regularized incomplete
     beta function, evaluated in high precision (independent of scipy)."""
     import mpmath as mp
@@ -170,22 +171,61 @@ class TestFitPlGrowth:
         ssr = sum((b - (intercept + slope * a)) ** 2 for a, b in zip(lx, ly))
         t_stat = slope / math.sqrt(ssr / (n - 2) / sxx)
         expected = 2.0 * t_sf_oracle(t_stat, n - 2)
-        assert expected == pytest.approx(PL_P_VALUE, rel=1e-12)
-        assert fit.p_value == pytest.approx(expected, rel=1e-8)
-
-    def test_p_value_kernel_equals_scipy_t_survival_bit_for_bit(self):
-        # the slope p-value uses scipy.special.stdtr instead of importing
-        # scipy.stats; both give the same double for every t and dof
-        from scipy import stats
-        from scipy.special import stdtr
-
-        for dof in (1, 2, 3, 7, 30, 61, 650):
-            for t in (0.0, 1e-8, 0.3, 1.96, 4.5, 17.0, 250.0, 1e6):
-                assert 2.0 * stdtr(dof, -t) == 2.0 * stats.t.sf(t, dof)
+        assert expected == pytest.approx(PL_P_VALUE, rel=1e-12, abs=0.0)
+        assert fit.p_value == pytest.approx(expected, rel=5e-13, abs=0.0)
 
     def test_perfect_fit_p_value_negligible(self):
         series = [(t, 3.0 * t**2) for t in range(1, 6)]
         assert fit_pl_growth(series).p_value < 1e-30
+
+
+class TestTwoSidedP:
+    """``_t_two_sided_p`` against the mpmath oracle and its limits."""
+
+    FIXED_DOF = (1, 2, 3, 7, 30, 61, 650, 1000)
+
+    def test_matches_oracle_over_dof_and_t_grid(self):
+        rng = np.random.default_rng(2021)
+        # every fixed dof on 4 t per decade; each random dof on 8 log-spaced
+        # t shifted by its own random offset, so together they fill the range
+        cases = [
+            (dof, t) for dof in self.FIXED_DOF for t in np.logspace(-8, 6, 57)
+        ]
+        for dof in rng.uniform(1.0, 1000.0, size=200):
+            shift = rng.uniform(0.0, 2.0)
+            cases += [(dof, t) for t in np.logspace(-8 + shift, 4 + shift, 8)]
+        checked = 0
+        for dof, t in cases:
+            expected = 2.0 * t_sf_oracle(float(t), float(dof))
+            if expected < 1e-300:
+                continue
+            assert _t_two_sided_p(float(t), float(dof)) == pytest.approx(
+                expected, rel=5e-13, abs=0.0
+            ), (dof, t)
+            checked += 1
+        assert checked > 1500
+
+    def test_zero_t_gives_one(self):
+        for dof in self.FIXED_DOF:
+            assert _t_two_sided_p(0.0, dof) == 1.0
+            assert _t_two_sided_p(-0.0, dof) == 1.0
+
+    def test_non_increasing_in_abs_t_and_even(self):
+        ts = np.logspace(-8, 6, 3000)
+        for dof in self.FIXED_DOF:
+            ps = [_t_two_sided_p(float(t), dof) for t in ts]
+            assert all(b <= a for a, b in zip(ps, ps[1:])), dof
+            assert all(0.0 <= p <= 1.0 for p in ps)
+            assert [_t_two_sided_p(-float(t), dof) for t in ts] == ps
+
+    def test_huge_t_does_not_overflow(self):
+        # t**2 overflows a double; the tail is computed in logs instead
+        for dof in self.FIXED_DOF[1:]:
+            assert _t_two_sided_p(1e200, dof) == 0.0
+        # one degree of freedom is Cauchy: p = (2/pi) * atan(1/|t|) ~ 6.4e-201
+        assert _t_two_sided_p(1e200, 1) == pytest.approx(
+            2.0 / math.pi * 1e-200, rel=1e-13, abs=0.0
+        )
 
 
 class TestProperties:
