@@ -16,6 +16,7 @@ from .coupling import (
     day_index_to_date,
     fit_cutoff,
     run_dar_pipeline,
+    run_ftr,
     run_ftr_pipeline,
 )
 from .diversity import (
@@ -86,6 +87,7 @@ __all__ = [
     "predict_variance",
     "resample_accumulation",
     "run_dar_pipeline",
+    "run_ftr",
     "run_ftr_pipeline",
     "serialize_abundance_table",
     "serialize_jhu_deaths",

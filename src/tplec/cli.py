@@ -16,40 +16,20 @@ import sys
 from datetime import date, timedelta
 from pathlib import Path
 
-import numpy as np
-
-from .coupling import date_to_day_index, run_dar_pipeline, run_ftr_pipeline
+from .coupling import date_to_day_index, run_dar_pipeline, run_ftr
 from .diversity import resample_accumulation
-from .errors import InvalidArgument, TplecError
-from .ingest import (
-    aggregate_regions,
-    country_totals,
-    parse_abundance_table,
-    parse_continent_map,
-    parse_jhu_deaths,
-    truncate_series,
-)
+from .errors import InvalidArgument, StageError, TplecError, stage
+from .ingest import parse_abundance_table, parse_continent_map, parse_jhu_deaths
 from .plec import PlecModel
 from .regression import PlFit, TplFit
 from . import reporting
-
-
-class CliInputError(TplecError):
-    """Input or configuration problem; maps to exit status 2."""
-
-
-def _stage(name, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except TplecError as exc:
-        raise CliInputError(f"{name}: {type(exc).__name__}: {exc}") from exc
 
 
 def _read_text(path: str, op: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CliInputError(f"{op}: cannot read {path}: {exc}") from exc
+        raise StageError(f"{op}: cannot read {path}: {exc}") from exc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -73,71 +53,34 @@ def _parse_iso(value: str) -> date:
         raise argparse.ArgumentTypeError(f"{value!r} is not a YYYY-MM-DD date")
 
 
-def _vm_pairs_for_unit(members: np.ndarray, lo: int, hi: int):
-    """Per-day (mean, variance) of cumulative counts across member countries.
-
-    ``members`` is a members x days matrix. Each day's members are
-    reduced as one contiguous row, which sums in the same order as a
-    reduction over that day's column alone, so the pairs are the same
-    to the last bit.
-    """
-    if members.shape[0] < 2:
-        return []
-    days = np.ascontiguousarray(members[:, lo : hi + 1].T)
-    means = days.mean(axis=1).tolist()
-    variances = days.var(axis=1, ddof=1).tolist()
-    return [(m, v) for m, v in zip(means, variances) if m > 0.0 and v > 0.0]
-
-
 def cmd_ftr(args) -> int:
-    _stage("cmd_ftr", _check_n, args.n)
-    deaths_text = _read_text(args.deaths, "parse_jhu_deaths")
-    map_text = _read_text(args.continents, "parse_continent_map")
-    rows = _stage("parse_jhu_deaths", parse_jhu_deaths, deaths_text)
-    continent_map = _stage("parse_continent_map", parse_continent_map, map_text)
-    units = _stage("aggregate_regions", aggregate_regions, rows, continent_map)
+    stage("cmd_ftr", _check_n, args.n)
     if args.start >= args.end:
-        raise CliInputError("cmd_ftr: --start must precede --end")
-
-    countries, totals = country_totals(rows)
+        raise StageError("cmd_ftr: --start must precede --end")
     horizon_dates = args.horizon or [
         args.end + timedelta(days=k) for k in (30, 60, 90)
     ]
     horizons = [date_to_day_index(args.start, d) for d in horizon_dates]
     if any(h < 1 for h in horizons):
-        raise CliInputError("cmd_ftr: horizon dates must not precede --start")
+        raise StageError("cmd_ftr: horizon dates must not precede --start")
+    deaths_text = _read_text(args.deaths, "parse_jhu_deaths")
+    map_text = _read_text(args.continents, "parse_continent_map")
+    rows = stage("parse_jhu_deaths", parse_jhu_deaths, deaths_text)
+    continent_map = stage("parse_continent_map", parse_continent_map, map_text)
 
     report_rows = []
     fallback_rows = []
     payloads = []
-    for unit in units:
-        truncated = _stage(
-            "truncate_series", truncate_series, unit, args.start, args.end
-        )
-        if unit.region == "World":
-            members = totals
-        else:
-            members = totals[
-                [i for i, c in enumerate(countries) if continent_map[c] == unit.region]
-            ]
-        dates0 = unit.dates.index(args.start)
-        dates1 = unit.dates.index(args.end)
-        vm_pairs = _vm_pairs_for_unit(members, dates0, dates1)
-        result = _stage(
-            f"run_ftr_pipeline: {unit.region}",
-            run_ftr_pipeline,
-            truncated,
-            vm_pairs,
-            n=args.n,
-            horizons=horizons,
-        )
+    for unit, truncated, result in run_ftr(
+        rows, continent_map, args.start, args.end, n=args.n, horizons=horizons
+    ):
         observed = truncated.baseline + truncated.f_rel[-1]
-        report_rows.append(reporting.report_row(unit.region, result, observed))
+        report_rows.append(reporting.report_row(unit, result, observed))
         if result.fallback_used:
-            fallback_rows.extend(reporting.fallback_rows(unit.region, result))
+            fallback_rows.extend(reporting.fallback_rows(unit, result))
         payloads.append(
             reporting.unit_payload(
-                unit.region,
+                unit,
                 result,
                 observed,
                 start_date=args.start,
@@ -161,15 +104,15 @@ def cmd_ftr(args) -> int:
 
 def cmd_dar(args) -> int:
     if args.replicates < 2:
-        raise CliInputError("cmd_dar: --replicates must be at least 2")
+        raise StageError("cmd_dar: --replicates must be at least 2")
     if not (math.isfinite(args.q) and args.q >= 0):
-        raise CliInputError(f"cmd_dar: --q must be finite and >= 0, got {args.q}")
+        raise StageError(f"cmd_dar: --q must be finite and >= 0, got {args.q}")
     if args.seed < 0:
-        raise CliInputError(f"cmd_dar: --seed must be >= 0, got {args.seed}")
-    _stage("cmd_dar", _check_n, args.n)
+        raise StageError(f"cmd_dar: --seed must be >= 0, got {args.seed}")
+    stage("cmd_dar", _check_n, args.n)
     table_text = _read_text(args.abundance, "parse_abundance_table")
-    table = _stage("parse_abundance_table", parse_abundance_table, table_text)
-    curve = _stage(
+    table = stage("parse_abundance_table", parse_abundance_table, table_text)
+    curve = stage(
         "resample_accumulation",
         resample_accumulation,
         table,
@@ -180,7 +123,7 @@ def cmd_dar(args) -> int:
     unit = Path(args.abundance).stem
     observed_series = curve.mean_diversity.tolist()
     observed = observed_series[-1]
-    result = _stage("run_dar_pipeline", run_dar_pipeline, curve, n=args.n)
+    result = stage("run_dar_pipeline", run_dar_pipeline, curve, n=args.n)
     if result.tpl is None:
         print(
             "note: confidence bands are only available at q = 0; "
@@ -250,13 +193,13 @@ def _read_report_unit(path: str, unit: str) -> tuple:
     try:
         document = json.loads(_read_text(path, "cmd_curve"))
     except json.JSONDecodeError as exc:
-        raise CliInputError(f"cmd_curve: {path} is not JSON: {exc}") from exc
+        raise StageError(f"cmd_curve: {path} is not JSON: {exc}") from exc
     units = document.get("units") if isinstance(document, dict) else None
     if not isinstance(units, list):
-        raise CliInputError(f"cmd_curve: {path} has no 'units' list")
+        raise StageError(f"cmd_curve: {path} has no 'units' list")
     match = [u for u in units if isinstance(u, dict) and u.get("unit") == unit]
     if not match:
-        raise CliInputError(f"cmd_curve: unit {unit!r} not in {path}")
+        raise StageError(f"cmd_curve: unit {unit!r} not in {path}")
     payload = match[0]
     try:
         model, tpl = _model_from_payload(payload)
@@ -266,19 +209,19 @@ def _read_report_unit(path: str, unit: str) -> tuple:
         start_date = date.fromisoformat(start) if start else None
         series = payload.get("observed_series") or []
     except KeyError as exc:
-        raise CliInputError(f"cmd_curve: unit {unit!r} in {path} lacks {exc}") from exc
+        raise StageError(f"cmd_curve: unit {unit!r} in {path} lacks {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise CliInputError(
+        raise StageError(
             f"cmd_curve: unit {unit!r} in {path} is malformed: {exc}"
         ) from exc
     if type(n) is not int:
-        raise CliInputError(f"cmd_curve: unit {unit!r} in {path} has n = {n!r}")
+        raise StageError(f"cmd_curve: unit {unit!r} in {path} has n = {n!r}")
     observed = {t: v for t, v in enumerate(series, start=1)}
     return model, tpl, baseline, n, start_date, observed
 
 
 def cmd_curve(args) -> int:
-    _stage("cmd_curve", _check_n, args.n)
+    stage("cmd_curve", _check_n, args.n)
     if args.report:
         # the report supplies these; a flag that would be ignored is an error
         for flag, value in (
@@ -288,28 +231,30 @@ def cmd_curve(args) -> int:
             ("--tpl", args.tpl),
         ):
             if value is not None:
-                raise CliInputError(f"cmd_curve: {flag} cannot be used with --report")
+                raise StageError(f"cmd_curve: {flag} cannot be used with --report")
         if args.unit is None:
-            raise CliInputError("cmd_curve: --unit is required with --report")
+            raise StageError("cmd_curve: --unit is required with --report")
         model, tpl, baseline, n, start_date, observed = _read_report_unit(
             args.report, args.unit
         )
     else:
+        if args.unit is not None:
+            raise StageError("cmd_curve: --unit cannot be used with --params")
         try:
             c, w, d = (float(v) for v in args.params.split(","))
             ln_a, b = (float(v) for v in args.tpl.split(","))
         except (ValueError, AttributeError) as exc:
-            raise CliInputError(f"cmd_curve: bad --params/--tpl: {exc}") from exc
+            raise StageError(f"cmd_curve: bad --params/--tpl: {exc}") from exc
         if args.n is None:
-            raise CliInputError("cmd_curve: --n is required with --params")
-        model = _stage("cmd_curve", PlecModel, c, w, d)
+            raise StageError("cmd_curve: --n is required with --params")
+        model = stage("cmd_curve", PlecModel, c, w, d)
         tpl = TplFit(ln_a=ln_a, b=b, r_squared=float("nan"), n_pairs=0)
         baseline = 0.0 if args.baseline is None else args.baseline
         n = args.n
         start_date = args.start
         observed = {}
 
-    rows = _stage(
+    rows = stage(
         "cmd_curve",
         reporting.curve_rows,
         model,
@@ -392,7 +337,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliInputError as exc:
+    except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TplecError as exc:

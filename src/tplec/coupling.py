@@ -5,7 +5,8 @@ The cutoff fit supplies a point prediction of the maximal accrual value
 at that point, which turns into a symmetric 95% band of half-width
 ``1.96 * sqrt(V / n)``. When the cutoff fit fails (no taper detectable)
 the plain power law takes over and bands are attached to requested
-day-index predictions instead.
+day-index predictions instead. Both pipelines share one core; ``run_ftr``
+runs the fatality pipeline for every continent of a deaths file.
 """
 
 from __future__ import annotations
@@ -13,16 +14,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     InvalidArgument,
     NoAsymptote,
     NonPositiveValue,
     SingularNormalEquations,
+    stage,
 )
-from .ingest import TruncatedSeries
-from .plec import FitDiagnostics, FitOptions, PlecModel, fit_plec, plec_eval
+from .ingest import (
+    RegionSeries,
+    TruncatedSeries,
+    regions_with_members,
+    truncate_series,
+)
+from .plec import FitDiagnostics, PlecModel, fit_plec, plec_eval
 from .regression import PlFit, TplFit, fit_loglog, fit_pl_growth, predict_variance
 
 Z_95 = 1.96  # two-sided 95% normal quantile
@@ -139,7 +148,7 @@ def _positive_points(series: TruncatedSeries) -> list[tuple[int, int]]:
     return [(t, f) for t, f in zip(series.t_index, series.f_rel) if f > 0]
 
 
-def fit_cutoff(points, opts=FitOptions()):
+def fit_cutoff(points):
     """Cutoff fit plus asymptote; returns asymptote None on any failure.
 
     Failure signals: non-convergence, the taper pinned at its ceiling
@@ -147,7 +156,7 @@ def fit_cutoff(points, opts=FitOptions()):
     normal equations. All of them route callers to the power-law branch.
     """
     try:
-        model, diagnostics = fit_plec(points, opts)
+        model, diagnostics = fit_plec(points)
     except SingularNormalEquations:
         return None, None, None
     if not diagnostics.converged or diagnostics.constraint_active:
@@ -158,11 +167,55 @@ def fit_cutoff(points, opts=FitOptions()):
         return model, diagnostics, None
 
 
+def _couple(points, tpl, n, baseline, start_date, observed, horizons):
+    """The coupling core shared by both pipelines.
+
+    Fits the cutoff curve to ``points`` and bands the baseline-inclusive
+    maximal accrual value with the scaling law ``tpl`` (no band when
+    ``tpl`` is None). When ``fit_cutoff`` finds no asymptote, the plain
+    power law is fitted instead and bands are attached at the day
+    indices ``horizons``. ``observed`` (None for no completion) and
+    ``start_date`` (None for no calendar date) describe the series.
+    """
+    model, diagnostics, asymptote = fit_cutoff(points)
+    if asymptote is None:
+        pl = fit_pl_growth(points, start_date=start_date)
+        bands = tuple(
+            (t, confidence_band(baseline + pl.predict(t), tpl, n)) for t in horizons
+        )
+        return CoupledPrediction(
+            model=pl,
+            tpl=tpl,
+            asymptote=None,
+            band=None,
+            baseline=float(baseline),
+            n=n,
+            fallback_used=True,
+            diagnostics=diagnostics,
+            horizon_bands=bands,
+        )
+
+    total_max = baseline + asymptote.y_max
+    return CoupledPrediction(
+        model=model,
+        tpl=tpl,
+        asymptote=asymptote,
+        band=None if tpl is None else confidence_band(total_max, tpl, n),
+        baseline=float(baseline),
+        n=n,
+        fallback_used=False,
+        diagnostics=diagnostics,
+        completion_pct=None if observed is None else observed / total_max * 100.0,
+        calendar_date_of_max=None
+        if start_date is None
+        else day_index_to_date(start_date, _round_day(asymptote.x_max)),
+    )
+
+
 def run_ftr_pipeline(
     series: TruncatedSeries,
     vm_pairs: Sequence[tuple[float, float]],
     n: int | None = None,
-    opts: FitOptions = FitOptions(),
     horizons: Sequence[int] = (),
 ) -> CoupledPrediction:
     """Coupled prediction for one cumulative-fatality series.
@@ -179,50 +232,12 @@ def run_ftr_pipeline(
     points = _positive_points(series)
     tpl = fit_loglog(vm_pairs)
     n_eff = n if n is not None else len(points)
-
-    model, diagnostics, asymptote = fit_cutoff(points, opts)
-    if asymptote is None:
-        pl = fit_pl_growth(points, start_date=series.start_date)
-        bands = tuple(
-            (t, confidence_band(series.baseline + pl.predict(t), tpl, n_eff))
-            for t in horizons
-        )
-        return CoupledPrediction(
-            model=pl,
-            tpl=tpl,
-            asymptote=None,
-            band=None,
-            baseline=float(series.baseline),
-            n=n_eff,
-            fallback_used=True,
-            diagnostics=diagnostics,
-            horizon_bands=bands,
-        )
-
-    total_max = series.baseline + asymptote.y_max
-    band = confidence_band(total_max, tpl, n_eff)
     observed = series.baseline + series.f_rel[-1]
-    return CoupledPrediction(
-        model=model,
-        tpl=tpl,
-        asymptote=asymptote,
-        band=band,
-        baseline=float(series.baseline),
-        n=n_eff,
-        fallback_used=False,
-        diagnostics=diagnostics,
-        completion_pct=observed / total_max * 100.0,
-        calendar_date_of_max=day_index_to_date(
-            series.start_date, _round_day(asymptote.x_max)
-        ),
-    )
+    baseline, start = series.baseline, series.start_date
+    return _couple(points, tpl, n_eff, baseline, start, observed, horizons)
 
 
-def run_dar_pipeline(
-    curve,
-    n: int | None = None,
-    opts: FitOptions = FitOptions(),
-) -> CoupledPrediction:
+def run_dar_pipeline(curve, n: int | None = None) -> CoupledPrediction:
     """Coupled prediction for a diversity-accumulation curve.
 
     Same five steps as the fatality route, fitted to (step, mean
@@ -247,29 +262,47 @@ def run_dar_pipeline(
         ]
         tpl = fit_loglog(vm_pairs)
     n_eff = n if n is not None else len(curve.steps)
+    return _couple(points, tpl, n_eff, 0, None, None, ())
 
-    model, diagnostics, asymptote = fit_cutoff(points, opts)
-    if asymptote is None:
-        pl = fit_pl_growth(points)
-        return CoupledPrediction(
-            model=pl,
-            tpl=tpl,
-            asymptote=None,
-            band=None,
-            baseline=0.0,
-            n=n_eff,
-            fallback_used=True,
-            diagnostics=diagnostics,
-        )
 
-    band = None if tpl is None else confidence_band(asymptote.y_max, tpl, n_eff)
-    return CoupledPrediction(
-        model=model,
-        tpl=tpl,
-        asymptote=asymptote,
-        band=band,
-        baseline=0.0,
-        n=n_eff,
-        fallback_used=False,
-        diagnostics=diagnostics,
+def _vm_pairs_for_unit(members: np.ndarray, lo: int, hi: int):
+    """Per-day (mean, variance) of cumulative counts across member countries.
+
+    ``members`` is a members x days matrix. Each day's members are
+    reduced as one contiguous row, which sums in the same order as a
+    reduction over that day's column alone, so the pairs are the same
+    to the last bit.
+    """
+    if members.shape[0] < 2:
+        return []
+    days = np.ascontiguousarray(members[:, lo : hi + 1].T)
+    means = days.mean(axis=1).tolist()
+    variances = days.var(axis=1, ddof=1).tolist()
+    return [(m, v) for m, v in zip(means, variances) if m > 0.0 and v > 0.0]
+
+
+def run_ftr(
+    rows: list[RegionSeries],
+    continent_map: Mapping[str, str],
+    start: date,
+    end: date,
+    n: int | None = None,
+    horizons: Sequence[int] = (),
+) -> Iterator[tuple[str, TruncatedSeries, CoupledPrediction]]:
+    """``run_ftr_pipeline`` for each continent, then World, of parsed deaths rows.
+
+    Each unit's series is truncated to ``start``..``end`` and coupled
+    with the variance-mean pairs of its member countries' totals over
+    that window. Yields ``(unit, truncated, result)`` in report order;
+    raises ``StageError`` naming the stage (and the unit of a failed fit).
+    """
+    totals, units = stage(
+        "aggregate_regions", regions_with_members, rows, continent_map
     )
+    for unit, members in units:
+        truncated = stage("truncate_series", truncate_series, unit, start, end)
+        lo, hi = unit.dates.index(start), unit.dates.index(end)
+        pairs = _vm_pairs_for_unit(totals[members], lo, hi)
+        name = f"run_ftr_pipeline: {unit.region}"
+        result = stage(name, run_ftr_pipeline, truncated, pairs, n, horizons)
+        yield unit.region, truncated, result

@@ -1,8 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the stage wrapper."""
 
 
 class TplecError(Exception):
     """Base class for every error this package raises on bad input."""
+
+
+class StageError(TplecError):
+    """An error whose message already names the stage it came from."""
+
+
+def stage(name, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a ``TplecError`` relabelled by stage.
+
+    The message becomes ``name: Type: message``, the one-line diagnostic
+    the command line prints after ``error: ``.
+    """
+    try:
+        return fn(*args, **kwargs)
+    except TplecError as exc:
+        raise StageError(f"{name}: {type(exc).__name__}: {exc}") from exc
 
 
 class InvalidArgument(TplecError, ValueError):

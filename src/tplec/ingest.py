@@ -24,7 +24,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -278,30 +278,6 @@ def parse_continent_map(text) -> dict[str, str]:
     return mapping
 
 
-def _group_sum(
-    series: list[RegionSeries], key: Callable[[RegionSeries], str]
-) -> tuple[list[str], np.ndarray]:
-    """Sum the series sharing ``key(series)``: sorted keys, one row each.
-
-    All series must share one date axis; the result is read-only.
-    """
-    dates = series[0].dates
-    keys = []
-    for s in series:
-        if s.dates != dates:
-            raise MisalignedDates(
-                f"series for {s.region!r} does not share the common date axis"
-            )
-        keys.append(key(s))
-    names = sorted(set(keys))
-    index = {name: i for i, name in enumerate(names)}
-    totals = np.zeros((len(names), len(dates)), dtype=np.int64)
-    for k, s in zip(keys, series):
-        _add_checked(totals[index[k]], s.cumulative, k)
-    totals.flags.writeable = False
-    return names, totals
-
-
 def _add_checked(total: np.ndarray, row: np.ndarray, name: str) -> None:
     """``total += row`` for nonnegative rows; raises if a sum exceeds int64.
 
@@ -313,11 +289,52 @@ def _add_checked(total: np.ndarray, row: np.ndarray, name: str) -> None:
         raise CountOverflow(f"the total for {name!r} exceeds the int64 range")
 
 
-def country_totals(series: list[RegionSeries]) -> tuple[list[str], np.ndarray]:
-    """Province rows summed per country: sorted names and a countries x days matrix."""
+def _sum_rows(name: str, rows: Sequence[np.ndarray]) -> np.ndarray:
+    total = np.zeros_like(rows[0])
+    for row in rows:
+        _add_checked(total, row, name)
+    total.flags.writeable = False
+    return total
+
+
+def regions_with_members(
+    series: list[RegionSeries], continent_map: Mapping[str, str]
+) -> tuple[np.ndarray, list[tuple[RegionSeries, list[int] | slice]]]:
+    """Country totals, and each continent, then World, with its members.
+
+    Province rows are summed per country once, into a read-only
+    countries x days matrix with the countries sorted by name. A
+    continent is the sum of its countries' rows and World the sum of
+    the continents; each comes with the index of its member rows in the
+    matrix. Every country key must be mapped and all series must share
+    one date axis. Continents come back sorted by name.
+    """
     if not series:
-        return [], np.zeros((0, 0), dtype=np.int64)
-    return _group_sum(series, lambda s: s.region)
+        return np.zeros((0, 0), dtype=np.int64), []
+    dates = series[0].dates
+    for s in series:
+        if s.dates != dates:
+            raise MisalignedDates(
+                f"series for {s.region!r} does not share the common date axis"
+            )
+        if s.region not in continent_map:
+            raise UnmappedCountry(f"no continent assigned for {s.region!r}")
+    countries = sorted({s.region for s in series})
+    index = {name: i for i, name in enumerate(countries)}
+    totals = np.zeros((len(countries), len(dates)), dtype=np.int64)
+    for s in series:
+        _add_checked(totals[index[s.region]], s.cumulative, s.region)
+    totals.flags.writeable = False
+
+    members: dict[str, list[int]] = {}
+    for i, c in enumerate(countries):
+        members.setdefault(continent_map[c], []).append(i)
+    units = [
+        (RegionSeries(name, dates, _sum_rows(name, [totals[i] for i in rows])), rows)
+        for name, rows in sorted(members.items())
+    ]
+    world = _sum_rows("World", [unit.cumulative for unit, _ in units])
+    return totals, units + [(RegionSeries("World", dates, world), slice(None))]
 
 
 def aggregate_regions(
@@ -328,23 +345,8 @@ def aggregate_regions(
     Every country key must be mapped and all series must share one date
     axis. Continents come back sorted by name with World appended.
     """
-    if not series:
-        return []
-
-    def continent(s: RegionSeries) -> str:
-        name = continent_map.get(s.region)
-        if name is None:
-            raise UnmappedCountry(f"no continent assigned for {s.region!r}")
-        return name
-
-    names, totals = _group_sum(series, continent)
-    dates = series[0].dates
-    out = [RegionSeries(name, dates, row) for name, row in zip(names, totals)]
-    world = np.zeros(len(dates), dtype=np.int64)
-    for row in totals:
-        _add_checked(world, row, "World")
-    out.append(RegionSeries("World", dates, world))
-    return out
+    _, units = regions_with_members(series, continent_map)
+    return [unit for unit, _ in units]
 
 
 def truncate_series(

@@ -90,17 +90,19 @@ def plec_eval(model: PlecModel, x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def plec_jacobian(model: PlecModel, x: float) -> tuple[float, float, float]:
-    """Analytic partials (d/dc, d/dw, d/dd) at one evaluation point.
+def plec_jacobian(model: PlecModel, x) -> np.ndarray:
+    """Analytic partials (d/dc, d/dw, d/dd) at x > 0, one row per point.
 
+    A scalar x gives a row of three; an array gives a len(x) x 3 matrix.
     d/dc = x**w * exp(d*x);  d/dw multiplies the value by ln(x);
     d/dd multiplies the value by x.
     """
-    if x <= 0:
+    arr = np.asarray(x, dtype=np.float64)
+    if np.any(arr <= 0.0):
         raise NonPositiveValue("evaluation points must be > 0")
-    base = x**model.w * np.exp(model.d * x)
+    base = arr**model.w * np.exp(model.d * arr)
     value = model.c * base
-    return float(base), float(value * np.log(x)), float(value * x)
+    return np.stack([base, value * np.log(arr), value * arr], axis=-1)
 
 
 def _validated_points(points) -> tuple[np.ndarray, np.ndarray]:
@@ -145,13 +147,10 @@ def fit_plec(
     lam = opts.initial_damping
     converged = ssr == 0.0
     iterations = 0
-    lnx = np.log(x)
 
     while not converged and iterations < opts.max_iterations:
         iterations += 1
-        base = x**w * np.exp(d * x)
-        value = c * base
-        jac = np.column_stack([base, value * lnx, value * x])
+        jac = plec_jacobian(PlecModel(c=c, w=w, d=d), x)
         grad = jac.T @ resid
         normal = jac.T @ jac
         diag = np.diag(normal).copy()

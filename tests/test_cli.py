@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from tplec import AccumulationCurve, cli, fit_pl_growth
-from tplec.cli import _vm_pairs_for_unit, main
+from tplec.cli import main
+from tplec.coupling import _vm_pairs_for_unit
 from tplec.reporting import CURVE_COLUMNS, FALLBACK_COLUMNS, REPORT_COLUMNS
 
 from conftest import abundance_tsv, build_saturating_table
@@ -445,15 +446,21 @@ class TestCurveCommand:
             ("--start 2020-01-01", "--start cannot be used with --report"),
             ("--tpl 1,2", "--tpl cannot be used with --report"),
             ("", "--unit is required with --report"),
+            (
+                "--params 5,1,-0.01 --tpl 0,1 --n 25 --unit Nowhere",
+                "--unit cannot be used with --params",
+            ),
         ],
-        ids=["n", "baseline", "baseline_zero", "start", "tpl", "no_unit"],
+        ids=["n", "baseline", "baseline_zero", "start", "tpl", "no_unit", "params_unit"],
     )
     def test_report_rejects_flags_it_would_ignore(
         self, tmp_path, capsys, extra, expect
     ):
         out = tmp_path / "c.csv"
-        argv = ["curve", "--report", str(GOLDEN / "ftr.json"), "--horizon", "3"]
-        argv += ["--unit", "Alphia", *extra.split()] if extra else []
+        argv = ["curve", "--horizon", "3", *extra.split()]
+        if "--params" not in argv:
+            argv += ["--report", str(GOLDEN / "ftr.json")]
+            argv += ["--unit", "Alphia"] if extra else []
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: cmd_curve: {expect}\n"
         assert not out.exists()
@@ -548,8 +555,24 @@ def test_bad_argument_or_count_exits_2_with_one_line(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["ftr", "dar", "curve"])
-def test_bad_n_is_rejected_before_any_input_is_read(command, tmp_path, capsys):
+BAD_N = "InvalidArgument: n must be >= 1, got 0"
+
+
+@pytest.mark.parametrize(
+    "command, extra, expect",
+    [
+        ("ftr", "--n 0", BAD_N),
+        ("dar", "--n 0", BAD_N),
+        ("curve", "--n 0", BAD_N),
+        ("ftr", "--end 2021-03-01", "--start must precede --end"),
+        ("ftr", "--horizon 2021-02-28", "horizon dates must not precede --start"),
+    ],
+    ids=["ftr", "dar", "curve", "ftr_end_at_start", "ftr_horizon_before_start"],
+)
+def test_bad_n_is_rejected_before_any_input_is_read(
+    command, extra, expect, tmp_path, capsys
+):
+    # every condition on the arguments alone is checked before a file is read
     missing = str(tmp_path / "missing")
     argv = {
         "ftr": ["ftr", "--deaths", missing, "--continents", missing]
@@ -557,10 +580,24 @@ def test_bad_n_is_rejected_before_any_input_is_read(command, tmp_path, capsys):
         "dar": ["dar", "--abundance", missing, "--q", "1"],
         "curve": ["curve", "--report", missing, "--unit", "X", "--horizon", "10"],
     }[command]
-    assert main(argv + ["--n", "0", "--out", str(tmp_path / "x.csv")]) == 2
-    assert capsys.readouterr().err == (
-        f"error: cmd_{command}: InvalidArgument: n must be >= 1, got 0\n"
-    )
+    assert main(argv + extra.split() + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: cmd_{command}: {expect}\n"
+
+
+def test_header_only_deaths_file_writes_a_header_only_report(tmp_path, capsys):
+    deaths = tmp_path / "deaths.csv"
+    continents = tmp_path / "continents.csv"
+    deaths.write_text("Province/State,Country/Region,Lat,Long,3/1/21,3/2/21\n")
+    continents.write_text("country,continent\n")
+    out = tmp_path / "x.csv"
+    argv = ["ftr", "--deaths", str(deaths), "--continents", str(continents)]
+    argv += ["--start", "2021-03-01", "--end", "2021-03-02", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines() == [",".join(REPORT_COLUMNS)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "continents.csv", "deaths.csv", "x.csv",
+    ]  # fmt: skip
 
 
 def test_single_country_continent_fails_fast_naming_it(ftr_paths, tmp_path, capsys):

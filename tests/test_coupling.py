@@ -2,7 +2,8 @@
 
 import math
 from dataclasses import replace
-from datetime import date
+from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,12 @@ from tplec import (
     confidence_band,
     date_to_day_index,
     day_index_to_date,
+    parse_continent_map,
+    parse_jhu_deaths,
     plec_eval,
+    reporting,
     run_dar_pipeline,
+    run_ftr,
     run_ftr_pipeline,
 )
 from tplec.errors import InvalidArgument, NoAsymptote, NonPositiveValue
@@ -282,3 +287,30 @@ class TestDarPipeline:
             compute_asymptote(model).y_max, rel=1e-6
         )
         assert result.n == 300
+
+
+def test_run_ftr_reproduces_the_golden_report(ftr_fixture):
+    # the library call alone, emitted as the CLI emits it, gives the CLI's bytes
+    start, end = ftr_fixture["start"], ftr_fixture["end"]
+    horizon_dates = [end + timedelta(days=k) for k in (30, 60, 90)]
+    horizons = [date_to_day_index(start, d) for d in horizon_dates]
+    units = run_ftr(
+        parse_jhu_deaths(ftr_fixture["deaths_csv"]),
+        parse_continent_map(ftr_fixture["continents_csv"]),
+        start,
+        end,
+        horizons=horizons,
+    )
+    payloads = [
+        reporting.unit_payload(
+            unit,
+            result,
+            truncated.baseline + truncated.f_rel[-1],
+            start_date=start,
+            observed_series=[truncated.baseline + f for f in truncated.f_rel],
+        )
+        for unit, truncated, result in units
+    ]
+    document = reporting.to_json({"command": "ftr", "units": payloads})
+    golden = Path(__file__).parent / "golden" / "ftr.json"
+    assert document.encode("utf-8") == golden.read_bytes()

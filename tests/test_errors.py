@@ -169,3 +169,52 @@ def test_every_raise_in_the_package_is_a_tplec_error(path):
 def test_raise_guard_flags_untyped_raises(line):
     source = f"def f(x):\n    {line}\n"
     assert _untyped_raises(source, "tplec.ingest") != []
+
+
+def _thin_cli_violations(source: str) -> list[str]:
+    """What keeps a CLI module from being argparse and I/O only.
+
+    Flags an import of numpy and a second stage wrapper: a handler of
+    ``TplecError`` (or ``Exception``) that raises a new error, the shape
+    of ``tplec.errors.stage``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        found += [f"imports {m}" for m in modules if m.split(".")[0] == "numpy"]
+        if (
+            isinstance(node, ast.ExceptHandler)
+            and isinstance(node.type, ast.Name)
+            and node.type.id in ("TplecError", "Exception")
+            and any(isinstance(n, ast.Raise) and n.exc for n in ast.walk(node))
+        ):
+            found.append(f"stage wrapper at line {node.lineno}")
+    return found
+
+
+def test_the_cli_is_argparse_and_io_only():
+    source = (Path(tplec.__file__).parent / "cli.py").read_text()
+    assert _thin_cli_violations(source) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import numpy as np",
+        "from numpy import asarray",
+        "import numpy.linalg",
+        "def _stage(name, fn, *args):\n"
+        "    try:\n"
+        "        return fn(*args)\n"
+        "    except TplecError as exc:\n"
+        "        raise StageError(f'{name}: {exc}') from exc\n",
+    ],
+    ids=["numpy", "from_numpy", "numpy_submodule", "stage_wrapper"],
+)
+def test_thin_cli_guard_flags_violations(source):
+    assert _thin_cli_violations(source) != []

@@ -163,6 +163,12 @@ class TestAggregationOverflow:
         with pytest.raises(CountOverflow, match="total for 'K' exceeds the int64"):
             aggregate_regions(series, {"A": "K", "B": "K"})
 
+    def test_country_total(self):
+        # province rows are summed per country first, so the country is named
+        text = self.TEXT.replace(",B,", ",A,")
+        with pytest.raises(CountOverflow, match="total for 'A' exceeds the int64"):
+            aggregate_regions(parse_jhu_deaths(text), {"A": "K"})
+
     def test_world_total(self):
         series = parse_jhu_deaths(self.TEXT)
         with pytest.raises(CountOverflow, match="total for 'World' exceeds the int64"):
