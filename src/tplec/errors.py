@@ -89,6 +89,10 @@ class UnmappedCountry(TplecError):
     """A country in the series has no continent assignment."""
 
 
+class ReservedRegion(TplecError):
+    """A continent takes the name of the synthetic World total."""
+
+
 class MisalignedDates(TplecError):
     """Series do not share a common date axis."""
 

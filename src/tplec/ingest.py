@@ -37,6 +37,7 @@ from .errors import (
     MalformedHeader,
     MisalignedDates,
     RaggedRow,
+    ReservedRegion,
     UnmappedCountry,
     UnparseableCount,
     UnparseableDate,
@@ -306,8 +307,9 @@ def regions_with_members(
     countries x days matrix with the countries sorted by name. A
     continent is the sum of its countries' rows and World the sum of
     the continents; each comes with the index of its member rows in the
-    matrix. Every country key must be mapped and all series must share
-    one date axis. Continents come back sorted by name.
+    matrix. Every country key must be mapped to a continent other than
+    World, and all series must share one date axis. Continents come back
+    sorted by name.
     """
     if not series:
         return np.zeros((0, 0), dtype=np.int64), []
@@ -329,6 +331,12 @@ def regions_with_members(
     members: dict[str, list[int]] = {}
     for i, c in enumerate(countries):
         members.setdefault(continent_map[c], []).append(i)
+    if "World" in members:
+        country = countries[members["World"][0]]
+        raise ReservedRegion(
+            f"continent 'World' (country {country!r}) is reserved for the "
+            "total of all continents"
+        )
     units = [
         (RegionSeries(name, dates, _sum_rows(name, [totals[i] for i in rows])), rows)
         for name, rows in sorted(members.items())
@@ -342,8 +350,9 @@ def aggregate_regions(
 ) -> list[RegionSeries]:
     """Sum country rows into continents plus a synthetic World total.
 
-    Every country key must be mapped and all series must share one date
-    axis. Continents come back sorted by name with World appended.
+    Every country key must be mapped to a continent other than World and
+    all series must share one date axis. Continents come back sorted by
+    name with World appended.
     """
     _, units = regions_with_members(series, continent_map)
     return [unit for unit, _ in units]

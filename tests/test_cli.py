@@ -650,3 +650,15 @@ def test_aggregation_overflow_exits_2_with_one_line(tmp_path, capsys):
         "the total for 'K' exceeds the int64 range\n"
     )
     assert not out.exists()
+
+
+def test_continent_named_world_exits_2_with_one_line(ftr_paths, tmp_path, capsys):
+    _, continents, _ = ftr_paths
+    continents.write_text(continents.read_text().replace(",Gammia", ",World"))
+    status, out = run_ftr(ftr_paths, tmp_path)
+    assert status == 2
+    assert capsys.readouterr().err == (
+        "error: aggregate_regions: ReservedRegion: continent 'World' "
+        "(country 'Gammia-A') is reserved for the total of all continents\n"
+    )
+    assert not out.exists()

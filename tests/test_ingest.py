@@ -22,6 +22,7 @@ from tplec.errors import (
     MalformedHeader,
     MisalignedDates,
     RaggedRow,
+    ReservedRegion,
     UnmappedCountry,
     UnparseableCount,
     UnparseableDate,
@@ -148,6 +149,15 @@ class TestAggregateRegions:
         b = RegionSeries("B", (date(2021, 3, 2),), (1,))
         with pytest.raises(MisalignedDates):
             aggregate_regions([a, b], {"A": "K", "B": "K"})
+
+    def test_continent_named_world_is_rejected(self):
+        # World is the synthetic total of all continents; a continent of
+        # that name would give two World units
+        day = (date(2021, 3, 1),)
+        a = RegionSeries("A", day, (1,))
+        b = RegionSeries("B", day, (2,))
+        with pytest.raises(ReservedRegion, match="continent 'World' \\(country 'A'\\)"):
+            aggregate_regions([a, b], {"A": "World", "B": "K"})
 
 
 class TestAggregationOverflow:

@@ -1,10 +1,15 @@
 """The sparse accumulation kernel against independent oracles."""
 
+import math
+from fractions import Fraction
+
 import mpmath as mp
 import numpy as np
 import pytest
 
-from tplec import _kernels
+from tplec import _kernels, resample_accumulation
+
+from conftest import build_saturating_table
 
 ORDERS = [0.0, 0.5, 1.0, 2.0, 3.0]
 
@@ -72,6 +77,56 @@ def dense_curves(counts, perms, q):
     return out
 
 
+def argsort_curves(counts, perms, q):
+    """The former kernel loop: a stable argsort of the step-ordered entries by taxon.
+
+    It visits each taxon's entries in step order, as the kernel does, so
+    the two must agree bit for bit.
+    """
+    n_rep, n_steps = perms.shape
+    last = n_steps - 1
+    out = np.empty((n_rep, n_steps), dtype=np.float64)
+    out[:, last] = _kernels.hill_direct(counts.sum(axis=0), q)
+
+    rows, cols = np.nonzero(counts)
+    data = counts[rows, cols]
+    sample_total = counts.sum(axis=1)
+    row_len = np.bincount(rows, minlength=counts.shape[0])
+    row_start = np.cumsum(row_len) - row_len
+    taxon = cols.astype(np.min_scalar_type(max(counts.shape[1] - 1, 0)))
+    col_len = np.bincount(cols, minlength=counts.shape[1])
+    col_len = col_len[col_len > 0]
+    col_start = np.cumsum(col_len) - col_len
+    seg_start = np.repeat(col_start, col_len)
+    first = np.zeros(rows.size, dtype=bool)
+    first[col_start] = True
+
+    for r in range(n_rep):
+        perm = perms[r]
+        lens = row_len[perm]
+        ends = np.cumsum(lens)
+        idx = np.arange(rows.size) + np.repeat(row_start[perm] - (ends - lens), lens)
+        order = np.argsort(taxon[idx], kind="stable")
+        steps = np.repeat(np.arange(n_steps), lens)[order]
+        if q == 0.0:
+            gained = np.bincount(steps[first], minlength=n_steps)
+            out[r, :last] = np.cumsum(gained[:last])
+            continue
+        before = np.concatenate(([0], np.cumsum(data[idx[order]])))
+        total = (before[1:] - before[seg_start]).astype(np.float64)
+        f = total * np.log(total) if q == 1.0 else total**q
+        delta = f.copy()
+        delta[1:] -= f[:-1]
+        delta[first] = f[first]
+        acc = np.cumsum(np.bincount(steps, weights=delta, minlength=n_steps)[:last])
+        n_k = np.cumsum(sample_total[perm[:last]]).astype(np.float64)
+        if q == 1.0:
+            out[r, :last] = np.exp(np.log(n_k) - acc / n_k)
+        else:
+            out[r, :last] = (acc / n_k**q) ** (1.0 / (1.0 - q))
+    return out
+
+
 def assert_curves_match(got, want, q):
     if q == 0.0:
         assert np.array_equal(got, want)
@@ -86,6 +141,7 @@ def test_matches_brute_force_pooled_hill(q):
     perms = random_perms(rng, replicates=4, n_samples=counts.shape[0])
     got = _kernels.accumulation_curves(counts, perms, q)
     assert_curves_match(got, brute_force_curves(counts, perms, q), q)
+    assert np.array_equal(got, argsort_curves(counts, perms, q))
 
 
 @pytest.mark.parametrize("q", ORDERS)
@@ -95,6 +151,7 @@ def test_matches_dense_loop(q):
     perms = random_perms(rng, replicates=10, n_samples=counts.shape[0])
     got = _kernels.accumulation_curves(counts, perms, q)
     assert_curves_match(got, dense_curves(counts, perms, q), q)
+    assert np.array_equal(got, argsort_curves(counts, perms, q))
 
 
 def _edge_table(name):
@@ -124,6 +181,7 @@ def test_edge_tables_match_brute_force(name, q):
     got = _kernels.accumulation_curves(counts, perms, q)
     assert got.shape == perms.shape
     assert_curves_match(got, brute_force_curves(counts, perms, q), q)
+    assert np.array_equal(got, argsort_curves(counts, perms, q))
 
 
 @pytest.mark.parametrize("q", [0.0, 1.0, 2.0])
@@ -156,3 +214,84 @@ def test_hill_direct_matches_oracle():
         for q in ORDERS:
             want = pooled_hill(pooled, q)
             assert _kernels.hill_direct(pooled, q) == pytest.approx(want, rel=1e-12)
+
+
+def long_tailed_table(rng, n_samples=400, n_taxa=4000):
+    """Sparse long-tailed community: rare incidence, log-series counts."""
+    probs = np.geomspace(0.25, 0.002, n_taxa)
+    tail = np.linspace(0.995, 0.6, n_taxa)
+    present = rng.random((n_samples, n_taxa)) < probs
+    counts = np.where(present, rng.logseries(np.broadcast_to(tail, present.shape)), 0)
+    for i in np.flatnonzero(counts.sum(axis=1) == 0):
+        counts[i, rng.integers(0, n_taxa)] = 1
+    return counts.astype(np.int64)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, 2.0])
+def test_long_tailed_table_equals_argsort_oracle(q):
+    rng = np.random.default_rng(33)
+    counts = long_tailed_table(rng)
+    perms = random_perms(rng, replicates=3, n_samples=counts.shape[0])
+    got = _kernels.accumulation_curves(counts, perms, q)
+    assert np.array_equal(got, argsort_curves(counts, perms, q))
+
+
+def key_bits(counts):
+    """Bits of a packed (taxon segment, step, slot) key for this table."""
+    incidence = np.count_nonzero(counts, axis=0)
+    n_segments = int(np.count_nonzero(incidence))
+    width = lambda n: (n - 1).bit_length()  # bits for 0..n-1
+    return width(n_segments) + width(counts.shape[0]) + width(int(incidence.max()))
+
+
+def wide_key_table(rng, n_samples, n_taxa=2100):
+    """Every taxon present, taxon 0 in every sample: 34 key bits at 1100 samples."""
+    counts = np.zeros((n_samples, n_taxa), dtype=np.int64)
+    counts[rng.integers(0, n_samples, size=n_taxa), np.arange(n_taxa)] = rng.integers(
+        1, 40, size=n_taxa
+    )
+    extra = rng.random((n_samples, n_taxa)) < 0.002
+    counts[extra] += rng.integers(1, 40, size=int(extra.sum()))
+    counts[:, 0] = rng.integers(1, 40, size=n_samples)
+    return counts
+
+
+@pytest.mark.parametrize("q", ORDERS)
+@pytest.mark.parametrize("n_samples, wide", [(1100, True), (300, False)], ids=["uint64", "uint32"])
+def test_both_key_widths_match_dense_loop(n_samples, wide, q):
+    rng = np.random.default_rng(34)
+    counts = wide_key_table(rng, n_samples=n_samples)
+    assert (key_bits(counts) > 32) == wide
+    perms = random_perms(rng, replicates=2, n_samples=counts.shape[0])
+    got = _kernels.accumulation_curves(counts, perms, q)
+    assert_curves_match(got, dense_curves(counts, perms, q), q)
+    assert np.array_equal(got, argsort_curves(counts, perms, q))
+
+
+def mao_tau(counts):
+    """Exact expected richness after k random samples, k = 1..n (Mao Tau).
+
+    E[S_k] = sum_j (1 - C(n - s_j, k) / C(n, k)), where s_j is taxon j's
+    incidence (Colwell, Mao & Chang 2004).
+    """
+    n = counts.shape[0]
+    incidence = [int(s) for s in np.count_nonzero(counts, axis=0) if s > 0]
+    expected = []
+    for k in range(1, n + 1):
+        missing = sum(Fraction(math.comb(n - s, k), math.comb(n, k)) for s in incidence)
+        expected.append(float(len(incidence) - missing))
+    return np.array(expected)
+
+
+def test_richness_mean_matches_mao_tau():
+    table, _ = build_saturating_table()
+    replicates = 400
+    curve = resample_accumulation(table, replicates, 0.0, seed=11)
+    expected = mao_tau(table.counts)
+    # near saturation every replicate may see all S_n taxa, so the sample
+    # variance is 0; the expected missing count m_k = S_n - E[S_k] is then
+    # tiny, and its Poisson variance m_k stands in for the variance there
+    var = curve.variance_diversity
+    stderr = np.sqrt(np.where(var > 0, var, expected[-1] - expected) / replicates)
+    assert np.all(np.abs(curve.mean_diversity - expected) <= 4 * stderr)
+    assert curve.mean_diversity[-1] == expected[-1]
