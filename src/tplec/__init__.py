@@ -39,7 +39,6 @@ from .ingest import (
 )
 from .plec import (
     FitDiagnostics,
-    FitOptions,
     PlecModel,
     fit_plec,
     plec_eval,
@@ -62,7 +61,6 @@ __all__ = [
     "ConfidenceBand",
     "CoupledPrediction",
     "FitDiagnostics",
-    "FitOptions",
     "PlFit",
     "PlecModel",
     "RegionSeries",

@@ -41,9 +41,9 @@ def _sibling(out: str, suffix: str) -> str:
     return str(p.with_name(p.stem + suffix + (p.suffix or ".csv")))
 
 
-def _check_n(n: int | None) -> None:
-    if n is not None and n < 1:
-        raise InvalidArgument(f"n must be >= 1, got {n}")
+def _check_positive(name: str, value: int | None) -> None:
+    if value is not None and value < 1:
+        raise InvalidArgument(f"{name} must be >= 1, got {value}")
 
 
 def _parse_iso(value: str) -> date:
@@ -54,7 +54,7 @@ def _parse_iso(value: str) -> date:
 
 
 def cmd_ftr(args) -> int:
-    stage("cmd_ftr", _check_n, args.n)
+    stage("cmd_ftr", _check_positive, "n", args.n)
     if args.start >= args.end:
         raise StageError("cmd_ftr: --start must precede --end")
     horizon_dates = args.horizon or [
@@ -71,22 +71,13 @@ def cmd_ftr(args) -> int:
     report_rows = []
     fallback_rows = []
     payloads = []
-    for unit, truncated, result in run_ftr(
+    for unit, result in run_ftr(
         rows, continent_map, args.start, args.end, n=args.n, horizons=horizons
     ):
-        observed = truncated.baseline + truncated.f_rel[-1]
-        report_rows.append(reporting.report_row(unit, result, observed))
+        report_rows.append(reporting.report_row(unit, result))
         if result.fallback_used:
             fallback_rows.extend(reporting.fallback_rows(unit, result))
-        payloads.append(
-            reporting.unit_payload(
-                unit,
-                result,
-                observed,
-                start_date=args.start,
-                observed_series=[truncated.baseline + f for f in truncated.f_rel],
-            )
-        )
+        payloads.append(reporting.unit_payload(unit, result))
 
     if args.format == "obj":
         _write_text(args.out, reporting.to_json({"command": "ftr", "units": payloads}))
@@ -109,7 +100,8 @@ def cmd_dar(args) -> int:
         raise StageError(f"cmd_dar: --q must be finite and >= 0, got {args.q}")
     if args.seed < 0:
         raise StageError(f"cmd_dar: --seed must be >= 0, got {args.seed}")
-    stage("cmd_dar", _check_n, args.n)
+    stage("cmd_dar", _check_positive, "n", args.n)
+    stage("cmd_dar", _check_positive, "horizon", args.horizon)
     table_text = _read_text(args.abundance, "parse_abundance_table")
     table = stage("parse_abundance_table", parse_abundance_table, table_text)
     curve = stage(
@@ -121,8 +113,6 @@ def cmd_dar(args) -> int:
         args.seed,
     )
     unit = Path(args.abundance).stem
-    observed_series = curve.mean_diversity.tolist()
-    observed = observed_series[-1]
     result = stage("run_dar_pipeline", run_dar_pipeline, curve, n=args.n)
     if result.tpl is None:
         print(
@@ -136,11 +126,7 @@ def cmd_dar(args) -> int:
             "q": args.q,
             "replicates": args.replicates,
             "seed": args.seed,
-            "units": [
-                reporting.unit_payload(
-                    unit, result, observed, observed_series=observed_series
-                )
-            ],
+            "units": [reporting.unit_payload(unit, result)],
         }
         _write_text(args.out, reporting.to_json(document))
         return 0
@@ -155,10 +141,10 @@ def cmd_dar(args) -> int:
         result.tpl,
         baseline=result.baseline,
         n=result.n,
-        horizon=args.horizon or default_horizon,
-        observed={t: v for t, v in enumerate(observed_series, start=1)},
+        horizon=default_horizon if args.horizon is None else args.horizon,
+        observed=result.observed_series,
     )
-    row = reporting.report_row(unit, result, observed)
+    row = reporting.report_row(unit, result)
     _write_text(args.out, reporting.rows_to_dsv(reporting.REPORT_COLUMNS, [row]))
     _write_text(
         _sibling(args.out, "_curve"),
@@ -188,7 +174,7 @@ def _read_report_unit(path: str, unit: str) -> tuple:
     """What ``curve`` needs from one unit of an ``ftr`` or ``dar`` obj report.
 
     Returns the model, the scaling law (None without one), baseline,
-    n, start date and the observed values keyed by day index.
+    n, start date and the observed values from t = 1.
     """
     try:
         document = json.loads(_read_text(path, "cmd_curve"))
@@ -207,7 +193,6 @@ def _read_report_unit(path: str, unit: str) -> tuple:
         n = payload["n"]
         start = payload.get("start_date")
         start_date = date.fromisoformat(start) if start else None
-        series = payload.get("observed_series") or []
     except KeyError as exc:
         raise StageError(f"cmd_curve: unit {unit!r} in {path} lacks {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -216,12 +201,21 @@ def _read_report_unit(path: str, unit: str) -> tuple:
         ) from exc
     if type(n) is not int:
         raise StageError(f"cmd_curve: unit {unit!r} in {path} has n = {n!r}")
-    observed = {t: v for t, v in enumerate(series, start=1)}
-    return model, tpl, baseline, n, start_date, observed
+    series = payload.get("observed_series")
+    if series is not None and not (
+        isinstance(series, list)
+        and all(type(v) in (int, float) and math.isfinite(v) for v in series)
+    ):
+        raise StageError(
+            f"cmd_curve: unit {unit!r} in {path} is malformed: "
+            "observed_series is not a list of finite numbers"
+        )
+    return model, tpl, baseline, n, start_date, series or []
 
 
 def cmd_curve(args) -> int:
-    stage("cmd_curve", _check_n, args.n)
+    stage("cmd_curve", _check_positive, "n", args.n)
+    stage("cmd_curve", _check_positive, "horizon", args.horizon)
     if args.report:
         # the report supplies these; a flag that would be ignored is an error
         for flag, value in (
@@ -252,7 +246,7 @@ def cmd_curve(args) -> int:
         baseline = 0.0 if args.baseline is None else args.baseline
         n = args.n
         start_date = args.start
-        observed = {}
+        observed = []
 
     rows = stage(
         "cmd_curve",

@@ -6,7 +6,8 @@ at that point, which turns into a symmetric 95% band of half-width
 ``1.96 * sqrt(V / n)``. When the cutoff fit fails (no taper detectable)
 the plain power law takes over and bands are attached to requested
 day-index predictions instead. Both pipelines share one core; ``run_ftr``
-runs the fatality pipeline for every continent of a deaths file.
+runs the fatality pipeline for every continent of a deaths file. A
+result carries its observed series and start date for the reports.
 """
 
 from __future__ import annotations
@@ -70,7 +71,9 @@ class CoupledPrediction:
     bands on the requested day indices. Reported values are shifted by
     ``baseline`` (counts absorbed at the truncation point). Without a
     scaling-law fit (``tpl`` None: a diversity curve of order q != 0)
-    there are no bands.
+    there are no bands. ``observed_series`` holds the baseline-inclusive
+    observed values from t = 1; only a series with a ``start_date`` (the
+    date of t = 1) gets a completion level and a date of the maximum.
     """
 
     model: PlecModel | PlFit
@@ -81,6 +84,8 @@ class CoupledPrediction:
     n: int
     fallback_used: bool
     diagnostics: FitDiagnostics | None
+    observed_series: tuple[float, ...]
+    start_date: date | None
     completion_pct: float | None = None
     calendar_date_of_max: date | None = None
     horizon_bands: tuple[tuple[int, ConfidenceBand], ...] = field(default=())
@@ -167,15 +172,15 @@ def fit_cutoff(points):
         return model, diagnostics, None
 
 
-def _couple(points, tpl, n, baseline, start_date, observed, horizons):
+def _couple(points, tpl, n, baseline, start_date, series, horizons):
     """The coupling core shared by both pipelines.
 
     Fits the cutoff curve to ``points`` and bands the baseline-inclusive
     maximal accrual value with the scaling law ``tpl`` (no band when
     ``tpl`` is None). When ``fit_cutoff`` finds no asymptote, the plain
     power law is fitted instead and bands are attached at the day
-    indices ``horizons``. ``observed`` (None for no completion) and
-    ``start_date`` (None for no calendar date) describe the series.
+    indices ``horizons``. ``series`` and ``start_date`` (None for an
+    undated curve) become the result's ``observed_series`` and ``start_date``.
     """
     model, diagnostics, asymptote = fit_cutoff(points)
     if asymptote is None:
@@ -192,6 +197,8 @@ def _couple(points, tpl, n, baseline, start_date, observed, horizons):
             n=n,
             fallback_used=True,
             diagnostics=diagnostics,
+            observed_series=series,
+            start_date=start_date,
             horizon_bands=bands,
         )
 
@@ -205,7 +212,9 @@ def _couple(points, tpl, n, baseline, start_date, observed, horizons):
         n=n,
         fallback_used=False,
         diagnostics=diagnostics,
-        completion_pct=None if observed is None else observed / total_max * 100.0,
+        observed_series=series,
+        start_date=start_date,
+        completion_pct=None if start_date is None else series[-1] / total_max * 100.0,
         calendar_date_of_max=None
         if start_date is None
         else day_index_to_date(start_date, _round_day(asymptote.x_max)),
@@ -232,8 +241,8 @@ def run_ftr_pipeline(
     points = _positive_points(series)
     tpl = fit_loglog(vm_pairs)
     n_eff = n if n is not None else len(points)
-    observed = series.baseline + series.f_rel[-1]
     baseline, start = series.baseline, series.start_date
+    observed = tuple(baseline + f for f in series.f_rel)
     return _couple(points, tpl, n_eff, baseline, start, observed, horizons)
 
 
@@ -262,7 +271,8 @@ def run_dar_pipeline(curve, n: int | None = None) -> CoupledPrediction:
         ]
         tpl = fit_loglog(vm_pairs)
     n_eff = n if n is not None else len(curve.steps)
-    return _couple(points, tpl, n_eff, 0, None, None, ())
+    observed = tuple(curve.mean_diversity.tolist())
+    return _couple(points, tpl, n_eff, 0, None, observed, ())
 
 
 def _vm_pairs_for_unit(members: np.ndarray, lo: int, hi: int):
@@ -288,12 +298,12 @@ def run_ftr(
     end: date,
     n: int | None = None,
     horizons: Sequence[int] = (),
-) -> Iterator[tuple[str, TruncatedSeries, CoupledPrediction]]:
+) -> Iterator[tuple[str, CoupledPrediction]]:
     """``run_ftr_pipeline`` for each continent, then World, of parsed deaths rows.
 
     Each unit's series is truncated to ``start``..``end`` and coupled
     with the variance-mean pairs of its member countries' totals over
-    that window. Yields ``(unit, truncated, result)`` in report order;
+    that window. Yields ``(unit, result)`` in report order;
     raises ``StageError`` naming the stage (and the unit of a failed fit).
     """
     totals, units = stage(
@@ -305,4 +315,4 @@ def run_ftr(
         pairs = _vm_pairs_for_unit(totals[members], lo, hi)
         name = f"run_ftr_pipeline: {unit.region}"
         result = stage(name, run_ftr_pipeline, truncated, pairs, n, horizons)
-        yield unit.region, truncated, result
+        yield unit.region, result

@@ -85,6 +85,10 @@ class DuplicateSampleId(TplecError):
     """The same sample identifier appears twice."""
 
 
+class DuplicateCountry(TplecError):
+    """The continent map lists the same country twice."""
+
+
 class UnmappedCountry(TplecError):
     """A country in the series has no continent assignment."""
 

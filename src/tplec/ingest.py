@@ -32,6 +32,7 @@ from .diversity import AbundanceTable
 from .errors import (
     CountOverflow,
     DateOutOfRange,
+    DuplicateCountry,
     DuplicateSampleId,
     InvalidArgument,
     MalformedHeader,
@@ -267,15 +268,25 @@ def serialize_jhu_deaths(series: list[RegionSeries]) -> str:
 
 
 def parse_continent_map(text) -> dict[str, str]:
-    """Parse a ``country,continent`` CSV (header required) into a dict."""
+    """Parse a ``country,continent`` CSV (header required) into a dict.
+
+    Each country may appear once; a repeat raises ``DuplicateCountry``.
+    """
     rows = list(_reader(text))
     if not rows or [h.strip() for h in rows[0]] != ["country", "continent"]:
         raise MalformedHeader("expected header 'country,continent'")
     mapping: dict[str, str] = {}
+    row_of: dict[str, int] = {}
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
             raise RaggedRow(f"row {i} has {len(row)} fields, expected 2")
-        mapping[row[0].strip()] = row[1].strip()
+        country = row[0].strip()
+        if country in row_of:
+            raise DuplicateCountry(
+                f"country {country!r} appears on rows {row_of[country]} and {i}"
+            )
+        row_of[country] = i
+        mapping[country] = row[1].strip()
     return mapping
 
 

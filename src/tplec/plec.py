@@ -3,7 +3,7 @@
 The cutoff factor eventually overwhelms the power-law growth, so the
 curve has an interior maximum whenever w > 0 and d < 0. Fitting is
 damped Gauss-Newton least squares on raw-scale residuals with an
-analytic Jacobian and the taper parameter projected onto d <= d_ceiling
+analytic Jacobian and the taper parameter projected onto d <= D_CEILING
 after every step.
 """
 
@@ -23,6 +23,10 @@ from .errors import (
 )
 from .regression import _ols_loglog
 
+MAX_ITERATIONS = 200
+RESIDUAL_TOLERANCE = 1e-10
+INITIAL_DAMPING = 1e-3
+D_CEILING = -1e-12
 _DAMPING_LIMIT = 1e15
 
 
@@ -44,26 +48,6 @@ class PlecModel:
             raise NonPositiveValue(f"scale c must be > 0, got {self.c}")
         if self.d > 0:
             raise InvalidArgument(f"taper parameter d must be <= 0, got {self.d}")
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Knobs for the damped least-squares fit."""
-
-    max_iterations: int = 200
-    residual_tolerance: float = 1e-10
-    initial_damping: float = 1e-3
-    d_ceiling: float = -1e-12
-
-    def __post_init__(self):
-        if self.max_iterations <= 0:
-            raise InvalidArgument("max_iterations must be positive")
-        if self.residual_tolerance <= 0:
-            raise InvalidArgument("residual_tolerance must be positive")
-        if self.initial_damping <= 0:
-            raise InvalidArgument("initial_damping must be positive")
-        if self.d_ceiling >= 0:
-            raise InvalidArgument("d_ceiling must be negative")
 
 
 @dataclass(frozen=True)
@@ -119,18 +103,15 @@ def _validated_points(points) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def fit_plec(
-    points: Sequence[tuple[float, float]],
-    opts: FitOptions = FitOptions(),
-) -> tuple[PlecModel, FitDiagnostics]:
+def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagnostics]:
     """Fit the cutoff curve to (x, y) points by damped Gauss-Newton.
 
     Starts from the log-log OLS estimate of (c, w) with d = -1/(2*x_max),
     then iterates Levenberg-style steps: the damping factor shrinks
     after an accepted step and grows after a rejected one, and d is
-    clamped to opts.d_ceiling after every step. Iteration stops when the
+    clamped to D_CEILING after every step. Iteration stops when the
     relative drop in the sum of squared residuals falls below
-    opts.residual_tolerance or max_iterations is reached. Failure to
+    RESIDUAL_TOLERANCE or MAX_ITERATIONS is reached. Failure to
     converge is reported through the diagnostics, not raised.
     """
     x, y = _validated_points(points)
@@ -138,17 +119,17 @@ def fit_plec(
     w0, ln_c0, *_ = _ols_loglog(x, y)
     c = float(np.exp(ln_c0))
     w = w0
-    d = min(-1.0 / (2.0 * float(x[-1])), opts.d_ceiling)
+    d = min(-1.0 / (2.0 * float(x[-1])), D_CEILING)
 
     with np.errstate(over="ignore", invalid="ignore"):
         resid = y - _eval_arrays(c, w, d, x)
     ssr = float(resid @ resid)
     sst = float(((y - y.mean()) ** 2).sum())
-    lam = opts.initial_damping
+    lam = INITIAL_DAMPING
     converged = ssr == 0.0
     iterations = 0
 
-    while not converged and iterations < opts.max_iterations:
+    while not converged and iterations < MAX_ITERATIONS:
         iterations += 1
         jac = plec_jacobian(PlecModel(c=c, w=w, d=d), x)
         grad = jac.T @ resid
@@ -168,7 +149,7 @@ def fit_plec(
                 c_new = c + float(step[0])
                 w_new = w + float(step[1])
                 d_new = d + float(step[2])
-                if d_new > opts.d_ceiling:
+                if d_new > D_CEILING:
                     # constraint active: hold d at the ceiling and re-solve
                     # the damped system for (c, w) alone, otherwise the
                     # projected step carries a stale d contribution
@@ -181,7 +162,7 @@ def fit_plec(
                     else:
                         c_new = c + float(reduced[0])
                         w_new = w + float(reduced[1])
-                        d_new = opts.d_ceiling
+                        d_new = D_CEILING
             if step is None or not np.all(np.isfinite(step)):
                 lam *= 10.0
                 if lam > _DAMPING_LIMIT:
@@ -216,7 +197,7 @@ def fit_plec(
         c, w, d = c_new, w_new, d_new
         resid, ssr = resid_new, ssr_new
         lam = max(lam / 10.0, 1e-16)
-        if rel_drop < opts.residual_tolerance:
+        if rel_drop < RESIDUAL_TOLERANCE:
             converged = True
 
     model = PlecModel(c=c, w=w, d=d)
@@ -226,6 +207,6 @@ def fit_plec(
         iterations=iterations,
         sum_squared_residuals=ssr,
         r_squared=min(1.0, r_squared),
-        constraint_active=(d == opts.d_ceiling),
+        constraint_active=(d == D_CEILING),
     )
     return model, diagnostics

@@ -12,6 +12,8 @@ The ``obj`` format is a single JSON document with a ``units`` list, the
 same for ``ftr`` and ``dar``, embedding per unit both fits and
 everything needed to redraw curves (baseline, n, start date, observed
 values); ``tpl`` is null and ``band`` absent when there is no scaling law.
+
+Every per-unit row and record renders from ``(unit, result)`` alone.
 """
 
 from __future__ import annotations
@@ -82,17 +84,16 @@ def rows_to_dsv(columns: Sequence[str], rows: Sequence[Mapping]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_row(unit: str, result: CoupledPrediction, observed: float) -> dict:
+def report_row(unit: str, result: CoupledPrediction) -> dict:
     """Flatten one coupled prediction into the main report schema."""
     row = {col: None for col in REPORT_COLUMNS}
     row["unit"] = unit
-    row["observed"] = observed
+    row["observed"] = result.observed_series[-1]
     row["fallback_used"] = result.fallback_used
     if result.fallback_used:
-        if isinstance(result.model, PlFit):
-            row["w"] = result.model.exponent
-            row["c"] = math.exp(result.model.ln_c)
-            row["r_squared"] = result.model.r ** 2
+        row["w"] = result.model.exponent
+        row["c"] = math.exp(result.model.ln_c)
+        row["r_squared"] = result.model.r ** 2
         return row
     model = result.model
     row["c"] = model.c
@@ -115,9 +116,6 @@ def fallback_rows(unit: str, result: CoupledPrediction) -> list[dict]:
     pl = result.model
     rows = []
     for t, band in result.horizon_bands:
-        when = (
-            day_index_to_date(pl.start_date, t) if pl.start_date is not None else None
-        )
         rows.append(
             {
                 "unit": unit,
@@ -125,8 +123,8 @@ def fallback_rows(unit: str, result: CoupledPrediction) -> list[dict]:
                 "ln_c": pl.ln_c,
                 "r": pl.r,
                 "p_value": pl.p_value,
-                "start_date": pl.start_date,
-                "horizon_date": when,
+                "start_date": result.start_date,
+                "horizon_date": day_index_to_date(result.start_date, t),
                 "predicted": band.point,
                 "lower_95": band.lower,
                 "upper_95": band.upper,
@@ -142,15 +140,14 @@ def curve_rows(
     n: int,
     horizon: int,
     start_date: date | None = None,
-    observed: Mapping[int, float] | None = None,
+    observed: Sequence[float] = (),
 ) -> list[dict]:
     """Plot-ready rows t = 1..horizon with the 95% band at each point.
 
-    ``observed`` maps day indices to measured values; rows beyond the
-    data are left blank. Bands are evaluated at the baseline-inclusive
+    ``observed`` holds the measured values at t = 1, 2, ...; rows beyond
+    the data are left blank. Bands are evaluated at the baseline-inclusive
     prediction; without a scaling-law fit they stay blank.
     """
-    observed = observed or {}
     rows = []
     for t in range(1, horizon + 1):
         if isinstance(model, PlFit):
@@ -167,7 +164,7 @@ def curve_rows(
                 "predicted": predicted,
                 "lower": band.lower if band else None,
                 "upper": band.upper if band else None,
-                "observed": observed.get(t),
+                "observed": observed[t - 1] if t <= len(observed) else None,
             }
         )
     return rows
@@ -194,13 +191,7 @@ def _model_payload(result: CoupledPrediction) -> dict:
     return {"kind": "plec", "c": model.c, "w": model.w, "d": model.d}
 
 
-def unit_payload(
-    unit: str,
-    result: CoupledPrediction,
-    observed: float,
-    start_date: date | None = None,
-    observed_series: Sequence[float] | None = None,
-) -> dict:
+def unit_payload(unit: str, result: CoupledPrediction) -> dict:
     """Full machine-readable record for one unit (obj format).
 
     The ``tpl``, ``diagnostics``, ``band`` and horizon-band records
@@ -214,9 +205,9 @@ def unit_payload(
         "tpl": asdict(result.tpl) if result.tpl is not None else None,
         "baseline": result.baseline,
         "n": result.n,
-        "start_date": _jsonable(start_date),
-        "observed_latest": observed,
-        "observed_series": list(observed_series) if observed_series else None,
+        "start_date": _jsonable(result.start_date),
+        "observed_latest": result.observed_series[-1],
+        "observed_series": list(result.observed_series),
     }
     if result.diagnostics is not None:
         payload["diagnostics"] = asdict(result.diagnostics)

@@ -417,10 +417,12 @@ class TestCurveCommand:
             (_without_unit_field("n"), "lacks 'n'"),
             (_with_unit_field("n", "12"), "has n = '12'"),
             (_with_unit_field("model", ["plec"]), "is malformed"),
+            (_with_unit_field("observed_series", 5), "is malformed"),
+            (_with_unit_field("observed_series", "abc"), "is malformed"),
         ],
         ids=[
             "not_json", "no_units", "top_level_list", "no_model", "no_tpl",
-            "no_n", "n_text", "model_list",
+            "no_n", "n_text", "model_list", "series_number", "series_text",
         ],
     )  # fmt: skip
     def test_malformed_report_exits_2_with_one_line(
@@ -566,9 +568,17 @@ BAD_N = "InvalidArgument: n must be >= 1, got 0"
         ("curve", "--n 0", BAD_N),
         ("ftr", "--end 2021-03-01", "--start must precede --end"),
         ("ftr", "--horizon 2021-02-28", "horizon dates must not precede --start"),
+        ("dar", "--horizon 0", "InvalidArgument: horizon must be >= 1, got 0"),
+        ("dar", "--horizon -3", "InvalidArgument: horizon must be >= 1, got -3"),
+        ("curve", "--horizon 0", "InvalidArgument: horizon must be >= 1, got 0"),
+        ("curve", "--horizon -4", "InvalidArgument: horizon must be >= 1, got -4"),
     ],
-    ids=["ftr", "dar", "curve", "ftr_end_at_start", "ftr_horizon_before_start"],
-)
+    ids=[
+        "ftr", "dar", "curve", "ftr_end_at_start", "ftr_horizon_before_start",
+        "dar_horizon_zero", "dar_horizon_negative", "curve_horizon_zero",
+        "curve_horizon_negative",
+    ],
+)  # fmt: skip
 def test_bad_n_is_rejected_before_any_input_is_read(
     command, extra, expect, tmp_path, capsys
 ):
@@ -660,5 +670,21 @@ def test_continent_named_world_exits_2_with_one_line(ftr_paths, tmp_path, capsys
     assert capsys.readouterr().err == (
         "error: aggregate_regions: ReservedRegion: continent 'World' "
         "(country 'Gammia-A') is reserved for the total of all continents\n"
+    )
+    assert not out.exists()
+
+
+def test_repeated_country_in_continent_map_exits_2_with_one_line(
+    ftr_paths, tmp_path, capsys
+):
+    _, continents, _ = ftr_paths
+    lines = continents.read_text().splitlines()
+    country = lines[1].split(",")[0]
+    continents.write_text("\n".join(lines + [f"{country},Elsewhere"]) + "\n")
+    status, out = run_ftr(ftr_paths, tmp_path)
+    assert status == 2
+    assert capsys.readouterr().err == (
+        "error: parse_continent_map: DuplicateCountry: "
+        f"country {country!r} appears on rows 2 and {len(lines) + 1}\n"
     )
     assert not out.exists()

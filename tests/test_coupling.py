@@ -17,16 +17,22 @@ from tplec import (
     confidence_band,
     date_to_day_index,
     day_index_to_date,
+    parse_abundance_table,
     parse_continent_map,
     parse_jhu_deaths,
     plec_eval,
     reporting,
+    resample_accumulation,
     run_dar_pipeline,
     run_ftr,
     run_ftr_pipeline,
 )
 from tplec.errors import InvalidArgument, NoAsymptote, NonPositiveValue
 from tplec.regression import PlFit
+
+from conftest import abundance_tsv, build_saturating_table
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestComputeAsymptote:
@@ -301,16 +307,19 @@ def test_run_ftr_reproduces_the_golden_report(ftr_fixture):
         end,
         horizons=horizons,
     )
-    payloads = [
-        reporting.unit_payload(
-            unit,
-            result,
-            truncated.baseline + truncated.f_rel[-1],
-            start_date=start,
-            observed_series=[truncated.baseline + f for f in truncated.f_rel],
-        )
-        for unit, truncated, result in units
-    ]
+    payloads = [reporting.unit_payload(unit, result) for unit, result in units]
     document = reporting.to_json({"command": "ftr", "units": payloads})
-    golden = Path(__file__).parent / "golden" / "ftr.json"
+    assert document.encode("utf-8") == (GOLDEN / "ftr.json").read_bytes()
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_run_dar_pipeline_reproduces_the_golden_report(q):
+    # the observed series the result carries is the one the CLI emits
+    table = parse_abundance_table(abundance_tsv(build_saturating_table()[0]))
+    curve = resample_accumulation(table, 60, q, 11)
+    result = run_dar_pipeline(curve)
+    header = {"command": "dar", "q": q, "replicates": 60, "seed": 11}
+    units = [reporting.unit_payload("community", result)]
+    document = reporting.to_json({**header, "units": units})
+    golden = GOLDEN / f"dar_q{q:.0f}.json"
     assert document.encode("utf-8") == golden.read_bytes()

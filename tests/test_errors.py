@@ -12,7 +12,6 @@ import pytest
 import tplec
 from tplec import (
     AbundanceTable,
-    FitOptions,
     RegionSeries,
     accumulate,
     aggregate_regions,
@@ -33,10 +32,6 @@ DAY = (date(2021, 3, 1),)
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: FitOptions(max_iterations=0),
-        lambda: FitOptions(residual_tolerance=0.0),
-        lambda: FitOptions(initial_damping=-1.0),
-        lambda: FitOptions(d_ceiling=0.0),
         lambda: day_index_to_date(date(2021, 3, 1), 0),
         lambda: hill_number([1, 2], -1.0),
         lambda: hill_number([[1, 2]], 0.0),
@@ -52,7 +47,6 @@ DAY = (date(2021, 3, 1),)
         ),
     ],
     ids=[
-        "max_iterations", "residual_tolerance", "initial_damping", "d_ceiling",
         "day_index", "hill_q", "hill_ndim", "accumulate_q", "replicates", "seed",
         "resample_q", "table_shape", "x_not_increasing", "negative_region_count",
     ],

@@ -18,6 +18,7 @@ from tplec import (
 from tplec.errors import (
     CountOverflow,
     DateOutOfRange,
+    DuplicateCountry,
     DuplicateSampleId,
     MalformedHeader,
     MisalignedDates,
@@ -295,6 +296,12 @@ class TestContinentMap:
     def test_ragged(self):
         with pytest.raises(RaggedRow):
             parse_continent_map("country,continent\nFreedonia\n")
+
+    def test_repeated_country_names_both_rows(self):
+        # a repeat would otherwise move the country to the last continent named
+        text = "country,continent\nA,K\nB,K\nA,L\n"
+        with pytest.raises(DuplicateCountry, match="'A' appears on rows 2 and 4"):
+            parse_continent_map(text)
 
 
 def _per_cell_first_error(grid, columns):

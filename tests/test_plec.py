@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from tplec import (
-    FitOptions,
     PlecModel,
     fit_plec,
     plec_eval,
     plec_jacobian,
 )
 from tplec.errors import InvalidArgument, NonPositiveValue, TooFewPoints
+from tplec.plec import D_CEILING
 from tplec.regression import _ols_loglog
 
 # frozen from a 50-digit evaluation of c * x**w * exp(d*x)
@@ -143,18 +143,17 @@ class TestFitPlec:
     def test_interior_optimum_leaves_constraint_inactive(self):
         x = np.arange(1.0, 61.0)
         y = plec_eval(PlecModel(c=2.0, w=1.3, d=-0.01), x)
-        model, diag = fit_plec(list(zip(x, y)), FitOptions(d_ceiling=-1e-12))
+        model, diag = fit_plec(list(zip(x, y)))
         assert not diag.constraint_active
         assert model.d == pytest.approx(-0.01, rel=1e-6)
 
     def test_positive_curvature_pins_taper_at_ceiling(self):
         x = np.arange(1.0, 61.0)
         y = 2.0 * x**1.3 * np.exp(0.001 * x)
-        opts = FitOptions(d_ceiling=-1e-12)
-        model, diag = fit_plec(list(zip(x, y)), opts)
+        model, diag = fit_plec(list(zip(x, y)))
         assert diag.constraint_active
-        assert model.d == opts.d_ceiling
-        best_grid = grid_search_oracle(x, y, opts.d_ceiling, c_center=2.0)
+        assert model.d == D_CEILING
+        best_grid = grid_search_oracle(x, y, D_CEILING, c_center=2.0)
         assert diag.sum_squared_residuals <= best_grid + 1e-6
 
     def test_too_few_points(self):
@@ -181,11 +180,10 @@ class TestFitPlec:
                 ),
                 x,
             ) * rng.uniform(0.7, 1.3, size=x.size)
-            opts = FitOptions()
-            model, diag = fit_plec(list(zip(x, y)), opts)
+            model, diag = fit_plec(list(zip(x, y)))
             # recompute the solver's initialization point
             w0, ln_c0, *_ = _ols_loglog(x, y)
-            d0 = min(-1.0 / (2.0 * x[-1]), opts.d_ceiling)
+            d0 = min(-1.0 / (2.0 * x[-1]), D_CEILING)
             resid0 = y - math.exp(ln_c0) * x**w0 * np.exp(d0 * x)
             assert diag.sum_squared_residuals <= float(resid0 @ resid0) + 1e-12
 
