@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 from .coupling import date_to_day_index, run_dar_pipeline, run_ftr
@@ -57,10 +57,10 @@ def cmd_ftr(args) -> int:
     stage("cmd_ftr", _check_positive, "n", args.n)
     if args.start >= args.end:
         raise StageError("cmd_ftr: --start must precede --end")
-    horizon_dates = args.horizon or [
-        args.end + timedelta(days=k) for k in (30, 60, 90)
-    ]
-    horizons = [date_to_day_index(args.start, d) for d in horizon_dates]
+    if args.horizon:
+        horizons = [date_to_day_index(args.start, d) for d in args.horizon]
+    else:
+        horizons = [date_to_day_index(args.start, args.end) + k for k in (30, 60, 90)]
     if any(h < 1 for h in horizons):
         raise StageError("cmd_ftr: horizon dates must not precede --start")
     deaths_text = _read_text(args.deaths, "parse_jhu_deaths")
@@ -153,21 +153,24 @@ def cmd_dar(args) -> int:
     return 0
 
 
+def _finite(name: str, value):
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise InvalidArgument(f"{name} = {value!r} is not a finite number")
+    return value
+
+
 def _model_from_payload(payload) -> tuple:
-    model_info = payload["model"]
-    if model_info["kind"] == "pl":
-        start = model_info.get("start_date")
-        model = PlFit(
-            ln_c=model_info["ln_c"],
-            exponent=model_info["z"],
-            r=model_info["r"],
-            p_value=model_info["p_value"],
-            start_date=date.fromisoformat(start) if start else None,
-        )
+    info = payload["model"]
+    if info["kind"] == "pl":
+        model = PlFit(*(_finite(k, info[k]) for k in ("ln_c", "z", "r", "p_value")))
     else:
-        model = PlecModel(c=model_info["c"], w=model_info["w"], d=model_info["d"])
+        model = PlecModel(*(_finite(k, info[k]) for k in ("c", "w", "d")))
     tpl_info = payload["tpl"]
-    return model, None if tpl_info is None else TplFit(**tpl_info)
+    if tpl_info is None:
+        return model, None
+    for key in ("ln_a", "b"):
+        _finite(key, tpl_info[key])
+    return model, TplFit(**tpl_info)
 
 
 def _read_report_unit(path: str, unit: str) -> tuple:
@@ -189,10 +192,15 @@ def _read_report_unit(path: str, unit: str) -> tuple:
     payload = match[0]
     try:
         model, tpl = _model_from_payload(payload)
-        baseline = float(payload["baseline"])
+        baseline = _finite("baseline", float(payload["baseline"]))
         n = payload["n"]
         start = payload.get("start_date")
         start_date = date.fromisoformat(start) if start else None
+        series = payload.get("observed_series")
+        if series is not None and not isinstance(series, list):
+            raise InvalidArgument(f"observed_series = {series!r} is not a list")
+        for value in series or []:
+            _finite("observed_series value", value)
     except KeyError as exc:
         raise StageError(f"cmd_curve: unit {unit!r} in {path} lacks {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -201,15 +209,6 @@ def _read_report_unit(path: str, unit: str) -> tuple:
         ) from exc
     if type(n) is not int:
         raise StageError(f"cmd_curve: unit {unit!r} in {path} has n = {n!r}")
-    series = payload.get("observed_series")
-    if series is not None and not (
-        isinstance(series, list)
-        and all(type(v) in (int, float) and math.isfinite(v) for v in series)
-    ):
-        raise StageError(
-            f"cmd_curve: unit {unit!r} in {path} is malformed: "
-            "observed_series is not a list of finite numbers"
-        )
     return model, tpl, baseline, n, start_date, series or []
 
 
@@ -235,8 +234,8 @@ def cmd_curve(args) -> int:
         if args.unit is not None:
             raise StageError("cmd_curve: --unit cannot be used with --params")
         try:
-            c, w, d = (float(v) for v in args.params.split(","))
-            ln_a, b = (float(v) for v in args.tpl.split(","))
+            c, w, d = (_finite("--params", float(v)) for v in args.params.split(","))
+            ln_a, b = (_finite("--tpl", float(v)) for v in args.tpl.split(","))
         except (ValueError, AttributeError) as exc:
             raise StageError(f"cmd_curve: bad --params/--tpl: {exc}") from exc
         if args.n is None:
@@ -244,6 +243,7 @@ def cmd_curve(args) -> int:
         model = stage("cmd_curve", PlecModel, c, w, d)
         tpl = TplFit(ln_a=ln_a, b=b, r_squared=float("nan"), n_pairs=0)
         baseline = 0.0 if args.baseline is None else args.baseline
+        stage("cmd_curve", _finite, "--baseline", baseline)
         n = args.n
         start_date = args.start
         observed = []

@@ -13,13 +13,14 @@ result carries its observed series and start date for the reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    DateOutOfRange,
     InvalidArgument,
     NoAsymptote,
     NonPositiveValue,
@@ -67,9 +68,9 @@ class CoupledPrediction:
 
     Exactly one of the two routes is populated: either ``model`` is a
     ``PlecModel`` with an asymptote and a band on the maximal accrual
-    value, or ``model`` is a ``PlFit`` with ``fallback_used`` set and
-    bands on the requested day indices. Reported values are shifted by
-    ``baseline`` (counts absorbed at the truncation point). Without a
+    value, or ``model`` is a ``PlFit``, ``asymptote`` is None and the
+    bands sit on the requested day indices. Reported values are shifted
+    by ``baseline`` (counts absorbed at the truncation point). Without a
     scaling-law fit (``tpl`` None: a diversity curve of order q != 0)
     there are no bands. ``observed_series`` holds the baseline-inclusive
     observed values from t = 1; only a series with a ``start_date`` (the
@@ -82,13 +83,32 @@ class CoupledPrediction:
     band: ConfidenceBand | None
     baseline: float
     n: int
-    fallback_used: bool
     diagnostics: FitDiagnostics | None
     observed_series: tuple[float, ...]
     start_date: date | None
-    completion_pct: float | None = None
-    calendar_date_of_max: date | None = None
-    horizon_bands: tuple[tuple[int, ConfidenceBand], ...] = field(default=())
+    horizon_bands: tuple[tuple[int, ConfidenceBand], ...] = ()
+
+    @property
+    def fallback_used(self) -> bool:
+        """True when the power law stood in for the cutoff fit."""
+        return self.asymptote is None
+
+    @property
+    def completion_pct(self) -> float | None:
+        """Latest observed value as a percentage of the maximal accrual value."""
+        if self.asymptote is None or self.start_date is None:
+            return None
+        return self.observed_series[-1] / (self.baseline + self.asymptote.y_max) * 100.0
+
+    @property
+    def calendar_date_of_max(self) -> date | None:
+        """Date of the day nearest the turning point; None past 9999-12-31."""
+        if self.asymptote is None or self.start_date is None:
+            return None
+        try:
+            return day_index_to_date(self.start_date, _round_day(self.asymptote.x_max))
+        except DateOutOfRange:
+            return None
 
 
 def compute_asymptote(model: PlecModel) -> AsymptotePrediction:
@@ -132,10 +152,16 @@ def confidence_band(
 
 
 def day_index_to_date(start: date, t: int) -> date:
-    """Calendar date of day index t, with t = 1 on the start date."""
+    """Calendar date of day index t, with t = 1 on the start date.
+
+    Raises ``DateOutOfRange`` for a date past 9999-12-31.
+    """
     if t < 1:
         raise InvalidArgument(f"day index must be >= 1, got {t}")
-    return start + timedelta(days=t - 1)
+    try:
+        return start + timedelta(days=t - 1)
+    except OverflowError:
+        raise DateOutOfRange(f"day index {t} from {start} is past {date.max}") from None
 
 
 def date_to_day_index(start: date, when: date) -> int:
@@ -183,41 +209,25 @@ def _couple(points, tpl, n, baseline, start_date, series, horizons):
     undated curve) become the result's ``observed_series`` and ``start_date``.
     """
     model, diagnostics, asymptote = fit_cutoff(points)
+    band, horizon_bands = None, ()
     if asymptote is None:
-        pl = fit_pl_growth(points, start_date=start_date)
-        bands = tuple(
-            (t, confidence_band(baseline + pl.predict(t), tpl, n)) for t in horizons
+        model = fit_pl_growth(points)
+        horizon_bands = tuple(
+            (t, confidence_band(baseline + model.predict(t), tpl, n)) for t in horizons
         )
-        return CoupledPrediction(
-            model=pl,
-            tpl=tpl,
-            asymptote=None,
-            band=None,
-            baseline=float(baseline),
-            n=n,
-            fallback_used=True,
-            diagnostics=diagnostics,
-            observed_series=series,
-            start_date=start_date,
-            horizon_bands=bands,
-        )
-
-    total_max = baseline + asymptote.y_max
+    elif tpl is not None:
+        band = confidence_band(baseline + asymptote.y_max, tpl, n)
     return CoupledPrediction(
         model=model,
         tpl=tpl,
         asymptote=asymptote,
-        band=None if tpl is None else confidence_band(total_max, tpl, n),
+        band=band,
         baseline=float(baseline),
         n=n,
-        fallback_used=False,
         diagnostics=diagnostics,
         observed_series=series,
         start_date=start_date,
-        completion_pct=None if start_date is None else series[-1] / total_max * 100.0,
-        calendar_date_of_max=None
-        if start_date is None
-        else day_index_to_date(start_date, _round_day(asymptote.x_max)),
+        horizon_bands=horizon_bands,
     )
 
 

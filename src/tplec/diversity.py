@@ -65,12 +65,16 @@ class AccumulationCurve:
     seed: int
 
 
+def _check_order(q: float) -> None:
+    if not (np.isfinite(q) and q >= 0):
+        raise InvalidArgument(f"diversity order q must be finite and >= 0, got {q}")
+
+
 def hill_number(counts, q: float) -> float:
     """Diversity of order q: richness at q = 0, exp-Shannon at q = 1,
     inverse Simpson at q = 2, and ``(sum p_i**q)**(1/(1-q))`` in general.
     """
-    if q < 0:
-        raise InvalidArgument(f"diversity order q must be >= 0, got {q}")
+    _check_order(q)
     arr = np.asarray(counts, dtype=np.float64)
     if arr.ndim != 1:
         raise InvalidArgument("counts must be one-dimensional")
@@ -87,8 +91,7 @@ def accumulate(table: AbundanceTable, order, q: float) -> np.ndarray:
     Entry k is the Hill number of the element-wise sum of the first
     k samples in ``order``.
     """
-    if q < 0:
-        raise InvalidArgument(f"diversity order q must be >= 0, got {q}")
+    _check_order(q)
     perm = np.asarray(order, dtype=np.int64)
     if perm.shape != (table.n_samples,) or not np.array_equal(
         np.sort(perm), np.arange(table.n_samples)
@@ -114,8 +117,7 @@ def resample_accumulation(
         raise InvalidArgument(f"need at least 2 replicates, got {replicates}")
     if seed < 0:
         raise InvalidArgument(f"seed must be nonnegative, got {seed}")
-    if q < 0:
-        raise InvalidArgument(f"diversity order q must be >= 0, got {q}")
+    _check_order(q)
     n = table.n_samples
     perms = np.empty((replicates, n), dtype=np.int64)
     for r in range(replicates):

@@ -14,14 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidArgument,
-    NonFiniteValue,
-    NonPositiveValue,
-    SingularNormalEquations,
-    TooFewPoints,
-)
-from .regression import _ols_loglog
+from .errors import InvalidArgument, NonPositiveValue, SingularNormalEquations
+from .regression import _ols_loglog, _validated_xy
 
 MAX_ITERATIONS = 200
 RESIDUAL_TOLERANCE = 1e-10
@@ -48,6 +42,10 @@ class PlecModel:
             raise NonPositiveValue(f"scale c must be > 0, got {self.c}")
         if self.d > 0:
             raise InvalidArgument(f"taper parameter d must be <= 0, got {self.d}")
+
+    def predict(self, x: float) -> float:
+        """Evaluate the curve at x > 0."""
+        return plec_eval(self, float(x))
 
 
 @dataclass(frozen=True)
@@ -89,20 +87,6 @@ def plec_jacobian(model: PlecModel, x) -> np.ndarray:
     return np.stack([base, value * np.log(arr), value * arr], axis=-1)
 
 
-def _validated_points(points) -> tuple[np.ndarray, np.ndarray]:
-    if len(points) < 4:
-        raise TooFewPoints(f"need at least 4 points, got {len(points)}")
-    x = np.asarray([p[0] for p in points], dtype=np.float64)
-    y = np.asarray([p[1] for p in points], dtype=np.float64)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise NonFiniteValue("all points must have finite x and y")
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise NonPositiveValue("all points must have x > 0 and y > 0")
-    if np.any(np.diff(x) <= 0.0):
-        raise InvalidArgument("x values must be strictly increasing")
-    return x, y
-
-
 def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagnostics]:
     """Fit the cutoff curve to (x, y) points by damped Gauss-Newton.
 
@@ -114,7 +98,9 @@ def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagn
     RESIDUAL_TOLERANCE or MAX_ITERATIONS is reached. Failure to
     converge is reported through the diagnostics, not raised.
     """
-    x, y = _validated_points(points)
+    x, y = _validated_xy(points, "points", 4)
+    if np.any(np.diff(x) <= 0.0):
+        raise InvalidArgument("x values must be strictly increasing")
 
     w0, ln_c0, *_ = _ols_loglog(x, y)
     c = float(np.exp(ln_c0))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from datetime import date
 from typing import Sequence
 
 import numpy as np
@@ -47,15 +46,12 @@ class PlFit:
     of freedom wherever the true value is at least 1e-300; smaller
     values may underflow to 0. Beyond 1000 degrees of freedom the error
     grows about in proportion to them (8e-13 at 1e4, 7e-11 at 1e6).
-    ``start_date`` records, when known, which calendar date corresponds
-    to x = 1.
     """
 
     ln_c: float
     exponent: float
     r: float
     p_value: float
-    start_date: date | None = None
 
     def predict(self, x: float) -> float:
         """Evaluate exp(ln_c) * x**exponent at x > 0."""
@@ -173,9 +169,10 @@ def _ols_loglog(x: np.ndarray, y: np.ndarray):
     return slope, intercept, r, r_squared, p_value
 
 
-def _validated_xy(pairs, what: str) -> tuple[np.ndarray, np.ndarray]:
-    if len(pairs) < 3:
-        raise TooFewPoints(f"need at least 3 {what}, got {len(pairs)}")
+def _validated_xy(pairs, what: str, minimum: int) -> tuple[np.ndarray, np.ndarray]:
+    """``pairs`` as x and y arrays: at least ``minimum``, all finite and > 0."""
+    if len(pairs) < minimum:
+        raise TooFewPoints(f"need at least {minimum} {what}, got {len(pairs)}")
     x = np.asarray([p[0] for p in pairs], dtype=np.float64)
     y = np.asarray([p[1] for p in pairs], dtype=np.float64)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -187,7 +184,7 @@ def _validated_xy(pairs, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 def fit_loglog(pairs: Sequence[tuple[float, float]]) -> TplFit:
     """Fit ln(V) = ln(a) + b*ln(M) to (mean, variance) pairs by OLS."""
-    means, variances = _validated_xy(pairs, "variance-mean pairs")
+    means, variances = _validated_xy(pairs, "variance-mean pairs", 3)
     b, ln_a, _, r_squared, _ = _ols_loglog(means, variances)
     return TplFit(ln_a=ln_a, b=b, r_squared=r_squared, n_pairs=len(pairs))
 
@@ -199,13 +196,8 @@ def predict_variance(fit: TplFit, mean: float) -> float:
     return math.exp(fit.ln_a) * mean**fit.b
 
 
-def fit_pl_growth(
-    series: Sequence[tuple[float, float]],
-    start_date: date | None = None,
-) -> PlFit:
+def fit_pl_growth(series: Sequence[tuple[float, float]]) -> PlFit:
     """Fit ln(y) = ln(c) + z*ln(x) to a growth series by OLS."""
-    x, y = _validated_xy(series, "series points")
+    x, y = _validated_xy(series, "series points", 3)
     exponent, ln_c, r, _, p_value = _ols_loglog(x, y)
-    return PlFit(
-        ln_c=ln_c, exponent=exponent, r=r, p_value=p_value, start_date=start_date
-    )
+    return PlFit(ln_c=ln_c, exponent=exponent, r=r, p_value=p_value)

@@ -30,7 +30,7 @@ from .coupling import (
     confidence_band,
     day_index_to_date,
 )
-from .plec import PlecModel, plec_eval
+from .plec import PlecModel
 from .regression import PlFit, TplFit
 
 REPORT_COLUMNS = [
@@ -150,10 +150,7 @@ def curve_rows(
     """
     rows = []
     for t in range(1, horizon + 1):
-        if isinstance(model, PlFit):
-            predicted = baseline + model.predict(t)
-        else:
-            predicted = baseline + plec_eval(model, float(t))
+        predicted = baseline + model.predict(t)
         band: ConfidenceBand | None = None
         if tpl is not None:
             band = confidence_band(predicted, tpl, n)
@@ -185,7 +182,7 @@ def _model_payload(result: CoupledPrediction) -> dict:
             "z": pl.exponent,
             "r": pl.r,
             "p_value": pl.p_value,
-            "start_date": _jsonable(pl.start_date),
+            "start_date": _jsonable(result.start_date),
         }
     model = result.model
     return {"kind": "plec", "c": model.c, "w": model.w, "d": model.d}

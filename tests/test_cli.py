@@ -5,17 +5,18 @@ import math
 import os
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tplec import AccumulationCurve, cli, fit_pl_growth
+from tplec import AccumulationCurve, cli, date_to_day_index, fit_pl_growth
 from tplec.cli import main
 from tplec.coupling import _vm_pairs_for_unit
 from tplec.reporting import CURVE_COLUMNS, FALLBACK_COLUMNS, REPORT_COLUMNS
 
-from conftest import abundance_tsv, build_saturating_table
+from conftest import abundance_tsv, build_deaths_csv, build_saturating_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -313,9 +314,10 @@ def _without_unit_field(name):
     return spoil
 
 
-def _with_unit_field(name, value):
+def _with_unit_field(name, value, record=None):
     def spoil(document):
-        document["units"][0][name] = value
+        unit = document["units"][0]
+        (unit if record is None else unit[record])[name] = value
         return json.dumps(document)
 
     return spoil
@@ -419,10 +421,16 @@ class TestCurveCommand:
             (_with_unit_field("model", ["plec"]), "is malformed"),
             (_with_unit_field("observed_series", 5), "is malformed"),
             (_with_unit_field("observed_series", "abc"), "is malformed"),
+            (_with_unit_field("observed_series", [1.0, math.nan]), "is malformed"),
+            (_with_unit_field("baseline", math.nan), "baseline = nan is not a"),
+            (_with_unit_field("w", math.nan, "model"), "w = nan is not a"),
+            (_with_unit_field("w", "0.5", "model"), "w = '0.5' is not a"),
+            (_with_unit_field("b", math.inf, "tpl"), "b = inf is not a"),
         ],
         ids=[
             "not_json", "no_units", "top_level_list", "no_model", "no_tpl",
             "no_n", "n_text", "model_list", "series_number", "series_text",
+            "series_nan", "baseline_nan", "w_nan", "w_text", "b_inf",
         ],
     )  # fmt: skip
     def test_malformed_report_exits_2_with_one_line(
@@ -687,4 +695,83 @@ def test_repeated_country_in_continent_map_exits_2_with_one_line(
         "error: parse_continent_map: DuplicateCountry: "
         f"country {country!r} appears on rows 2 and {len(lines) + 1}\n"
     )
+    assert not out.exists()
+
+
+def test_turning_point_past_the_calendar_leaves_its_date_blank(tmp_path, capsys):
+    # a taper of -1e-7 puts the maximum about 1.5e7 days (41,000 years) out
+    start = date(2021, 3, 21)
+    total = [50000 * t**1.5 * math.exp(-1e-7 * t) for t in range(1, 121)]
+    rows = {"A": [round(0.6 * v) for v in total], "B": [round(0.4 * v) for v in total]}
+    deaths = tmp_path / "deaths.csv"
+    continents = tmp_path / "continents.csv"
+    deaths.write_text(build_deaths_csv(start, rows))
+    continents.write_text("country,continent\nA,K\nB,K\n")
+    argv = ["ftr", "--deaths", str(deaths), "--continents", str(continents)]
+    argv += ["--start", "2021-03-21", "--end", "2021-07-18"]
+    csv, obj = tmp_path / "r.csv", tmp_path / "r.json"
+    assert main(argv + ["--out", str(csv)]) == 0
+    assert main(argv + ["--format", "obj", "--out", str(obj)]) == 0
+    assert capsys.readouterr().err == ""
+    _, report = read_rows(csv)
+    assert [row["unit"] for row in report] == ["K", "World"]
+    for row in report:
+        assert float(row["t_max"]) > date_to_day_index(start, date.max)
+        assert row["date_max"] == ""
+        assert float(row["lower_95"]) < float(row["f_max"]) < float(row["upper_95"])
+    for unit in json.loads(obj.read_text())["units"]:
+        assert unit["asymptote"]["date_of_max"] is None
+        assert unit["band"]["point"] > unit["observed_latest"]
+
+
+@pytest.mark.parametrize(
+    "extra, expect",
+    [
+        ("--params 5,nan,-0.01 --tpl 0,1", "bad --params/--tpl: --params = nan"),
+        ("--params 5,1,-inf --tpl 0,1", "bad --params/--tpl: --params = -inf"),
+        ("--params 5,1,-0.01 --tpl inf,1", "bad --params/--tpl: --tpl = inf"),
+        (
+            "--params 5,1,-0.01 --tpl 0,1 --baseline nan",
+            "InvalidArgument: --baseline = nan",
+        ),
+    ],
+    ids=["w_nan", "d_minus_inf", "ln_a_inf", "baseline_nan"],
+)
+def test_curve_params_reject_non_finite_numbers(extra, expect, tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    argv = ["curve", *extra.split(), "--n", "5", "--horizon", "3"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cmd_curve: {expect} is not a finite number\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        (
+            ["ftr", "--end", "9999-12-31"],
+            "error: truncate_series: DateOutOfRange: end date 9999-12-31 is outside "
+            "2021-03-21..2021-05-21\n",
+        ),
+        (
+            CURVE_ARGS + ["--params", "5,1,-0.01", "--n", "5"]
+            + ["--start", "9999-12-01", "--horizon", "100"],
+            "error: cmd_curve: DateOutOfRange: day index 32 from 9999-12-01 "
+            "is past 9999-12-31\n",
+        ),
+    ],
+    ids=["ftr_end_at_calendar_end", "curve_past_calendar_end"],
+)  # fmt: skip
+def test_date_past_the_calendar_exits_2_with_one_line(
+    argv, expect, ftr_paths, tmp_path, capsys
+):
+    if argv[0] == "ftr":
+        status, out = run_ftr(ftr_paths, tmp_path, extra=argv[1:])
+    else:
+        out = tmp_path / "c.csv"
+        status = main(argv + ["--out", str(out)])
+    assert status == 2
+    assert capsys.readouterr().err == expect
     assert not out.exists()

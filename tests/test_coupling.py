@@ -27,7 +27,12 @@ from tplec import (
     run_ftr,
     run_ftr_pipeline,
 )
-from tplec.errors import InvalidArgument, NoAsymptote, NonPositiveValue
+from tplec.errors import (
+    DateOutOfRange,
+    InvalidArgument,
+    NoAsymptote,
+    NonPositiveValue,
+)
 from tplec.regression import PlFit
 
 from conftest import abundance_tsv, build_saturating_table
@@ -140,6 +145,13 @@ class TestDayIndex:
     def test_rejects_zero_index(self):
         with pytest.raises(ValueError):
             day_index_to_date(date(2021, 3, 21), 0)
+
+    @pytest.mark.parametrize("t", [32, 10**12], ids=["past_date_max", "past_timedelta"])
+    def test_index_past_the_calendar_raises_date_out_of_range(self, t):
+        start = date(9999, 12, 1)
+        assert day_index_to_date(start, 31) == date.max
+        with pytest.raises(DateOutOfRange, match=f"day index {t} from 9999-12-01"):
+            day_index_to_date(start, t)
 
 
 def _series_from_curve(model: PlecModel, baseline: int, days: int) -> TruncatedSeries:

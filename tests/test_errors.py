@@ -57,6 +57,21 @@ def test_bad_argument_raises_invalid_argument(call):
     assert isinstance(err.value, TplecError) and isinstance(err.value, ValueError)
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: hill_number([1, 2, 3], q),
+        lambda q: accumulate(TABLE, [0, 1], q),
+        lambda q: resample_accumulation(TABLE, 2, q, 0),
+    ],
+    ids=["hill_number", "accumulate", "resample_accumulation"],
+)
+def test_non_finite_diversity_order_raises_invalid_argument(call, q):
+    with pytest.raises(InvalidArgument, match="q must be finite and >= 0"):
+        call(q)
+
+
 BAD = (math.nan, math.inf, -math.inf)
 GROWTH = [(1.0, 2.0), (2.0, 3.5), (3.0, 5.0), (4.0, 6.0), (5.0, 6.5)]
 
@@ -163,6 +178,46 @@ def test_every_raise_in_the_package_is_a_tplec_error(path):
 def test_raise_guard_flags_untyped_raises(line):
     source = f"def f(x):\n    {line}\n"
     assert _untyped_raises(source, "tplec.ingest") != []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never references; ``__future__`` is exempt."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_import_in_the_package_is_used(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, unused",
+    [
+        ("import os\n", ["os"]),
+        ("import os.path\n", ["os"]),
+        ("import numpy as np\nnumpy = 1\n", ["np"]),
+        ("from math import pi, tau\nx = pi\n", ["tau"]),
+        ("from . import reporting\n", ["reporting"]),
+        ("from __future__ import annotations\n", []),
+        ("from datetime import date\ndef f(d: date): pass\n", []),
+    ],
+    ids=[
+        "module", "submodule", "alias", "one_of_two", "relative", "future",
+        "annotation",
+    ],
+)  # fmt: skip
+def test_import_guard_flags_unused_imports(source, unused):
+    assert _unused_imports(source) == unused
 
 
 def _thin_cli_violations(source: str) -> list[str]:
