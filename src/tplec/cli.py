@@ -16,12 +16,10 @@ import sys
 from datetime import date
 from pathlib import Path
 
-from .coupling import date_to_day_index, run_dar_pipeline, run_ftr
+from .coupling import CoupledPrediction, date_to_day_index, run_dar_pipeline, run_ftr
 from .diversity import resample_accumulation
 from .errors import InvalidArgument, StageError, TplecError, stage
 from .ingest import parse_abundance_table, parse_continent_map, parse_jhu_deaths
-from .plec import PlecModel
-from .regression import PlFit, TplFit
 from . import reporting
 
 
@@ -131,19 +129,12 @@ def cmd_dar(args) -> int:
         _write_text(args.out, reporting.to_json(document))
         return 0
 
-    n_steps = int(curve.steps[-1])
-    if result.asymptote is not None:
-        default_horizon = max(n_steps, int(math.ceil(result.asymptote.x_max)))
-    else:
-        default_horizon = n_steps
-    rows = reporting.curve_rows(
-        result.model,
-        result.tpl,
-        baseline=result.baseline,
-        n=result.n,
-        horizon=default_horizon if args.horizon is None else args.horizon,
-        observed=result.observed_series,
-    )
+    horizon = args.horizon
+    if horizon is None:
+        horizon = len(result.observed_series)
+        if result.asymptote is not None:
+            horizon = max(horizon, math.ceil(result.asymptote.x_max))
+    rows = reporting.curve_rows(result, horizon)
     row = reporting.report_row(unit, result)
     _write_text(args.out, reporting.rows_to_dsv(reporting.REPORT_COLUMNS, [row]))
     _write_text(
@@ -153,32 +144,8 @@ def cmd_dar(args) -> int:
     return 0
 
 
-def _finite(name: str, value):
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise InvalidArgument(f"{name} = {value!r} is not a finite number")
-    return value
-
-
-def _model_from_payload(payload) -> tuple:
-    info = payload["model"]
-    if info["kind"] == "pl":
-        model = PlFit(*(_finite(k, info[k]) for k in ("ln_c", "z", "r", "p_value")))
-    else:
-        model = PlecModel(*(_finite(k, info[k]) for k in ("c", "w", "d")))
-    tpl_info = payload["tpl"]
-    if tpl_info is None:
-        return model, None
-    for key in ("ln_a", "b"):
-        _finite(key, tpl_info[key])
-    return model, TplFit(**tpl_info)
-
-
-def _read_report_unit(path: str, unit: str) -> tuple:
-    """What ``curve`` needs from one unit of an ``ftr`` or ``dar`` obj report.
-
-    Returns the model, the scaling law (None without one), baseline,
-    n, start date and the observed values from t = 1.
-    """
+def _read_report_unit(path: str, unit: str) -> CoupledPrediction:
+    """The result recorded for one unit of an ``ftr`` or ``dar`` obj report."""
     try:
         document = json.loads(_read_text(path, "cmd_curve"))
     except json.JSONDecodeError as exc:
@@ -189,27 +156,14 @@ def _read_report_unit(path: str, unit: str) -> tuple:
     match = [u for u in units if isinstance(u, dict) and u.get("unit") == unit]
     if not match:
         raise StageError(f"cmd_curve: unit {unit!r} not in {path}")
-    payload = match[0]
     try:
-        model, tpl = _model_from_payload(payload)
-        baseline = _finite("baseline", float(payload["baseline"]))
-        n = payload["n"]
-        start = payload.get("start_date")
-        start_date = date.fromisoformat(start) if start else None
-        series = payload.get("observed_series")
-        if series is not None and not isinstance(series, list):
-            raise InvalidArgument(f"observed_series = {series!r} is not a list")
-        for value in series or []:
-            _finite("observed_series value", value)
+        return reporting.result_from_payload(match[0])
     except KeyError as exc:
         raise StageError(f"cmd_curve: unit {unit!r} in {path} lacks {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise StageError(
             f"cmd_curve: unit {unit!r} in {path} is malformed: {exc}"
         ) from exc
-    if type(n) is not int:
-        raise StageError(f"cmd_curve: unit {unit!r} in {path} has n = {n!r}")
-    return model, tpl, baseline, n, start_date, series or []
 
 
 def cmd_curve(args) -> int:
@@ -227,48 +181,31 @@ def cmd_curve(args) -> int:
                 raise StageError(f"cmd_curve: {flag} cannot be used with --report")
         if args.unit is None:
             raise StageError("cmd_curve: --unit is required with --report")
-        model, tpl, baseline, n, start_date, observed = _read_report_unit(
-            args.report, args.unit
-        )
+        result = _read_report_unit(args.report, args.unit)
     else:
         if args.unit is not None:
             raise StageError("cmd_curve: --unit cannot be used with --params")
+        finite = reporting.finite_number
         try:
-            c, w, d = (_finite("--params", float(v)) for v in args.params.split(","))
-            ln_a, b = (_finite("--tpl", float(v)) for v in args.tpl.split(","))
+            c, w, d = (finite("--params", float(v)) for v in args.params.split(","))
+            ln_a, b = (finite("--tpl", float(v)) for v in args.tpl.split(","))
         except (ValueError, AttributeError) as exc:
             raise StageError(f"cmd_curve: bad --params/--tpl: {exc}") from exc
         if args.n is None:
             raise StageError("cmd_curve: --n is required with --params")
-        model = stage("cmd_curve", PlecModel, c, w, d)
-        tpl = TplFit(ln_a=ln_a, b=b, r_squared=float("nan"), n_pairs=0)
         baseline = 0.0 if args.baseline is None else args.baseline
-        stage("cmd_curve", _finite, "--baseline", baseline)
-        n = args.n
-        start_date = args.start
-        observed = []
-
-    rows = stage(
-        "cmd_curve",
-        reporting.curve_rows,
-        model,
-        tpl,
-        baseline,
-        n,
-        args.horizon,
-        start_date,
-        observed,
-    )
-    if args.format == "obj":
-        payload = {
-            "command": "curve",
-            "curve": [
-                {k: reporting.format_cell(v) for k, v in r.items()} for r in rows
-            ],
+        stage("cmd_curve", finite, "--baseline", baseline)
+        record = {
+            "model": {"kind": "plec", "c": c, "w": w, "d": d},
+            "tpl": {"ln_a": ln_a, "b": b, "r_squared": math.nan, "n_pairs": 0},
+            "baseline": baseline,
+            "n": args.n,
+            "start_date": args.start.isoformat() if args.start else None,
         }
-        _write_text(args.out, reporting.to_json(payload))
-    else:
-        _write_text(args.out, reporting.rows_to_dsv(reporting.CURVE_COLUMNS, rows))
+        result = stage("cmd_curve", reporting.result_from_payload, record)
+
+    rows = stage("cmd_curve", reporting.curve_rows, result, args.horizon)
+    _write_text(args.out, reporting.rows_to_dsv(reporting.CURVE_COLUMNS, rows))
     return 0
 
 
@@ -322,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--start", type=_parse_iso, default=None)
     curve.add_argument("--horizon", type=int, required=True)
     curve.add_argument("--out", required=True)
-    curve.add_argument("--format", choices=["dsv", "obj"], default="dsv")
     curve.set_defaults(func=cmd_curve)
     return parser
 
@@ -339,6 +275,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        reason = str(exc) or "out of memory"
+        print(f"error: {args.command}: MemoryError: {reason}", file=sys.stderr)
         return 2
 
 

@@ -66,10 +66,11 @@ class ConfidenceBand:
 class CoupledPrediction:
     """Outcome of one coupled fit, cutoff route or power-law fallback.
 
-    Exactly one of the two routes is populated: either ``model`` is a
-    ``PlecModel`` with an asymptote and a band on the maximal accrual
-    value, or ``model`` is a ``PlFit``, ``asymptote`` is None and the
-    bands sit on the requested day indices. Reported values are shifted
+    The model's type names the route: a ``PlecModel`` from a pipeline
+    comes with an asymptote and a band on the maximal accrual value; a
+    ``PlFit`` has no asymptote and its bands sit on the requested day
+    indices. A result read back from an obj report has no asymptote,
+    band or diagnostics on either route. Reported values are shifted
     by ``baseline`` (counts absorbed at the truncation point). Without a
     scaling-law fit (``tpl`` None: a diversity curve of order q != 0)
     there are no bands. ``observed_series`` holds the baseline-inclusive
@@ -91,7 +92,7 @@ class CoupledPrediction:
     @property
     def fallback_used(self) -> bool:
         """True when the power law stood in for the cutoff fit."""
-        return self.asymptote is None
+        return isinstance(self.model, PlFit)
 
     @property
     def completion_pct(self) -> float | None:

@@ -12,8 +12,10 @@ The ``obj`` format is a single JSON document with a ``units`` list, the
 same for ``ftr`` and ``dar``, embedding per unit both fits and
 everything needed to redraw curves (baseline, n, start date, observed
 values); ``tpl`` is null and ``band`` absent when there is no scaling law.
+``result_from_payload`` reads a unit record back into a result.
 
-Every per-unit row and record renders from ``(unit, result)`` alone.
+Every per-unit row and record renders from ``(unit, result)`` alone,
+and a curve from ``(result, horizon)``.
 """
 
 from __future__ import annotations
@@ -24,12 +26,8 @@ from dataclasses import asdict
 from datetime import date
 from typing import Mapping, Sequence
 
-from .coupling import (
-    ConfidenceBand,
-    CoupledPrediction,
-    confidence_band,
-    day_index_to_date,
-)
+from .coupling import CoupledPrediction, confidence_band, day_index_to_date
+from .errors import InvalidArgument
 from .plec import PlecModel
 from .regression import PlFit, TplFit
 
@@ -133,31 +131,25 @@ def fallback_rows(unit: str, result: CoupledPrediction) -> list[dict]:
     return rows
 
 
-def curve_rows(
-    model: PlecModel | PlFit,
-    tpl: TplFit | None,
-    baseline: float,
-    n: int,
-    horizon: int,
-    start_date: date | None = None,
-    observed: Sequence[float] = (),
-) -> list[dict]:
+def curve_rows(result: CoupledPrediction, horizon: int) -> list[dict]:
     """Plot-ready rows t = 1..horizon with the 95% band at each point.
 
-    ``observed`` holds the measured values at t = 1, 2, ...; rows beyond
-    the data are left blank. Bands are evaluated at the baseline-inclusive
-    prediction; without a scaling-law fit they stay blank.
+    The result's observed values fill t = 1, 2, ...; rows beyond the
+    data are left blank, and so are the dates of an undated result.
+    Bands are evaluated at the baseline-inclusive prediction; without a
+    scaling-law fit they stay blank.
     """
+    observed, start = result.observed_series, result.start_date
     rows = []
     for t in range(1, horizon + 1):
-        predicted = baseline + model.predict(t)
-        band: ConfidenceBand | None = None
-        if tpl is not None:
-            band = confidence_band(predicted, tpl, n)
+        predicted = result.baseline + result.model.predict(t)
+        band = None
+        if result.tpl is not None:
+            band = confidence_band(predicted, result.tpl, result.n)
         rows.append(
             {
                 "t": t,
-                "date": day_index_to_date(start_date, t) if start_date else None,
+                "date": day_index_to_date(start, t) if start else None,
                 "predicted": predicted,
                 "lower": band.lower if band else None,
                 "upper": band.upper if band else None,
@@ -222,6 +214,60 @@ def unit_payload(unit: str, result: CoupledPrediction) -> dict:
             {"t": t, **asdict(band)} for t, band in result.horizon_bands
         ]
     return payload
+
+
+def finite_number(name: str, value):
+    """``value`` itself when it is a finite int or float."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise InvalidArgument(f"{name} = {value!r} is not a finite number")
+    return value
+
+
+def result_from_payload(payload: dict) -> CoupledPrediction:
+    """The result an obj unit record describes, as far as a curve needs it.
+
+    Reads back the model, scaling law, baseline, n, start date and
+    observed series that ``unit_payload`` wrote; the result has no
+    asymptote, band or diagnostics. A missing field raises ``KeyError``
+    and a malformed one ``TypeError`` or ``ValueError`` (a non-finite
+    number, an unknown model kind or a non-integer n raise
+    ``InvalidArgument``).
+    """
+    info = payload["model"]
+    kind = info["kind"]
+    if kind == "pl":
+        names = ("ln_c", "z", "r", "p_value")
+        model = PlFit(*(finite_number(k, info[k]) for k in names))
+    elif kind == "plec":
+        model = PlecModel(*(finite_number(k, info[k]) for k in ("c", "w", "d")))
+    else:
+        raise InvalidArgument(f"model kind {kind!r} is neither 'pl' nor 'plec'")
+    tpl = payload["tpl"]
+    if tpl is not None:
+        for key in ("ln_a", "b"):
+            finite_number(key, tpl[key])
+        tpl = TplFit(**tpl)
+    baseline = finite_number("baseline", float(payload["baseline"]))
+    n = payload["n"]
+    if type(n) is not int:
+        raise InvalidArgument(f"the record has n = {n!r}, not an integer")
+    start = payload.get("start_date")
+    series = payload.get("observed_series")
+    if series is not None and not isinstance(series, list):
+        raise InvalidArgument(f"observed_series = {series!r} is not a list")
+    return CoupledPrediction(
+        model=model,
+        tpl=tpl,
+        asymptote=None,
+        band=None,
+        baseline=baseline,
+        n=n,
+        diagnostics=None,
+        observed_series=tuple(
+            finite_number("observed_series value", v) for v in series or ()
+        ),
+        start_date=date.fromisoformat(start) if start else None,
+    )
 
 
 def to_json(document: dict) -> str:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from datetime import date
@@ -11,10 +12,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tplec import AccumulationCurve, cli, date_to_day_index, fit_pl_growth
+from tplec import (
+    AccumulationCurve,
+    cli,
+    date_to_day_index,
+    fit_pl_growth,
+    parse_continent_map,
+    parse_jhu_deaths,
+)
 from tplec.cli import main
 from tplec.coupling import _vm_pairs_for_unit
-from tplec.reporting import CURVE_COLUMNS, FALLBACK_COLUMNS, REPORT_COLUMNS
+from tplec.coupling import run_ftr as run_ftr_units
+from tplec.reporting import (
+    CURVE_COLUMNS,
+    FALLBACK_COLUMNS,
+    REPORT_COLUMNS,
+    curve_rows,
+    rows_to_dsv,
+)
 
 from conftest import abundance_tsv, build_deaths_csv, build_saturating_table
 
@@ -397,6 +412,39 @@ class TestCurveCommand:
         assert status == 2
         assert "Nowhere" in capsys.readouterr().err
 
+    def test_every_ftr_unit_draws_the_same_curve_from_its_report(
+        self, ftr_paths, tmp_path
+    ):
+        # Gammia falls back, so a "pl" model record is read back too
+        status, report = run_ftr(ftr_paths, tmp_path, fmt="obj")
+        assert status == 0
+        deaths, continents, fixture = ftr_paths
+        rows = parse_jhu_deaths(deaths.read_text())
+        continent_map = parse_continent_map(continents.read_text())
+        results = list(
+            run_ftr_units(rows, continent_map, fixture["start"], fixture["end"])
+        )
+        assert [unit for unit, _ in results] == ["Alphia", "Betia", "Gammia", "World"]
+        for unit, result in results:
+            out = tmp_path / f"{unit}.csv"
+            argv = ["curve", "--report", str(report), "--unit", unit]
+            assert main(argv + ["--horizon", "120", "--out", str(out)]) == 0
+            expected = rows_to_dsv(CURVE_COLUMNS, curve_rows(result, 120))
+            assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_readme_params_example_runs(self, tmp_path):
+        lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        i = next(i for i, s in enumerate(lines) if s.startswith("tplec curve --params"))
+        command = lines[i]
+        while command.endswith("\\"):
+            i += 1
+            command = command[:-1] + lines[i]
+        argv = shlex.split(command)
+        assert argv[:2] == ["tplec", "curve"]
+        out = argv.index("--out") + 1
+        argv[out] = str(tmp_path / argv[out])
+        assert main(argv[1:]) == 0
+        assert len(Path(argv[out]).read_text().splitlines()) == 1 + 200
 
     @pytest.mark.parametrize("q", ["0", "1"])
     def test_reads_a_dar_report(self, dar_paths, tmp_path, q):
@@ -426,11 +474,13 @@ class TestCurveCommand:
             (_with_unit_field("w", math.nan, "model"), "w = nan is not a"),
             (_with_unit_field("w", "0.5", "model"), "w = '0.5' is not a"),
             (_with_unit_field("b", math.inf, "tpl"), "b = inf is not a"),
+            (_with_unit_field("kind", "PL", "model"), "kind 'PL' is neither"),
         ],
         ids=[
             "not_json", "no_units", "top_level_list", "no_model", "no_tpl",
             "no_n", "n_text", "model_list", "series_number", "series_text",
             "series_nan", "baseline_nan", "w_nan", "w_text", "b_inf",
+            "kind_unknown",
         ],
     )  # fmt: skip
     def test_malformed_report_exits_2_with_one_line(
@@ -474,6 +524,17 @@ class TestCurveCommand:
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: cmd_curve: {expect}\n"
         assert not out.exists()
+
+
+def test_replicates_beyond_memory_exit_2_with_one_line(dar_paths, tmp_path, capsys):
+    # the permutation array alone would need about 850 PiB, so its
+    # allocation fails at once, before anything is allocated
+    out = tmp_path / "o.csv"
+    argv = ["dar", "--abundance", str(dar_paths[0]), "--replicates", str(10**15)]
+    assert main(argv + ["--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: dar: MemoryError: ")
+    assert not out.exists()
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -223,19 +223,25 @@ def test_import_guard_flags_unused_imports(source, unused):
 def _thin_cli_violations(source: str) -> list[str]:
     """What keeps a CLI module from being argparse and I/O only.
 
-    Flags an import of numpy and a second stage wrapper: a handler of
-    ``TplecError`` (or ``Exception``) that raises a new error, the shape
-    of ``tplec.errors.stage``.
+    Flags an import of numpy, an import of the ``plec`` or ``regression``
+    module (models are built from report records in ``reporting``, not
+    in the CLI), and a second stage wrapper: a handler of ``TplecError``
+    (or ``Exception``) that raises a new error, the shape of
+    ``tplec.errors.stage``.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            modules = [node.module or ""]
+            # ``from . import x`` imports the module x
+            modules = [node.module] if node.module else [a.name for a in node.names]
         else:
             modules = []
-        found += [f"imports {m}" for m in modules if m.split(".")[0] == "numpy"]
+        for module in modules:
+            parts = module.split(".")
+            if parts[0] == "numpy" or parts[-1] in ("plec", "regression"):
+                found.append(f"imports {module}")
         if (
             isinstance(node, ast.ExceptHandler)
             and isinstance(node.type, ast.Name)
@@ -262,8 +268,9 @@ def test_the_cli_is_argparse_and_io_only():
         "        return fn(*args)\n"
         "    except TplecError as exc:\n"
         "        raise StageError(f'{name}: {exc}') from exc\n",
+        "from .plec import PlecModel",
     ],
-    ids=["numpy", "from_numpy", "numpy_submodule", "stage_wrapper"],
+    ids=["numpy", "from_numpy", "numpy_submodule", "stage_wrapper", "plec"],
 )
 def test_thin_cli_guard_flags_violations(source):
     assert _thin_cli_violations(source) != []
