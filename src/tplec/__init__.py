@@ -27,7 +27,7 @@ from .diversity import (
     resample_accumulation,
 )
 from .ingest import (
-    RegionSeries,
+    DeathsTable,
     TruncatedSeries,
     aggregate_regions,
     parse_abundance_table,
@@ -60,10 +60,10 @@ __all__ = [
     "AsymptotePrediction",
     "ConfidenceBand",
     "CoupledPrediction",
+    "DeathsTable",
     "FitDiagnostics",
     "PlFit",
     "PlecModel",
-    "RegionSeries",
     "TplFit",
     "TruncatedSeries",
     "accumulate",

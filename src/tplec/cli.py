@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .coupling import CoupledPrediction, date_to_day_index, run_dar_pipeline, run_ftr
 from .diversity import resample_accumulation
-from .errors import InvalidArgument, StageError, TplecError, stage
+from .errors import InvalidArgument, NonPositiveValue, StageError, TplecError, stage
 from .ingest import parse_abundance_table, parse_continent_map, parse_jhu_deaths
 from . import reporting
 
@@ -63,14 +63,14 @@ def cmd_ftr(args) -> int:
         raise StageError("cmd_ftr: horizon dates must not precede --start")
     deaths_text = _read_text(args.deaths, "parse_jhu_deaths")
     map_text = _read_text(args.continents, "parse_continent_map")
-    rows = stage("parse_jhu_deaths", parse_jhu_deaths, deaths_text)
+    table = stage("parse_jhu_deaths", parse_jhu_deaths, deaths_text)
     continent_map = stage("parse_continent_map", parse_continent_map, map_text)
 
     report_rows = []
     fallback_rows = []
     payloads = []
     for unit, result in run_ftr(
-        rows, continent_map, args.start, args.end, n=args.n, horizons=horizons
+        table, continent_map, args.start, args.end, n=args.n, horizons=horizons
     ):
         report_rows.append(reporting.report_row(unit, result))
         if result.fallback_used:
@@ -160,7 +160,7 @@ def _read_report_unit(path: str, unit: str) -> CoupledPrediction:
         return reporting.result_from_payload(match[0])
     except KeyError as exc:
         raise StageError(f"cmd_curve: unit {unit!r} in {path} lacks {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, NonPositiveValue) as exc:
         raise StageError(
             f"cmd_curve: unit {unit!r} in {path} is malformed: {exc}"
         ) from exc

@@ -23,16 +23,12 @@ from .errors import (
     DateOutOfRange,
     InvalidArgument,
     NoAsymptote,
+    NonFiniteValue,
     NonPositiveValue,
     SingularNormalEquations,
     stage,
 )
-from .ingest import (
-    RegionSeries,
-    TruncatedSeries,
-    regions_with_members,
-    truncate_series,
-)
+from .ingest import DeathsTable, TruncatedSeries, aggregate_regions, truncate_series
 from .plec import FitDiagnostics, PlecModel, fit_plec, plec_eval
 from .regression import PlFit, TplFit, fit_loglog, fit_pl_growth, predict_variance
 
@@ -136,7 +132,8 @@ def confidence_band(
     """95% band around a point: half-width 1.96 * sqrt(V/n).
 
     V is the scaling-law variance predicted at the point itself unless
-    an explicit ``variance`` override is supplied.
+    an explicit ``variance`` override is supplied. Raises
+    ``NonFiniteValue`` when the point or the band is not finite.
     """
     if point <= 0:
         raise NonPositiveValue(f"point estimate must be > 0, got {point}")
@@ -147,6 +144,8 @@ def confidence_band(
     if variance < 0:
         raise NonPositiveValue(f"variance must be >= 0, got {variance}")
     half = Z_95 * math.sqrt(variance / n)
+    if not math.isfinite(point + half):
+        raise NonFiniteValue(f"the band around {point} is not finite")
     return ConfidenceBand(
         point=point, lower=point - half, upper=point + half, n=n, variance=variance
     )
@@ -177,7 +176,7 @@ def _round_day(x: float) -> int:
 def _positive_points(series: TruncatedSeries) -> list[tuple[int, int]]:
     # zero relative counts carry no log-scale information and would
     # poison the initial log-log estimate; day indices are preserved
-    return [(t, f) for t, f in zip(series.t_index, series.f_rel) if f > 0]
+    return [(t, f) for t, f in enumerate(series.f_rel, start=1) if f > 0]
 
 
 def fit_cutoff(points):
@@ -268,62 +267,54 @@ def run_dar_pipeline(curve, n: int | None = None) -> CoupledPrediction:
     the cutoff or power-law fit is returned with ``tpl`` and ``band``
     None. ``n`` defaults to the number of accumulation steps.
     """
-    points = [
-        (int(k), float(m))
-        for k, m in zip(curve.steps, curve.mean_diversity)
-        if m > 0
-    ]
+    means = curve.mean_diversity.tolist()
+    points = [(k, m) for k, m in enumerate(means, start=1) if m > 0]
     tpl = None
     if curve.q == 0:
-        vm_pairs = [
-            (float(m), float(v))
-            for m, v in zip(curve.mean_diversity, curve.variance_diversity)
-            if m > 0 and v > 0
-        ]
+        variances = curve.variance_diversity.tolist()
+        vm_pairs = [(m, v) for m, v in zip(means, variances) if m > 0 and v > 0]
         tpl = fit_loglog(vm_pairs)
-    n_eff = n if n is not None else len(curve.steps)
-    observed = tuple(curve.mean_diversity.tolist())
-    return _couple(points, tpl, n_eff, 0, None, observed, ())
+    n_eff = n if n is not None else len(means)
+    return _couple(points, tpl, n_eff, 0, None, tuple(means), ())
 
 
-def _vm_pairs_for_unit(members: np.ndarray, lo: int, hi: int):
+def _vm_pairs_for_unit(members: np.ndarray):
     """Per-day (mean, variance) of cumulative counts across member countries.
 
-    ``members`` is a members x days matrix. Each day's members are
-    reduced as one contiguous row, which sums in the same order as a
-    reduction over that day's column alone, so the pairs are the same
-    to the last bit.
+    ``members`` is the members x days block of the window. Each day's
+    members are reduced as one contiguous row, which sums in the same
+    order as a reduction over that day's column alone, so the pairs are
+    the same to the last bit.
     """
     if members.shape[0] < 2:
         return []
-    days = np.ascontiguousarray(members[:, lo : hi + 1].T)
+    days = np.ascontiguousarray(members.T)
     means = days.mean(axis=1).tolist()
     variances = days.var(axis=1, ddof=1).tolist()
     return [(m, v) for m, v in zip(means, variances) if m > 0.0 and v > 0.0]
 
 
 def run_ftr(
-    rows: list[RegionSeries],
+    table: DeathsTable,
     continent_map: Mapping[str, str],
     start: date,
     end: date,
     n: int | None = None,
     horizons: Sequence[int] = (),
 ) -> Iterator[tuple[str, CoupledPrediction]]:
-    """``run_ftr_pipeline`` for each continent, then World, of parsed deaths rows.
+    """``run_ftr_pipeline`` for each continent, then World, of a parsed deaths table.
 
     Each unit's series is truncated to ``start``..``end`` and coupled
     with the variance-mean pairs of its member countries' totals over
     that window. Yields ``(unit, result)`` in report order;
     raises ``StageError`` naming the stage (and the unit of a failed fit).
     """
-    totals, units = stage(
-        "aggregate_regions", regions_with_members, rows, continent_map
+    units, countries, members = stage(
+        "aggregate_regions", aggregate_regions, table, continent_map
     )
-    for unit, members in units:
-        truncated = stage("truncate_series", truncate_series, unit, start, end)
-        lo, hi = unit.dates.index(start), unit.dates.index(end)
-        pairs = _vm_pairs_for_unit(totals[members], lo, hi)
-        name = f"run_ftr_pipeline: {unit.region}"
+    window, series = stage("truncate_series", truncate_series, units, start, end)
+    for unit, rows, truncated in zip(units.regions, members, series):
+        pairs = _vm_pairs_for_unit(countries.counts[rows, window])
+        name = f"run_ftr_pipeline: {unit}"
         result = stage(name, run_ftr_pipeline, truncated, pairs, n, horizons)
-        yield unit.region, result
+        yield unit, result

@@ -52,12 +52,11 @@ class AbundanceTable:
 class AccumulationCurve:
     """Across-replicate mean and variance of cumulative diversity.
 
-    Entry k (1-based via ``steps``) describes the diversity of the first
-    k pooled samples. The variance at the final step is zero because
-    every permutation pools the same full set.
+    Entry k - 1 describes the diversity of the first k pooled samples.
+    The variance at the final step is zero because every permutation
+    pools the same full set.
     """
 
-    steps: np.ndarray
     mean_diversity: np.ndarray
     variance_diversity: np.ndarray
     replicates: int
@@ -130,7 +129,6 @@ def resample_accumulation(
     mean = np.where(same, hi, curves.mean(axis=0))
     variance = np.where(same, 0.0, curves.var(axis=0, ddof=1))
     return AccumulationCurve(
-        steps=np.arange(1, n + 1),
         mean_diversity=mean,
         variance_diversity=variance,
         replicates=replicates,

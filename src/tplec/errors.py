@@ -97,9 +97,5 @@ class ReservedRegion(TplecError):
     """A continent takes the name of the synthetic World total."""
 
 
-class MisalignedDates(TplecError):
-    """Series do not share a common date axis."""
-
-
 class DateOutOfRange(TplecError):
     """Requested date lies outside the series' date range."""

@@ -24,7 +24,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .errors import (
     DuplicateSampleId,
     InvalidArgument,
     MalformedHeader,
-    MisalignedDates,
     RaggedRow,
     ReservedRegion,
     UnmappedCountry,
@@ -52,26 +51,50 @@ _BLOCK_CELLS = 1 << 14  # cells per converter pass: its scratch arrays stay smal
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1, so no overflow check is needed
 
 
-@dataclass(frozen=True)
-class RegionSeries:
-    """Daily cumulative counts for one region (one source row).
-
-    ``cumulative`` is a read-only int64 array of nonnegative counts;
-    any integer sequence passed in is converted.
-    """
+class DeathsRow(NamedTuple):
+    """One row of a ``DeathsTable``: a region and its daily counts."""
 
     region: str
-    dates: tuple[date, ...]
     cumulative: np.ndarray
 
+
+@dataclass(frozen=True)
+class DeathsTable:
+    """Daily cumulative counts, one row per region, on one date axis.
+
+    ``counts`` is a read-only regions x dates int64 matrix of
+    nonnegative counts, with at least one date. A read-only int64 array
+    is kept as it is; any other integer array or sequence is converted
+    and frozen as a copy. ``len(table)`` and ``table[i]`` view the table
+    as its rows, which is how perfbench's tracer counts parsed cells.
+    """
+
+    regions: tuple[str, ...]
+    dates: tuple[date, ...]
+    counts: np.ndarray
+
     def __post_init__(self):
-        counts = np.asarray(self.cumulative, dtype=np.int64)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        if not self.dates:
+            raise InvalidArgument("a deaths table needs at least one date")
+        if counts.shape != (len(self.regions), len(self.dates)):
+            raise InvalidArgument(
+                f"counts shape {counts.shape} does not match "
+                f"{len(self.regions)} regions x {len(self.dates)} dates"
+            )
         if counts.size and counts.min() < 0:
-            raise InvalidArgument(f"region {self.region!r} has a negative count")
+            row = int((counts < 0).any(axis=1).argmax())
+            raise InvalidArgument(f"region {self.regions[row]!r} has a negative count")
         if counts.flags.writeable:
             counts = counts.copy()  # never freeze the caller's array
             counts.flags.writeable = False
-        object.__setattr__(self, "cumulative", counts)
+        object.__setattr__(self, "counts", counts)
+
+    def __len__(self) -> int:
+        return len(self.regions)
+
+    def __getitem__(self, row: int) -> DeathsRow:
+        return DeathsRow(self.regions[row], self.counts[row])
 
 
 @dataclass(frozen=True)
@@ -79,14 +102,13 @@ class TruncatedSeries:
     """A series re-based at a chosen start date.
 
     ``baseline`` is the cumulative count on the day before the start
-    date (0 when the start is the first date); ``f_rel[i]`` is the
-    cumulative count at day index ``t_index[i]`` minus the baseline,
-    with day index 1 on the start date itself.
+    date (0 when the start is the first date); ``f_rel[t - 1]`` is the
+    cumulative count at day index t minus the baseline, with day index
+    1 on the start date itself.
     """
 
     start_date: date
     baseline: int
-    t_index: tuple[int, ...]
     f_rel: tuple[int, ...]
 
 
@@ -201,8 +223,8 @@ def _digit_block(
     return counts
 
 
-def parse_jhu_deaths(text) -> list[RegionSeries]:
-    """Parse a JHU-layout deaths CSV into one series per source row.
+def parse_jhu_deaths(text) -> DeathsTable:
+    """Parse a JHU-layout deaths CSV into a table with one row per source row.
 
     Province rows keep their country key so a later aggregation pass can
     sum them. Non-monotone cumulative counts (source data corrections)
@@ -246,24 +268,19 @@ def parse_jhu_deaths(text) -> list[RegionSeries]:
         raise RaggedRow(
             f"row {n_ok + 2} has {len(ragged[0])} fields, header has {len(header)}"
         )
-    return [
-        RegionSeries(region=row[1].strip(), dates=dates, cumulative=counts[i])
-        for i, row in enumerate(body)
-    ]
+    return DeathsTable(tuple(row[1].strip() for row in body), dates, counts)
 
 
-def serialize_jhu_deaths(series: list[RegionSeries]) -> str:
+def serialize_jhu_deaths(table: DeathsTable) -> str:
     """Canonical JHU-layout CSV: province/lat/long blank, M/D/YY dates."""
-    if not series:
-        return ",".join(_JHU_FIXED_COLUMNS) + "\r\n"
-    dates = series[0].dates
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(
-        list(_JHU_FIXED_COLUMNS) + [f"{d.month}/{d.day}/{d.year % 100:02d}" for d in dates]
+        list(_JHU_FIXED_COLUMNS)
+        + [f"{d.month}/{d.day}/{d.year % 100:02d}" for d in table.dates]
     )
-    for s in series:
-        writer.writerow(["", s.region, "", ""] + [str(v) for v in s.cumulative])
+    for region, cumulative in zip(table.regions, table.counts.tolist()):
+        writer.writerow(["", region, "", ""] + cumulative)
     return out.getvalue()
 
 
@@ -290,113 +307,87 @@ def parse_continent_map(text) -> dict[str, str]:
     return mapping
 
 
-def _add_checked(total: np.ndarray, row: np.ndarray, name: str) -> None:
-    """``total += row`` for nonnegative rows; raises if a sum exceeds int64.
+def _group_rows(
+    table: DeathsTable, keys: Sequence[str]
+) -> tuple[DeathsTable, list[list[int]]]:
+    """Rows of ``table`` summed per key, keys sorted, and each key's rows.
 
-    Every ``RegionSeries`` row is nonnegative (its constructor checks).
+    ``keys[i]`` is the key of row i. Raises ``CountOverflow`` naming the
+    first key, in sorted order, whose total exceeds the int64 range.
     """
-    total += row
-    # two addends in [0, 2**63) wrap to a negative sum, never a positive one
-    if total.min() < 0:
-        raise CountOverflow(f"the total for {name!r} exceeds the int64 range")
-
-
-def _sum_rows(name: str, rows: Sequence[np.ndarray]) -> np.ndarray:
-    total = np.zeros_like(rows[0])
-    for row in rows:
-        _add_checked(total, row, name)
-    total.flags.writeable = False
-    return total
-
-
-def regions_with_members(
-    series: list[RegionSeries], continent_map: Mapping[str, str]
-) -> tuple[np.ndarray, list[tuple[RegionSeries, list[int] | slice]]]:
-    """Country totals, and each continent, then World, with its members.
-
-    Province rows are summed per country once, into a read-only
-    countries x days matrix with the countries sorted by name. A
-    continent is the sum of its countries' rows and World the sum of
-    the continents; each comes with the index of its member rows in the
-    matrix. Every country key must be mapped to a continent other than
-    World, and all series must share one date axis. Continents come back
-    sorted by name.
-    """
-    if not series:
-        return np.zeros((0, 0), dtype=np.int64), []
-    dates = series[0].dates
-    for s in series:
-        if s.dates != dates:
-            raise MisalignedDates(
-                f"series for {s.region!r} does not share the common date axis"
-            )
-        if s.region not in continent_map:
-            raise UnmappedCountry(f"no continent assigned for {s.region!r}")
-    countries = sorted({s.region for s in series})
-    index = {name: i for i, name in enumerate(countries)}
-    totals = np.zeros((len(countries), len(dates)), dtype=np.int64)
-    for s in series:
-        _add_checked(totals[index[s.region]], s.cumulative, s.region)
-    totals.flags.writeable = False
-
     members: dict[str, list[int]] = {}
-    for i, c in enumerate(countries):
-        members.setdefault(continent_map[c], []).append(i)
-    if "World" in members:
-        country = countries[members["World"][0]]
+    for i, key in enumerate(keys):
+        members.setdefault(key, []).append(i)
+    names = tuple(sorted(members))
+    counts = np.zeros((len(names), len(table.dates)), dtype=np.int64)
+    for total, name in zip(counts, names):
+        for i in members[name]:
+            total += table.counts[i]
+            # two addends in [0, 2**63) wrap to a negative sum, never a positive one
+            if total.min() < 0:
+                raise CountOverflow(f"the total for {name!r} exceeds the int64 range")
+    counts.flags.writeable = False
+    return DeathsTable(names, table.dates, counts), [members[name] for name in names]
+
+
+def aggregate_regions(
+    table: DeathsTable, continent_map: Mapping[str, str]
+) -> tuple[DeathsTable, DeathsTable, list[list[int] | slice]]:
+    """Units (each continent, then World), country totals, and unit members.
+
+    Province rows are summed per country, countries per continent and
+    continents into World. Countries and continents come sorted by name;
+    an empty table has no units. Every country key must be mapped to a
+    continent other than World. ``members[i]`` selects the rows of unit
+    i's countries in the country table.
+    """
+    for region in table.regions:
+        if region not in continent_map:
+            raise UnmappedCountry(f"no continent assigned for {region!r}")
+    countries, _ = _group_rows(table, table.regions)
+    keys = [continent_map[country] for country in countries.regions]
+    if "World" in keys:
+        country = countries.regions[keys.index("World")]
         raise ReservedRegion(
             f"continent 'World' (country {country!r}) is reserved for the "
             "total of all continents"
         )
-    units = [
-        (RegionSeries(name, dates, _sum_rows(name, [totals[i] for i in rows])), rows)
-        for name, rows in sorted(members.items())
-    ]
-    world = _sum_rows("World", [unit.cumulative for unit, _ in units])
-    return totals, units + [(RegionSeries("World", dates, world), slice(None))]
-
-
-def aggregate_regions(
-    series: list[RegionSeries], continent_map: Mapping[str, str]
-) -> list[RegionSeries]:
-    """Sum country rows into continents plus a synthetic World total.
-
-    Every country key must be mapped to a continent other than World and
-    all series must share one date axis. Continents come back sorted by
-    name with World appended.
-    """
-    _, units = regions_with_members(series, continent_map)
-    return [unit for unit, _ in units]
+    continents, members = _group_rows(countries, keys)
+    world, _ = _group_rows(continents, ["World"] * len(continents))
+    members += [slice(None)] * len(world)  # World's members: every country
+    units = DeathsTable(
+        continents.regions + world.regions,
+        table.dates,
+        np.concatenate([continents.counts, world.counts]),
+    )
+    return units, countries, members
 
 
 def truncate_series(
-    series: RegionSeries, start_date: date, end_date: date | None = None
-) -> TruncatedSeries:
-    """Re-base a series at ``start_date``, absorbing earlier counts.
+    table: DeathsTable, start_date: date, end_date: date | None = None
+) -> tuple[slice, list[TruncatedSeries]]:
+    """The window's columns, and each row of ``table`` re-based at ``start_date``.
 
-    The cumulative count on the day before the start becomes the
+    The cumulative count on the day before the start becomes a row's
     baseline; day indices count from 1 at the start date. ``end_date``
     (inclusive) optionally shortens the window.
     """
-    if start_date not in series.dates:
+    dates = table.dates
+    if start_date not in dates:
         raise DateOutOfRange(
-            f"start date {start_date} is outside {series.dates[0]}..{series.dates[-1]}"
+            f"start date {start_date} is outside {dates[0]}..{dates[-1]}"
         )
-    stop = end_date if end_date is not None else series.dates[-1]
-    if stop not in series.dates or stop < start_date:
-        raise DateOutOfRange(
-            f"end date {stop} is outside {start_date}..{series.dates[-1]}"
-        )
-    i0 = series.dates.index(start_date)
-    i1 = series.dates.index(stop)
-    baseline = int(series.cumulative[i0 - 1]) if i0 > 0 else 0
-    window = series.cumulative[i0 : i1 + 1]
-    return TruncatedSeries(
-        start_date=start_date,
-        baseline=baseline,
-        t_index=tuple(range(1, len(window) + 1)),
-        f_rel=tuple((window - baseline).tolist()),
-    )
+    stop = end_date if end_date is not None else dates[-1]
+    if stop not in dates or stop < start_date:
+        raise DateOutOfRange(f"end date {stop} is outside {start_date}..{dates[-1]}")
+    i0 = dates.index(start_date)
+    window = slice(i0, dates.index(stop) + 1)
+    baselines = table.counts[:, i0 - 1] if i0 > 0 else np.zeros(len(table), np.int64)
+    rebased = table.counts[:, window] - baselines[:, None]
+    return window, [
+        TruncatedSeries(start_date, baseline, tuple(row))
+        for baseline, row in zip(baselines.tolist(), rebased.tolist())
+    ]
 
 
 def _tsv_lines(text) -> list[str]:

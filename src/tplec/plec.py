@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgument, NonPositiveValue, SingularNormalEquations
-from .regression import _ols_loglog, _validated_xy
+from .regression import _finite, _ols_loglog, _validated_xy
 
 MAX_ITERATIONS = 200
 RESIDUAL_TOLERANCE = 1e-10
@@ -44,8 +44,11 @@ class PlecModel:
             raise InvalidArgument(f"taper parameter d must be <= 0, got {self.d}")
 
     def predict(self, x: float) -> float:
-        """Evaluate the curve at x > 0."""
-        return plec_eval(self, float(x))
+        """Evaluate the curve at x > 0; overflow raises NonFiniteValue."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(
+                f"the cutoff curve at x = {x}", lambda: plec_eval(self, float(x))
+            )
 
 
 @dataclass(frozen=True)

@@ -54,10 +54,22 @@ class PlFit:
     p_value: float
 
     def predict(self, x: float) -> float:
-        """Evaluate exp(ln_c) * x**exponent at x > 0."""
+        """Evaluate exp(ln_c) * x**exponent at x > 0; overflow raises NonFiniteValue."""
         if x <= 0:
             raise NonPositiveValue(f"prediction point must be > 0, got {x}")
-        return math.exp(self.ln_c + self.exponent * math.log(x))
+        power = self.ln_c + self.exponent * math.log(x)
+        return _finite(f"the power law at x = {x}", lambda: math.exp(power))
+
+
+def _finite(what: str, compute) -> float:
+    """``compute()``; raises ``NonFiniteValue`` naming ``what`` if it overflows."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"{what} is not finite: {value}")
+    return value
 
 
 def _ln_gamma_ratio(a: float) -> float:
@@ -190,10 +202,12 @@ def fit_loglog(pairs: Sequence[tuple[float, float]]) -> TplFit:
 
 
 def predict_variance(fit: TplFit, mean: float) -> float:
-    """Variance predicted by the fitted scaling law at a given mean."""
+    """Scaling-law variance at a given mean; overflow raises NonFiniteValue."""
     if mean <= 0:
         raise NonPositiveValue(f"mean must be > 0, got {mean}")
-    return math.exp(fit.ln_a) * mean**fit.b
+    return _finite(
+        f"the variance at mean {mean}", lambda: math.exp(fit.ln_a) * mean**fit.b
+    )
 
 
 def fit_pl_growth(series: Sequence[tuple[float, float]]) -> PlFit:

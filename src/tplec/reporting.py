@@ -231,7 +231,8 @@ def result_from_payload(payload: dict) -> CoupledPrediction:
     asymptote, band or diagnostics. A missing field raises ``KeyError``
     and a malformed one ``TypeError`` or ``ValueError`` (a non-finite
     number, an unknown model kind or a non-integer n raise
-    ``InvalidArgument``).
+    ``InvalidArgument``), except a cutoff scale c <= 0, which raises
+    ``NonPositiveValue``.
     """
     info = payload["model"]
     kind = info["kind"]

@@ -305,7 +305,7 @@ class TestDarCommand:
         variance[-1] = 0.0
 
         def convex_curve(table, replicates, q, seed):
-            return AccumulationCurve(k, mean, variance, replicates, q, seed)
+            return AccumulationCurve(mean, variance, replicates, q, seed)
 
         monkeypatch.setattr(cli, "resample_accumulation", convex_curve)
         points = [(int(t), float(m)) for t, m in zip(k, mean)]
@@ -419,10 +419,10 @@ class TestCurveCommand:
         status, report = run_ftr(ftr_paths, tmp_path, fmt="obj")
         assert status == 0
         deaths, continents, fixture = ftr_paths
-        rows = parse_jhu_deaths(deaths.read_text())
+        table = parse_jhu_deaths(deaths.read_text())
         continent_map = parse_continent_map(continents.read_text())
         results = list(
-            run_ftr_units(rows, continent_map, fixture["start"], fixture["end"])
+            run_ftr_units(table, continent_map, fixture["start"], fixture["end"])
         )
         assert [unit for unit, _ in results] == ["Alphia", "Betia", "Gammia", "World"]
         for unit, result in results:
@@ -475,12 +475,13 @@ class TestCurveCommand:
             (_with_unit_field("w", "0.5", "model"), "w = '0.5' is not a"),
             (_with_unit_field("b", math.inf, "tpl"), "b = inf is not a"),
             (_with_unit_field("kind", "PL", "model"), "kind 'PL' is neither"),
+            (_with_unit_field("c", -1, "model"), "is malformed: scale c must be > 0"),
         ],
         ids=[
             "not_json", "no_units", "top_level_list", "no_model", "no_tpl",
             "no_n", "n_text", "model_list", "series_number", "series_text",
             "series_nan", "baseline_nan", "w_nan", "w_text", "b_inf",
-            "kind_unknown",
+            "kind_unknown", "c_nonpositive",
         ],
     )  # fmt: skip
     def test_malformed_report_exits_2_with_one_line(
@@ -571,7 +572,7 @@ def test_vm_pairs_equal_per_column_loop_exactly(n_members):
     members[0, 20:40] = members[1:, 20:40] = 7  # and days with zero variance
     members.flags.writeable = False
     for lo, hi in ((0, days - 1), (15, 300), (100, 100)):
-        got = _vm_pairs_for_unit(members, lo, hi)
+        got = _vm_pairs_for_unit(members[:, lo : hi + 1])
         assert got == _per_column_vm_pairs(members, lo, hi)
         assert all(type(m) is float and type(v) is float for m, v in got)
 
@@ -805,6 +806,25 @@ def test_curve_params_reject_non_finite_numbers(extra, expect, tmp_path, capsys)
     assert capsys.readouterr().err == (
         f"error: cmd_curve: {expect} is not a finite number\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "params, expect",
+    [
+        (
+            "5,1,-0.01 --tpl 1000,1",
+            "the variance at mean 4.95024916874584 is not finite: inf",
+        ),
+        ("1e300,50,-1e-12 --tpl 0,1", "the cutoff curve at x = 2 is not finite: inf"),
+    ],
+    ids=["variance", "prediction"],
+)
+def test_curve_overflow_exits_2_with_one_line(params, expect, tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    argv = ["curve", "--params", *params.split(), "--n", "5", "--horizon", "3"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cmd_curve: NonFiniteValue: {expect}\n"
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Tests for asymptotes, confidence bands, and the coupled pipelines."""
 
 import math
+import re
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -159,7 +160,6 @@ def _series_from_curve(model: PlecModel, baseline: int, days: int) -> TruncatedS
     return TruncatedSeries(
         start_date=date(2021, 3, 21),
         baseline=baseline,
-        t_index=tuple(range(1, days + 1)),
         f_rel=tuple(f_rel),
     )
 
@@ -213,7 +213,6 @@ class TestFtrPipeline:
         series = TruncatedSeries(
             start_date=date(2021, 3, 21),
             baseline=1_000,
-            t_index=tuple(range(1, days + 1)),
             f_rel=tuple(f_rel),
         )
         result = run_ftr_pipeline(
@@ -255,7 +254,6 @@ def _curve_from_model(model: PlecModel, steps: int, replicates=100, seed=0):
     variance = 0.3 * mean**1.4
     variance[-1] = 0.0  # full pool is permutation invariant
     return AccumulationCurve(
-        steps=np.arange(1, steps + 1),
         mean_diversity=mean,
         variance_diversity=variance,
         replicates=replicates,
@@ -322,6 +320,25 @@ def test_run_ftr_reproduces_the_golden_report(ftr_fixture):
     payloads = [reporting.unit_payload(unit, result) for unit, result in units]
     document = reporting.to_json({"command": "ftr", "units": payloads})
     assert document.encode("utf-8") == (GOLDEN / "ftr.json").read_bytes()
+
+
+def test_readme_run_ftr_example_runs(ftr_fixture, tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    [example] = [block for block in blocks if "run_ftr(" in block]
+    (tmp_path / "deaths.csv").write_text(ftr_fixture["deaths_csv"])
+    (tmp_path / "continents.csv").write_text(ftr_fixture["continents_csv"])
+    monkeypatch.chdir(tmp_path)
+    exec(example, {})
+    units = run_ftr(
+        parse_jhu_deaths(ftr_fixture["deaths_csv"]),
+        parse_continent_map(ftr_fixture["continents_csv"]),
+        ftr_fixture["start"],
+        ftr_fixture["end"],
+    )
+    expected = [str(reporting.report_row(unit, result)) for unit, result in units]
+    assert len(expected) == 4
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 @pytest.mark.parametrize("q", [0.0, 1.0])

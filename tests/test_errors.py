@@ -12,15 +12,19 @@ import pytest
 import tplec
 from tplec import (
     AbundanceTable,
-    RegionSeries,
+    DeathsTable,
+    PlecModel,
+    PlFit,
+    TplFit,
     accumulate,
-    aggregate_regions,
+    confidence_band,
     day_index_to_date,
     fit_cutoff,
     fit_loglog,
     fit_pl_growth,
     fit_plec,
     hill_number,
+    predict_variance,
     resample_accumulation,
 )
 from tplec.errors import InvalidArgument, NonFiniteValue, TplecError
@@ -41,14 +45,14 @@ DAY = (date(2021, 3, 1),)
         lambda: resample_accumulation(TABLE, 2, -1.0, 0),
         lambda: AbundanceTable(("s1",), ("t1", "t2"), np.array([[1, 2], [3, 4]])),
         lambda: fit_plec([(1, 1), (3, 2), (2, 3), (4, 4)]),
-        lambda: aggregate_regions(
-            [RegionSeries("A", DAY, (-3,)), RegionSeries("B", DAY, (1,))],
-            {"A": "K", "B": "K"},
-        ),
+        lambda: DeathsTable(("A", "B"), DAY, [(-3,), (1,)]),
+        lambda: DeathsTable(("A",), DAY, [(1,), (2,)]),
+        lambda: DeathsTable(("A",), (), np.zeros((1, 0), dtype=np.int64)),
     ],
     ids=[
         "day_index", "hill_q", "hill_ndim", "accumulate_q", "replicates", "seed",
         "resample_q", "table_shape", "x_not_increasing", "negative_region_count",
+        "deaths_table_shape", "deaths_table_no_dates",
     ],
 )  # fmt: skip
 def test_bad_argument_raises_invalid_argument(call):
@@ -93,9 +97,26 @@ def test_non_finite_fit_input_is_rejected(fit, axis, value):
         fit(points)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: PlecModel(1e300, 50.0, -1e-12).predict(2),
+        lambda: PlFit(800.0, 1.0, 1.0, 0.0).predict(2.0),
+        lambda: predict_variance(TplFit(1000.0, 1.0, 1.0, 3), 5.0),
+        lambda: confidence_band(1e308, None, 1, variance=math.inf),
+    ],
+    ids=["plec_predict", "pl_predict", "predict_variance", "confidence_band"],
+)
+def test_overflowing_value_raises_non_finite_value(call):
+    with pytest.raises(NonFiniteValue, match="is not finite"):
+        call()
+
+
 def test_negative_region_count_names_the_region():
-    with pytest.raises(InvalidArgument, match="region 'A' has a negative count"):
-        RegionSeries("A", DAY + (date(2021, 3, 2),), (4, -1))
+    # the first region, in row order, with a negative count
+    counts = [(4, 5), (4, -1), (-2, 1)]
+    with pytest.raises(InvalidArgument, match="region 'B' has a negative count"):
+        DeathsTable(("A", "B", "C"), DAY + (date(2021, 3, 2),), counts)
 
 
 SOURCES = sorted(Path(tplec.__file__).parent.glob("*.py"))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tplec import (
-    RegionSeries,
+    DeathsTable,
     aggregate_regions,
     parse_abundance_table,
     parse_continent_map,
@@ -21,7 +21,6 @@ from tplec.errors import (
     DuplicateCountry,
     DuplicateSampleId,
     MalformedHeader,
-    MisalignedDates,
     RaggedRow,
     ReservedRegion,
     UnmappedCountry,
@@ -39,21 +38,22 @@ SMALL_CSV = (
 
 class TestParseJhuDeaths:
     def test_small_fixture(self):
-        series = parse_jhu_deaths(SMALL_CSV)
-        assert len(series) == 2
-        assert series[0].region == "Freedonia"
-        assert series[0].dates == (date(2021, 3, 1), date(2021, 3, 2), date(2021, 3, 3))
-        assert series[0].cumulative.tolist() == [5, 8, 13]
-        assert series[1].cumulative.tolist() == [100, 110, 125]
+        table = parse_jhu_deaths(SMALL_CSV)
+        assert table.regions == ("Freedonia", "Sylvania")
+        assert table.dates == (date(2021, 3, 1), date(2021, 3, 2), date(2021, 3, 3))
+        assert table.counts.tolist() == [[5, 8, 13], [100, 110, 125]]
+        assert len(table) == 2
+        assert table[1].region == "Sylvania"
+        assert table[1].cumulative.tolist() == [100, 110, 125]
 
     def test_quoted_country_key(self):
         text = (
             "Province/State,Country/Region,Lat,Long,3/1/21\n"
             ',"Korea, South",36,128,44\n'
         )
-        series = parse_jhu_deaths(text)
-        assert series[0].region == "Korea, South"
-        assert series[0].cumulative.tolist() == [44]
+        table = parse_jhu_deaths(text)
+        assert table.regions == ("Korea, South",)
+        assert table.counts.tolist() == [[44]]
 
     def test_unparseable_count_names_row_and_column(self):
         text = (
@@ -95,70 +95,81 @@ class TestParseJhuDeaths:
             ",Freedonia,0,0,10,8,12\n"
         )
         with pytest.warns(UserWarning, match="decrease"):
-            series = parse_jhu_deaths(text)
-        assert series[0].cumulative.tolist() == [10, 8, 12]
+            table = parse_jhu_deaths(text)
+        assert table.counts.tolist() == [[10, 8, 12]]
 
     def test_round_trip(self):
         parsed = parse_jhu_deaths(SMALL_CSV)
         text = serialize_jhu_deaths(parsed)
         again = parse_jhu_deaths(text)
-        assert [(s.region, s.dates, s.cumulative.tolist()) for s in again] == [
-            (s.region, s.dates, s.cumulative.tolist()) for s in parsed
-        ]
+        assert (again.regions, again.dates, again.counts.tolist()) == (
+            parsed.regions, parsed.dates, parsed.counts.tolist()
+        )
         assert serialize_jhu_deaths(again) == text
+
+    def test_header_only_round_trip_keeps_the_dates(self):
+        text = "Province/State,Country/Region,Lat,Long,3/1/21\r\n"
+        table = parse_jhu_deaths(text)
+        assert table.dates == (date(2021, 3, 1),) and table.counts.shape == (0, 1)
+        assert serialize_jhu_deaths(table) == text
 
 
 class TestAggregateRegions:
     def test_elementwise_sum(self):
-        series = parse_jhu_deaths(SMALL_CSV)
+        table = parse_jhu_deaths(SMALL_CSV)
         mapping = {"Freedonia": "Ruritania", "Sylvania": "Ruritania"}
-        out = aggregate_regions(series, mapping)
-        assert [s.region for s in out] == ["Ruritania", "World"]
-        assert out[0].cumulative.tolist() == [105, 118, 138]
-        assert out[1].cumulative.tolist() == [105, 118, 138]
+        units, countries, members = aggregate_regions(table, mapping)
+        assert units.regions == ("Ruritania", "World")
+        assert units.dates == table.dates
+        assert units.counts.tolist() == [[105, 118, 138], [105, 118, 138]]
+        assert countries.counts.tolist() == table.counts.tolist()
+        assert members == [[0, 1], slice(None)]
 
     def test_world_sums_all_continents(self):
         rng = np.random.default_rng(8)
         dates = (date(2021, 3, 1), date(2021, 3, 2))
-        series = []
-        mapping = {}
-        for i in range(6):
-            values = tuple(int(v) for v in np.sort(rng.integers(0, 100, size=2)))
-            series.append(RegionSeries(f"c{i}", dates, values))
-            mapping[f"c{i}"] = f"K{i % 3}"
-        out = aggregate_regions(series, mapping)
-        world = out[-1]
-        assert world.region == "World"
-        for j in range(2):
-            continent_total = sum(s.cumulative[j] for s in out[:-1])
-            country_total = sum(s.cumulative[j] for s in series)
-            assert world.cumulative[j] == continent_total == country_total
+        # rows c0 and c1 appear twice, as a country's province rows do
+        regions = tuple(f"c{i % 4}" for i in range(6))
+        counts = np.sort(rng.integers(0, 100, size=(6, 2)), axis=1)
+        mapping = {f"c{i}": f"K{i % 3}" for i in range(4)}
+        units, countries, members = aggregate_regions(
+            DeathsTable(regions, dates, counts), mapping
+        )
+        assert units.regions == ("K0", "K1", "K2", "World")
+        assert countries.regions == ("c0", "c1", "c2", "c3")
+        for country, row in zip(countries.regions, countries.counts):
+            mine = [i for i, region in enumerate(regions) if region == country]
+            assert row.tolist() == counts[mine].sum(axis=0).tolist()
+        for unit, row, rows in zip(units.regions, units.counts, members):
+            mine = [i for i, c in enumerate(countries.regions) if unit in (mapping[c], "World")]
+            assert countries.counts[rows].tolist() == countries.counts[mine].tolist()
+            assert row.tolist() == countries.counts[mine].sum(axis=0).tolist()
+        assert units.counts[-1].tolist() == counts.sum(axis=0).tolist()
+
+    def test_empty_table_has_no_units(self):
+        dates = (date(2021, 3, 1),)
+        table = DeathsTable((), dates, np.zeros((0, 1), dtype=np.int64))
+        units, countries, members = aggregate_regions(table, {})
+        assert (units.regions, units.dates, units.counts.shape) == ((), dates, (0, 1))
+        assert len(countries) == 0 and members == []
 
     def test_unmapped_country(self):
-        series = parse_jhu_deaths(SMALL_CSV)
+        table = parse_jhu_deaths(SMALL_CSV)
         with pytest.raises(UnmappedCountry, match="Atlantis|Sylvania"):
-            aggregate_regions(series, {"Freedonia": "Ruritania"})
+            aggregate_regions(table, {"Freedonia": "Ruritania"})
         with pytest.raises(UnmappedCountry) as err:
             aggregate_regions(
-                [RegionSeries("Atlantis", series[0].dates, (1, 2, 3))],
+                DeathsTable(("Atlantis",), table.dates, [(1, 2, 3)]),
                 {"Freedonia": "Ruritania"},
             )
         assert "Atlantis" in str(err.value)
 
-    def test_misaligned_dates(self):
-        a = RegionSeries("A", (date(2021, 3, 1),), (1,))
-        b = RegionSeries("B", (date(2021, 3, 2),), (1,))
-        with pytest.raises(MisalignedDates):
-            aggregate_regions([a, b], {"A": "K", "B": "K"})
-
     def test_continent_named_world_is_rejected(self):
         # World is the synthetic total of all continents; a continent of
         # that name would give two World units
-        day = (date(2021, 3, 1),)
-        a = RegionSeries("A", day, (1,))
-        b = RegionSeries("B", day, (2,))
+        table = DeathsTable(("A", "B"), (date(2021, 3, 1),), [(1,), (2,)])
         with pytest.raises(ReservedRegion, match="continent 'World' \\(country 'A'\\)"):
-            aggregate_regions([a, b], {"A": "World", "B": "K"})
+            aggregate_regions(table, {"A": "World", "B": "K"})
 
 
 class TestAggregationOverflow:
@@ -170,9 +181,9 @@ class TestAggregationOverflow:
     )
 
     def test_continent_total(self):
-        series = parse_jhu_deaths(self.TEXT)
+        table = parse_jhu_deaths(self.TEXT)
         with pytest.raises(CountOverflow, match="total for 'K' exceeds the int64"):
-            aggregate_regions(series, {"A": "K", "B": "K"})
+            aggregate_regions(table, {"A": "K", "B": "K"})
 
     def test_country_total(self):
         # province rows are summed per country first, so the country is named
@@ -181,32 +192,32 @@ class TestAggregationOverflow:
             aggregate_regions(parse_jhu_deaths(text), {"A": "K"})
 
     def test_world_total(self):
-        series = parse_jhu_deaths(self.TEXT)
+        table = parse_jhu_deaths(self.TEXT)
         with pytest.raises(CountOverflow, match="total for 'World' exceeds the int64"):
-            aggregate_regions(series, {"A": "K1", "B": "K2"})
+            aggregate_regions(table, {"A": "K1", "B": "K2"})
 
     def test_largest_total_accepted(self):
         top = 2**63 - 1
-        a = RegionSeries("A", (date(2021, 3, 1),), (top - 5,))
-        b = RegionSeries("B", (date(2021, 3, 1),), (5,))
-        out = aggregate_regions([a, b], {"A": "K", "B": "K"})
-        assert [s.cumulative.tolist() for s in out] == [[top], [top]]
+        table = DeathsTable(("A", "B"), (date(2021, 3, 1),), [(top - 5,), (5,)])
+        units, _, _ = aggregate_regions(table, {"A": "K", "B": "K"})
+        assert units.counts.tolist() == [[top], [top]]
 
 
 class TestTruncateSeries:
     DATES = tuple(date(2021, 3, d) for d in (1, 2, 3, 4))
-    SERIES = RegionSeries("X", DATES, (100, 150, 210, 300))
+    TABLE = DeathsTable(("X", "Y"), DATES, [(100, 150, 210, 300), (1, 2, 3, 5)])
 
     def test_interior_start(self):
-        out = truncate_series(self.SERIES, date(2021, 3, 3))
-        assert out.baseline == 150
-        assert out.t_index == (1, 2)
-        assert out.f_rel == (60, 150)
+        window, (x, y) = truncate_series(self.TABLE, date(2021, 3, 3))
+        assert window == slice(2, 4)
+        assert (x.start_date, x.baseline, x.f_rel) == (date(2021, 3, 3), 150, (60, 150))
+        assert (y.baseline, y.f_rel) == (2, (1, 3))
 
     def test_start_at_first_date(self):
-        out = truncate_series(self.SERIES, date(2021, 3, 1))
-        assert out.baseline == 0
-        assert out.f_rel == (100, 150, 210, 300)
+        window, (x, _) = truncate_series(self.TABLE, date(2021, 3, 1))
+        assert window == slice(0, 4)
+        assert x.baseline == 0
+        assert x.f_rel == (100, 150, 210, 300)
 
     def test_window_length_spring_2021(self):
         start = date(2021, 3, 21)
@@ -215,22 +226,23 @@ class TestTruncateSeries:
         dates = tuple(
             date.fromordinal(date(2021, 3, 1).toordinal() + i) for i in range(120)
         )
-        series = RegionSeries("X", dates, tuple(range(120)))
-        out = truncate_series(series, start, end)
+        table = DeathsTable(("X",), dates, [tuple(range(120))])
+        window, (out,) = truncate_series(table, start, end)
         assert days == 62
         assert len(out.f_rel) == 62
+        assert window == slice(20, 82)
 
     def test_out_of_range(self):
         with pytest.raises(DateOutOfRange):
-            truncate_series(self.SERIES, date(2021, 2, 28))
+            truncate_series(self.TABLE, date(2021, 2, 28))
         with pytest.raises(DateOutOfRange):
-            truncate_series(self.SERIES, date(2021, 3, 2), date(2021, 3, 9))
+            truncate_series(self.TABLE, date(2021, 3, 2), date(2021, 3, 9))
 
     def test_baseline_reconstructs_tail(self):
-        out = truncate_series(self.SERIES, date(2021, 3, 2))
-        for t, f in zip(out.t_index, out.f_rel):
-            original = self.SERIES.cumulative[1 + t - 1]
-            assert out.baseline + f == original
+        _, series = truncate_series(self.TABLE, date(2021, 3, 2))
+        for row, out in zip(self.TABLE.counts, series):
+            for t, f in enumerate(out.f_rel, start=1):
+                assert out.baseline + f == row[1 + t - 1]
 
 
 ABUNDANCE_TSV = (
@@ -380,8 +392,6 @@ def test_corruption_matrix_matches_per_cell_scan(layout, cell, positions):
             parse(text)
         assert type(err.value) is UnparseableCount
         assert str(err.value) == message
-    elif layout == "jhu":
-        assert [s.cumulative.tolist() for s in parse(text)] == expected
     else:
         assert parse(text).counts.tolist() == expected
 
@@ -431,18 +441,21 @@ def test_decrease_warnings_keep_row_order_and_text():
     ]
 
 
-def test_region_series_is_read_only_int64():
-    series = parse_jhu_deaths(SMALL_CSV)[0]
-    assert series.cumulative.dtype == np.int64
+def test_deaths_table_is_read_only_int64():
+    table = parse_jhu_deaths(SMALL_CSV)
+    assert table.counts.dtype == np.int64
     with pytest.raises(ValueError):
-        series.cumulative[0] = 1
-    built = RegionSeries("X", series.dates, (1, 2, 3))
-    assert built.cumulative.dtype == np.int64
-    assert not built.cumulative.flags.writeable
-    mine = np.array([1, 2, 3])
-    RegionSeries("X", series.dates, mine)
+        table.counts[0, 0] = 1
+    built = DeathsTable(("X",), table.dates, [(1, 2, 3)])
+    assert built.counts.dtype == np.int64
+    assert not built.counts.flags.writeable
+    mine = np.array([[1, 2, 3]])
+    DeathsTable(("X",), table.dates, mine)
     assert mine.flags.writeable  # the caller's array is copied, not frozen
-    out = truncate_series(built, date(2021, 3, 2))
+    frozen = np.array([[1, 2, 3]])
+    frozen.flags.writeable = False
+    assert DeathsTable(("X",), table.dates, frozen).counts is frozen  # not copied
+    _, (out,) = truncate_series(built, date(2021, 3, 2))
     assert all(type(v) is int for v in (out.baseline, *out.f_rel))
 
 
@@ -460,7 +473,7 @@ def test_header_dates_match_strptime(cells, expected):
     ncols = len(cells.split(","))
     text = f"Province/State,Country/Region,Lat,Long,{cells}\n,X,0,0" + ",1" * ncols + "\n"
     if isinstance(expected, tuple):
-        assert parse_jhu_deaths(text)[0].dates == expected
+        assert parse_jhu_deaths(text).dates == expected
     else:
         with pytest.raises(expected):
             parse_jhu_deaths(text)
@@ -473,9 +486,7 @@ def _parse_both(grid):
     """Count matrices of ``grid`` written as a JHU file and as a TSV table."""
     jhu, _ = _as_jhu(grid)
     tsv, _ = _as_tsv(grid)
-    series = parse_jhu_deaths(jhu)
-    from_jhu = np.array([s.cumulative for s in series]).reshape(len(grid), -1)
-    return from_jhu, parse_abundance_table(tsv).counts
+    return parse_jhu_deaths(jhu).counts, parse_abundance_table(tsv).counts
 
 
 def _random_grid(rng, shape, max_digits):
@@ -520,7 +531,7 @@ def test_converter_matches_numpy_int_oracle(shape, max_digits):
 )
 def test_converter_zero_and_leading_zero_cells(grid, expect):
     jhu, _ = _as_jhu(grid)
-    assert [s.cumulative.tolist() for s in parse_jhu_deaths(jhu)] == expect
+    assert parse_jhu_deaths(jhu).counts.tolist() == expect
     assert _digit_block([",".join(r) for r in grid], 2, 3, ",").tolist() == expect
 
 
@@ -532,7 +543,7 @@ def test_converter_digit_limit():
     assert _digit_block([top], 1, 1, ",") is None
     jhu, _ = _as_jhu([[eighteen, nineteen, top]])
     expect = [10**18 - 1, 10**18, 2**63 - 1]
-    assert parse_jhu_deaths(jhu)[0].cumulative.tolist() == expect
+    assert parse_jhu_deaths(jhu).counts.tolist() == [expect]
 
 
 @pytest.mark.parametrize(
@@ -585,7 +596,8 @@ class TestConverterBoundaries:
     HEAD = "Province/State,Country/Region,Lat,Long,3/1/21,3/2/21"
 
     def test_header_only_jhu_file(self):
-        assert parse_jhu_deaths(self.HEAD + "\n") == []
+        table = parse_jhu_deaths(self.HEAD + "\n")
+        assert table.regions == () and table.counts.shape == (0, 2)
 
     def test_trailing_empty_cell(self):
         with pytest.raises(UnparseableCount) as err:
@@ -601,13 +613,13 @@ class TestConverterBoundaries:
         with pytest.raises(UnparseableCount) as err:
             parse_jhu_deaths(self.HEAD + '\n,X,0,0,"1,000",5\n')
         assert str(err.value) == "row 2, column 3/1/21: '1,000' is not an integer"
-        series = parse_jhu_deaths(self.HEAD + '\n,X,0,0,"12",15\n')
-        assert series[0].cumulative.tolist() == [12, 15]
+        table = parse_jhu_deaths(self.HEAD + '\n,X,0,0,"12",15\n')
+        assert table.counts.tolist() == [[12, 15]]
 
     def test_cell_holding_a_newline(self):
         with pytest.raises(UnparseableCount) as err:
             parse_jhu_deaths(self.HEAD + '\n,X,0,0,0,"1\n2"\n,Y,0,0,1,2\n')
         assert str(err.value) == "row 2, column 3/2/21: '1\\n2' is not an integer"
         # int() strips the newline, so the scanner accepts the count
-        series = parse_jhu_deaths(self.HEAD + '\n,X,0,0,"3\n",4\n,Y,0,0,1,2\n')
-        assert [s.cumulative.tolist() for s in series] == [[3, 4], [1, 2]]
+        table = parse_jhu_deaths(self.HEAD + '\n,X,0,0,"3\n",4\n,Y,0,0,1,2\n')
+        assert table.counts.tolist() == [[3, 4], [1, 2]]
