@@ -12,12 +12,12 @@ from .coupling import (
     CoupledPrediction,
     compute_asymptote,
     confidence_band,
+    couple,
     date_to_day_index,
     day_index_to_date,
     fit_cutoff,
     run_dar_pipeline,
     run_ftr,
-    run_ftr_pipeline,
 )
 from .diversity import (
     AbundanceTable,
@@ -28,7 +28,6 @@ from .diversity import (
 )
 from .ingest import (
     DeathsTable,
-    TruncatedSeries,
     aggregate_regions,
     parse_abundance_table,
     parse_continent_map,
@@ -65,11 +64,11 @@ __all__ = [
     "PlFit",
     "PlecModel",
     "TplFit",
-    "TruncatedSeries",
     "accumulate",
     "aggregate_regions",
     "compute_asymptote",
     "confidence_band",
+    "couple",
     "date_to_day_index",
     "day_index_to_date",
     "fit_cutoff",
@@ -86,7 +85,6 @@ __all__ = [
     "resample_accumulation",
     "run_dar_pipeline",
     "run_ftr",
-    "run_ftr_pipeline",
     "serialize_abundance_table",
     "serialize_jhu_deaths",
     "truncate_series",

@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     dar.add_argument("--q", type=float, default=0.0, help="diversity order (default 0)")
     dar.add_argument("--replicates", type=int, default=1000)
     dar.add_argument("--seed", type=int, default=0)
-    dar.add_argument("--n", type=int, default=None, help="CI divisor (default: accumulation steps)")
+    dar.add_argument("--n", type=int, default=None, help="CI divisor (default: fitted points)")
     dar.add_argument("--horizon", type=int, default=None, help="curve length in steps")
     dar.add_argument("--out", required=True)
     dar.add_argument("--format", choices=["dsv", "obj"], default="dsv")

@@ -5,8 +5,9 @@ The cutoff fit supplies a point prediction of the maximal accrual value
 at that point, which turns into a symmetric 95% band of half-width
 ``1.96 * sqrt(V / n)``. When the cutoff fit fails (no taper detectable)
 the plain power law takes over and bands are attached to requested
-day-index predictions instead. Both pipelines share one core; ``run_ftr``
-runs the fatality pipeline for every continent of a deaths file. A
+day-index predictions instead. ``couple`` does this for one unit's
+observed series; ``run_ftr`` calls it for every continent of a deaths
+file and ``run_dar_pipeline`` for a diversity-accumulation curve. A
 result carries its observed series and start date for the reports.
 """
 
@@ -28,7 +29,7 @@ from .errors import (
     SingularNormalEquations,
     stage,
 )
-from .ingest import DeathsTable, TruncatedSeries, aggregate_regions, truncate_series
+from .ingest import DeathsTable, aggregate_regions, truncate_series
 from .plec import FitDiagnostics, PlecModel, fit_plec, plec_eval
 from .regression import PlFit, TplFit, fit_loglog, fit_pl_growth, predict_variance
 
@@ -173,12 +174,6 @@ def _round_day(x: float) -> int:
     return max(1, int(math.floor(x + 0.5)))
 
 
-def _positive_points(series: TruncatedSeries) -> list[tuple[int, int]]:
-    # zero relative counts carry no log-scale information and would
-    # poison the initial log-log estimate; day indices are preserved
-    return [(t, f) for t, f in enumerate(series.f_rel, start=1) if f > 0]
-
-
 def fit_cutoff(points):
     """Cutoff fit plus asymptote; returns asymptote None on any failure.
 
@@ -198,23 +193,41 @@ def fit_cutoff(points):
         return model, diagnostics, None
 
 
-def _couple(points, tpl, n, baseline, start_date, series, horizons):
-    """The coupling core shared by both pipelines.
+def couple(
+    observed: Sequence[float],
+    vm_pairs: Sequence[tuple[float, float]] | None,
+    n: int | None = None,
+    horizons: Sequence[int] = (),
+    baseline: float = 0,
+    start_date: date | None = None,
+) -> CoupledPrediction:
+    """Coupled prediction for one unit's observed series.
 
-    Fits the cutoff curve to ``points`` and bands the baseline-inclusive
-    maximal accrual value with the scaling law ``tpl`` (no band when
-    ``tpl`` is None). When ``fit_cutoff`` finds no asymptote, the plain
+    ``observed`` is the baseline-inclusive series from t = 1. The
+    scaling law is fitted to ``vm_pairs`` (none, and no band, when it is
+    None), then the cutoff curve to the points ``(t, v - baseline)``
+    with ``v > baseline``, and the baseline-inclusive maximal accrual
+    value is banded. When ``fit_cutoff`` finds no asymptote, the plain
     power law is fitted instead and bands are attached at the day
-    indices ``horizons``. ``series`` and ``start_date`` (None for an
-    undated curve) become the result's ``observed_series`` and ``start_date``.
+    indices ``horizons``. ``n`` defaults to the number of fitted points;
+    ``start_date`` is the date of t = 1 (None for an undated curve).
     """
+    # values at or below the baseline carry no log-scale information and
+    # would poison the initial log-log estimate; day indices are preserved
+    points = [
+        (t, v - baseline) for t, v in enumerate(observed, start=1) if v > baseline
+    ]
+    tpl = None if vm_pairs is None else fit_loglog(vm_pairs)
+    n = n if n is not None else len(points)
     model, diagnostics, asymptote = fit_cutoff(points)
     band, horizon_bands = None, ()
     if asymptote is None:
         model = fit_pl_growth(points)
-        horizon_bands = tuple(
-            (t, confidence_band(baseline + model.predict(t), tpl, n)) for t in horizons
-        )
+        if tpl is not None:
+            horizon_bands = tuple(
+                (t, confidence_band(baseline + model.predict(t), tpl, n))
+                for t in horizons
+            )
     elif tpl is not None:
         band = confidence_band(baseline + asymptote.y_max, tpl, n)
     return CoupledPrediction(
@@ -225,57 +238,25 @@ def _couple(points, tpl, n, baseline, start_date, series, horizons):
         baseline=float(baseline),
         n=n,
         diagnostics=diagnostics,
-        observed_series=series,
+        observed_series=tuple(observed),
         start_date=start_date,
         horizon_bands=horizon_bands,
     )
 
 
-def run_ftr_pipeline(
-    series: TruncatedSeries,
-    vm_pairs: Sequence[tuple[float, float]],
-    n: int | None = None,
-    horizons: Sequence[int] = (),
-) -> CoupledPrediction:
-    """Coupled prediction for one cumulative-fatality series.
-
-    Fits the cutoff curve to the re-based series, computes the turning
-    point, fits the variance-mean scaling law to ``vm_pairs`` and bands
-    the baseline-inclusive maximal accrual value. When the cutoff fit
-    does not converge, pins the taper at the ceiling, or admits no
-    maximum, the plain power law is fitted instead and bands are
-    attached at the requested ``horizons`` (day indices).
-
-    ``n`` defaults to the number of fitted time points.
-    """
-    points = _positive_points(series)
-    tpl = fit_loglog(vm_pairs)
-    n_eff = n if n is not None else len(points)
-    baseline, start = series.baseline, series.start_date
-    observed = tuple(baseline + f for f in series.f_rel)
-    return _couple(points, tpl, n_eff, baseline, start, observed, horizons)
-
-
 def run_dar_pipeline(curve, n: int | None = None) -> CoupledPrediction:
-    """Coupled prediction for a diversity-accumulation curve.
+    """``couple`` for a diversity-accumulation curve: (step, mean diversity).
 
-    Same five steps as the fatality route, fitted to (step, mean
-    diversity) with no baseline offset and no calendar dates. The
-    scaling law is fitted to the curve's own (mean, variance) pairs,
-    dropping steps where either is zero (the final step always is).
-    The scaling law only couples at ``curve.q`` = 0; at any other order
-    the cutoff or power-law fit is returned with ``tpl`` and ``band``
-    None. ``n`` defaults to the number of accumulation steps.
+    The scaling law is fitted to the curve's own (mean, variance) pairs,
+    dropping steps where either is zero (the final step always is), and
+    only at ``curve.q`` = 0; at any other order there is no band.
     """
     means = curve.mean_diversity.tolist()
-    points = [(k, m) for k, m in enumerate(means, start=1) if m > 0]
-    tpl = None
+    pairs = None
     if curve.q == 0:
         variances = curve.variance_diversity.tolist()
-        vm_pairs = [(m, v) for m, v in zip(means, variances) if m > 0 and v > 0]
-        tpl = fit_loglog(vm_pairs)
-    n_eff = n if n is not None else len(means)
-    return _couple(points, tpl, n_eff, 0, None, tuple(means), ())
+        pairs = [(m, v) for m, v in zip(means, variances) if m > 0 and v > 0]
+    return couple(means, pairs, n)
 
 
 def _vm_pairs_for_unit(members: np.ndarray):
@@ -302,19 +283,23 @@ def run_ftr(
     n: int | None = None,
     horizons: Sequence[int] = (),
 ) -> Iterator[tuple[str, CoupledPrediction]]:
-    """``run_ftr_pipeline`` for each continent, then World, of a parsed deaths table.
+    """``couple`` for each continent, then World, of a parsed deaths table.
 
-    Each unit's series is truncated to ``start``..``end`` and coupled
-    with the variance-mean pairs of its member countries' totals over
-    that window. Yields ``(unit, result)`` in report order;
-    raises ``StageError`` naming the stage (and the unit of a failed fit).
+    Each unit's row over ``start``..``end`` is coupled with the
+    variance-mean pairs of its member countries' totals over that
+    window, above its count on the day before ``start``. Yields
+    ``(unit, result)`` in report order; raises ``StageError`` naming the
+    stage (and the unit of a failed fit).
     """
     units, countries, members = stage(
         "aggregate_regions", aggregate_regions, table, continent_map
     )
-    window, series = stage("truncate_series", truncate_series, units, start, end)
-    for unit, rows, truncated in zip(units.regions, members, series):
-        pairs = _vm_pairs_for_unit(countries.counts[rows, window])
+    window, baselines = stage("truncate_series", truncate_series, units, start, end)
+    rows = units.counts[:, window].tolist()
+    for unit, unit_members, observed, baseline in zip(
+        units.regions, members, rows, baselines
+    ):
+        pairs = _vm_pairs_for_unit(countries.counts[unit_members, window])
         name = f"run_ftr_pipeline: {unit}"
-        result = stage(name, run_ftr_pipeline, truncated, pairs, n, horizons)
+        result = stage(name, couple, observed, pairs, n, horizons, baseline, start)
         yield unit, result

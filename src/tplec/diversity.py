@@ -39,6 +39,12 @@ class AbundanceTable:
                 f"sample {self.sample_ids[empty[0]]!r} has no positive count"
             )
 
+    def __eq__(self, other):
+        if type(other) is not AbundanceTable:
+            return NotImplemented
+        labels = (self.sample_ids, self.taxon_ids) == (other.sample_ids, other.taxon_ids)
+        return labels and np.array_equal(self.counts, other.counts)
+
     @property
     def n_samples(self) -> int:
         return len(self.sample_ids)

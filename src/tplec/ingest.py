@@ -90,26 +90,17 @@ class DeathsTable:
             counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
+    def __eq__(self, other):
+        if type(other) is not DeathsTable:
+            return NotImplemented
+        labels = (self.regions, self.dates) == (other.regions, other.dates)
+        return labels and np.array_equal(self.counts, other.counts)
+
     def __len__(self) -> int:
         return len(self.regions)
 
     def __getitem__(self, row: int) -> DeathsRow:
         return DeathsRow(self.regions[row], self.counts[row])
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """A series re-based at a chosen start date.
-
-    ``baseline`` is the cumulative count on the day before the start
-    date (0 when the start is the first date); ``f_rel[t - 1]`` is the
-    cumulative count at day index t minus the baseline, with day index
-    1 on the start date itself.
-    """
-
-    start_date: date
-    baseline: int
-    f_rel: tuple[int, ...]
 
 
 def _reader(text) -> Iterable[list[str]]:
@@ -365,12 +356,11 @@ def aggregate_regions(
 
 def truncate_series(
     table: DeathsTable, start_date: date, end_date: date | None = None
-) -> tuple[slice, list[TruncatedSeries]]:
-    """The window's columns, and each row of ``table`` re-based at ``start_date``.
+) -> tuple[slice, list[int]]:
+    """The window's columns, and each row's count on the day before ``start_date``.
 
-    The cumulative count on the day before the start becomes a row's
-    baseline; day indices count from 1 at the start date. ``end_date``
-    (inclusive) optionally shortens the window.
+    That count (0 when the start is the first date) is a row's baseline,
+    as a Python int. ``end_date`` (inclusive) optionally shortens the window.
     """
     dates = table.dates
     if start_date not in dates:
@@ -382,12 +372,8 @@ def truncate_series(
         raise DateOutOfRange(f"end date {stop} is outside {start_date}..{dates[-1]}")
     i0 = dates.index(start_date)
     window = slice(i0, dates.index(stop) + 1)
-    baselines = table.counts[:, i0 - 1] if i0 > 0 else np.zeros(len(table), np.int64)
-    rebased = table.counts[:, window] - baselines[:, None]
-    return window, [
-        TruncatedSeries(start_date, baseline, tuple(row))
-        for baseline, row in zip(baselines.tolist(), rebased.tolist())
-    ]
+    baselines = table.counts[:, i0 - 1].tolist() if i0 > 0 else [0] * len(table.regions)
+    return window, baselines
 
 
 def _tsv_lines(text) -> list[str]:

@@ -13,11 +13,12 @@ from tplec import (
     AccumulationCurve,
     PlecModel,
     TplFit,
-    TruncatedSeries,
     compute_asymptote,
     confidence_band,
+    couple,
     date_to_day_index,
     day_index_to_date,
+    fit_plec,
     parse_abundance_table,
     parse_continent_map,
     parse_jhu_deaths,
@@ -26,7 +27,6 @@ from tplec import (
     resample_accumulation,
     run_dar_pipeline,
     run_ftr,
-    run_ftr_pipeline,
 )
 from tplec.errors import (
     DateOutOfRange,
@@ -155,13 +155,13 @@ class TestDayIndex:
             day_index_to_date(start, t)
 
 
-def _series_from_curve(model: PlecModel, baseline: int, days: int) -> TruncatedSeries:
-    f_rel = [int(round(plec_eval(model, float(t)))) for t in range(1, days + 1)]
-    return TruncatedSeries(
-        start_date=date(2021, 3, 21),
-        baseline=baseline,
-        f_rel=tuple(f_rel),
-    )
+START = date(2021, 3, 21)
+
+
+def _series_from_curve(model: PlecModel, baseline: int, days: int) -> list[int]:
+    """Baseline-inclusive integer series of the curve from t = 1."""
+    curve = (plec_eval(model, float(t)) for t in range(1, days + 1))
+    return [baseline + int(round(y)) for y in curve]
 
 
 def _tpl_pairs(a: float, b: float):
@@ -178,7 +178,7 @@ class TestFtrPipeline:
         model = PlecModel(c=400.0, w=1.3, d=-0.015)
         series = _series_from_curve(model, baseline=20_000, days=62)
         pairs = _tpl_pairs(0.4, 1.35)
-        result = run_ftr_pipeline(series, pairs, n=62)
+        result = couple(series, pairs, n=62, baseline=20_000, start_date=START)
         assert not result.fallback_used
         # independently compose variance prediction and band arithmetic
         point = result.band.point
@@ -195,28 +195,28 @@ class TestFtrPipeline:
     def test_recovers_generator_asymptote(self):
         model = PlecModel(c=400.0, w=1.3, d=-0.015)
         series = _series_from_curve(model, baseline=20_000, days=62)
-        result = run_ftr_pipeline(series, _tpl_pairs(0.4, 1.35), n=62)
+        result = couple(
+            series, _tpl_pairs(0.4, 1.35), n=62, baseline=20_000, start_date=START
+        )
         truth = compute_asymptote(model)
         assert result.asymptote.x_max == pytest.approx(truth.x_max, rel=1e-2)
         assert result.asymptote.y_max == pytest.approx(truth.y_max, rel=1e-2)
         assert result.calendar_date_of_max == day_index_to_date(
-            date(2021, 3, 21), int(math.floor(truth.x_max + 0.5))
+            START, int(math.floor(truth.x_max + 0.5))
         )
-        observed = 20_000 + series.f_rel[-1]
+        observed = series[-1]
         assert result.completion_pct == pytest.approx(
             observed / (20_000 + result.asymptote.y_max) * 100.0, rel=1e-12
         )
 
     def test_pure_power_law_routes_to_fallback(self):
         days = 40
-        f_rel = [int(round(5.0 * t**1.8 * math.exp(0.002 * t))) for t in range(1, days + 1)]
-        series = TruncatedSeries(
-            start_date=date(2021, 3, 21),
-            baseline=1_000,
-            f_rel=tuple(f_rel),
-        )
-        result = run_ftr_pipeline(
-            series, _tpl_pairs(0.5, 1.2), n=40, horizons=(50, 80)
+        series = [
+            1_000 + int(round(5.0 * t**1.8 * math.exp(0.002 * t)))
+            for t in range(1, days + 1)
+        ]
+        result = couple(
+            series, _tpl_pairs(0.5, 1.2), n=40, horizons=(50, 80), baseline=1_000
         )
         assert result.fallback_used
         assert isinstance(result.model, PlFit)
@@ -232,9 +232,10 @@ class TestFtrPipeline:
     def test_fallback_exclusivity(self):
         model = PlecModel(c=400.0, w=1.3, d=-0.015)
         series = _series_from_curve(model, baseline=0, days=62)
-        ok = run_ftr_pipeline(series, _tpl_pairs(0.4, 1.35))
+        ok = couple(series, _tpl_pairs(0.4, 1.35))
         assert (not ok.fallback_used) and isinstance(ok.model, PlecModel)
         assert ok.asymptote is not None and ok.band is not None
+        assert ok.n == 62  # every day of the curve is a fitted point
 
     def test_baseline_shift_at_reporting_level(self):
         variance = 900.0
@@ -246,6 +247,26 @@ class TestFtrPipeline:
         assert shifted.upper - shifted.point == pytest.approx(
             base.upper - base.point, abs=1e-9
         )
+
+
+class TestCouple:
+    def test_values_at_or_below_baseline_keep_their_day_index(self):
+        model = PlecModel(c=400.0, w=1.3, d=-0.015)
+        observed = [500, 480] + _series_from_curve(model, baseline=500, days=60)
+        result = couple(observed, None, baseline=500)
+        points = [(t, v - 500) for t, v in enumerate(observed, start=1)][2:]
+        assert result.model == fit_plec(points)[0]
+        assert result.n == 60
+        assert result.observed_series == tuple(observed)
+        assert result.tpl is None and result.band is None
+
+    def test_fallback_without_pairs_has_no_bands(self):
+        observed = [
+            1_000 + int(round(5.0 * t**1.8 * math.exp(0.002 * t))) for t in range(1, 41)
+        ]
+        result = couple(observed, None, horizons=(50, 80), baseline=1_000)
+        assert result.fallback_used
+        assert result.tpl is None and result.horizon_bands == ()
 
 
 def _curve_from_model(model: PlecModel, steps: int, replicates=100, seed=0):
@@ -322,23 +343,27 @@ def test_run_ftr_reproduces_the_golden_report(ftr_fixture):
     assert document.encode("utf-8") == (GOLDEN / "ftr.json").read_bytes()
 
 
-def test_readme_run_ftr_example_runs(ftr_fixture, tmp_path, monkeypatch, capsys):
+def test_readme_python_blocks_run(ftr_fixture, tmp_path, monkeypatch, capsys):
+    # every python block of the README runs as written, in a directory
+    # holding the fixture's deaths.csv and continents.csv
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
-    [example] = [block for block in blocks if "run_ftr(" in block]
     (tmp_path / "deaths.csv").write_text(ftr_fixture["deaths_csv"])
     (tmp_path / "continents.csv").write_text(ftr_fixture["continents_csv"])
     monkeypatch.chdir(tmp_path)
-    exec(example, {})
+    printed = []
+    for block in blocks:
+        exec(block, {})
+        printed.append(capsys.readouterr().out.splitlines())
     units = run_ftr(
         parse_jhu_deaths(ftr_fixture["deaths_csv"]),
         parse_continent_map(ftr_fixture["continents_csv"]),
         ftr_fixture["start"],
         ftr_fixture["end"],
     )
-    expected = [str(reporting.report_row(unit, result)) for unit, result in units]
-    assert len(expected) == 4
-    assert capsys.readouterr().out.splitlines() == expected
+    rows = [str(reporting.report_row(unit, result)) for unit, result in units]
+    assert len(rows) == 4
+    assert printed == [["False 62 True"], rows]
 
 
 @pytest.mark.parametrize("q", [0.0, 1.0])

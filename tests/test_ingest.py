@@ -208,16 +208,15 @@ class TestTruncateSeries:
     TABLE = DeathsTable(("X", "Y"), DATES, [(100, 150, 210, 300), (1, 2, 3, 5)])
 
     def test_interior_start(self):
-        window, (x, y) = truncate_series(self.TABLE, date(2021, 3, 3))
+        window, baselines = truncate_series(self.TABLE, date(2021, 3, 3))
         assert window == slice(2, 4)
-        assert (x.start_date, x.baseline, x.f_rel) == (date(2021, 3, 3), 150, (60, 150))
-        assert (y.baseline, y.f_rel) == (2, (1, 3))
+        assert baselines == [150, 2]
+        assert self.TABLE.counts[:, window].tolist() == [[210, 300], [3, 5]]
 
     def test_start_at_first_date(self):
-        window, (x, _) = truncate_series(self.TABLE, date(2021, 3, 1))
+        window, baselines = truncate_series(self.TABLE, date(2021, 3, 1))
         assert window == slice(0, 4)
-        assert x.baseline == 0
-        assert x.f_rel == (100, 150, 210, 300)
+        assert baselines == [0, 0]
 
     def test_window_length_spring_2021(self):
         start = date(2021, 3, 21)
@@ -227,10 +226,11 @@ class TestTruncateSeries:
             date.fromordinal(date(2021, 3, 1).toordinal() + i) for i in range(120)
         )
         table = DeathsTable(("X",), dates, [tuple(range(120))])
-        window, (out,) = truncate_series(table, start, end)
+        window, (baseline,) = truncate_series(table, start, end)
         assert days == 62
-        assert len(out.f_rel) == 62
+        assert len(dates[window]) == 62
         assert window == slice(20, 82)
+        assert baseline == 19
 
     def test_out_of_range(self):
         with pytest.raises(DateOutOfRange):
@@ -239,10 +239,9 @@ class TestTruncateSeries:
             truncate_series(self.TABLE, date(2021, 3, 2), date(2021, 3, 9))
 
     def test_baseline_reconstructs_tail(self):
-        _, series = truncate_series(self.TABLE, date(2021, 3, 2))
-        for row, out in zip(self.TABLE.counts, series):
-            for t, f in enumerate(out.f_rel, start=1):
-                assert out.baseline + f == row[1 + t - 1]
+        window, baselines = truncate_series(self.TABLE, date(2021, 3, 2))
+        for row, baseline in zip(self.TABLE.counts.tolist(), baselines):
+            assert [baseline] + row[window] == row  # the day before, then the window
 
 
 ABUNDANCE_TSV = (
@@ -455,8 +454,22 @@ def test_deaths_table_is_read_only_int64():
     frozen = np.array([[1, 2, 3]])
     frozen.flags.writeable = False
     assert DeathsTable(("X",), table.dates, frozen).counts is frozen  # not copied
-    _, (out,) = truncate_series(built, date(2021, 3, 2))
-    assert all(type(v) is int for v in (out.baseline, *out.f_rel))
+    _, (baseline,) = truncate_series(built, date(2021, 3, 2))
+    assert type(baseline) is int
+
+
+@pytest.mark.parametrize(
+    "parse, text, bumped",
+    [
+        (parse_jhu_deaths, SMALL_CSV, SMALL_CSV.replace(",125\n", ",126\n")),
+        (parse_abundance_table, ABUNDANCE_TSV, ABUNDANCE_TSV.replace("\t3\t", "\t4\t")),
+    ],
+    ids=["deaths", "abundance"],
+)
+def test_tables_compare_by_labels_and_counts(parse, text, bumped):
+    assert bumped != text
+    assert parse(text) == parse(text)
+    assert parse(text) != parse(bumped)
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,72 @@
+"""Property checks: baseline invariance of ``couple``, the kernel against its oracle."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from tplec import PlecModel, _kernels, couple, plec_eval
+from tplec.errors import TplecError
+
+from test_kernels import argsort_curves
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+
+def _outcome(observed, pairs, baseline):
+    try:
+        return couple(observed, pairs, baseline=baseline)
+    except TplecError as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY
+@given(
+    c=st.floats(1.0, 1e5),
+    w=st.floats(0.1, 3.0),
+    d=st.floats(-0.1, -1e-5),
+    days=st.integers(1, 90),
+    baseline=st.integers(0, 10**12),
+    law=st.none() | st.tuples(st.floats(-3.0, 3.0), st.floats(0.5, 2.5)),
+)
+def test_couple_is_invariant_under_a_baseline_shift(c, w, d, days, baseline, law):
+    model = PlecModel(c, w, d)
+    f = [int(round(plec_eval(model, float(t)))) for t in range(1, days + 1)]
+    pairs = None
+    if law is not None:
+        ln_a, b = law
+        pairs = [(m, float(np.exp(ln_a)) * m**b) for m in (10.0, 100.0, 1e3, 1e4)]
+    plain = _outcome(f, pairs, 0)
+    shifted = _outcome([baseline + v for v in f], pairs, baseline)
+    if isinstance(plain, tuple):  # the same error, in the same order
+        assert shifted == plain
+        return
+    assert (shifted.model, shifted.diagnostics, shifted.asymptote) == (
+        plain.model,
+        plain.diagnostics,
+        plain.asymptote,
+    )
+    assert shifted.observed_series == tuple(baseline + v for v in f)
+    assert shifted.n == plain.n == sum(v > 0 for v in f)
+
+
+@st.composite
+def sparse_tables(draw):
+    n_samples = draw(st.integers(1, 12))
+    n_taxa = draw(st.integers(1, 16))
+    cell = st.sampled_from([0, 0, 0]) | st.integers(1, 10**6)
+    counts = draw(arrays(np.int64, (n_samples, n_taxa), elements=cell))
+    for i in np.flatnonzero(counts.sum(axis=1) == 0):  # every sample is non-empty
+        counts[i, i % n_taxa] = 1
+    perms = draw(st.lists(st.permutations(range(n_samples)), min_size=1, max_size=4))
+    return counts, np.array(perms, dtype=np.int64)
+
+
+@PROPERTY
+@given(
+    table=sparse_tables(),
+    q=st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 4.0),
+)
+def test_kernel_equals_argsort_oracle(table, q):
+    counts, perms = table
+    got = _kernels.accumulation_curves(counts, perms, q)
+    assert np.array_equal(got, argsort_curves(counts, perms, q))
