@@ -15,7 +15,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AbundanceTable:
     """Community count matrix, samples by taxa."""
 

@@ -61,6 +61,10 @@ class MalformedHeader(TplecError):
     """Input file header does not match the expected layout."""
 
 
+class MalformedCsv(TplecError):
+    """A CSV record the csv module cannot read (an over-long field, a stray CR)."""
+
+
 class RaggedRow(TplecError):
     """Row length disagrees with the header."""
 

@@ -5,6 +5,13 @@ Cumulative-fatality time series arrive in the public JHU CSV layout
 per day). Abundance tables arrive as TSV with taxa across the top and
 one sample per row. Continent assignments come from a two-column CSV.
 
+The deaths file is read line by line. A line with no quote and no
+carriage return is split with ``str.split``, a body line at its first
+four commas only, so that its date cells reach the converter below as
+the one string they already are. ``csv`` reads every other line, with
+the further lines a quoted cell spans, and the whole continent map; a
+record it cannot read raises ``MalformedCsv`` naming the row.
+
 Both parsers hand their count rows, as text, to one byte-level
 converter. It takes a fixed number of cells at a time, encodes them as
 ASCII and reads every cell of 1 to 18 plain digits with a few numpy
@@ -24,7 +31,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +42,7 @@ from .errors import (
     DuplicateCountry,
     DuplicateSampleId,
     InvalidArgument,
+    MalformedCsv,
     MalformedHeader,
     RaggedRow,
     ReservedRegion,
@@ -58,7 +66,7 @@ class DeathsRow(NamedTuple):
     cumulative: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeathsTable:
     """Daily cumulative counts, one row per region, on one date axis.
 
@@ -103,9 +111,51 @@ class DeathsTable:
         return DeathsRow(self.regions[row], self.counts[row])
 
 
-def _reader(text) -> Iterable[list[str]]:
-    stream = io.StringIO(text) if isinstance(text, str) else text
-    return csv.reader(stream)
+def _lines(text) -> Iterator[str]:
+    return iter(io.StringIO(text) if isinstance(text, str) else text)
+
+
+def _csv_record(lines: Iterator[str], row: int) -> list[str] | None:
+    """The next record ``csv`` reads from ``lines``, or None at their end.
+
+    This is the one place the package calls ``csv.reader``. The reader
+    takes only the lines its record spans, so the caller can go on
+    reading ``lines``. A ``csv.Error`` becomes ``MalformedCsv`` naming
+    ``row``.
+    """
+    try:
+        return next(csv.reader(lines), None)
+    except csv.Error as exc:
+        raise MalformedCsv(f"row {row}: {exc}") from None
+
+
+def _jhu_records(text) -> Iterator[tuple[int, list[str], str | list[str]]]:
+    """(width, leading cells, date cells) for each record of a JHU file.
+
+    A line with no quote and no carriage return, other than a blank
+    line, is split at its first four commas only: its date cells stay
+    one comma-joined string, the form ``_digit_block`` reads, and its
+    width is counted from the commas. ``csv`` reads every other line,
+    together with the further lines a quoted cell spans; its date cells
+    come as a list, so a quoted "1,000" stays one cell. A blank line is
+    a record of no cells.
+    """
+    lines = _lines(text)
+    for row, line in enumerate(lines, start=1):
+        if '"' in line or "\r" in line or line == "\n":
+            cells = _csv_record(itertools.chain([line], lines), row)
+            yield len(cells), cells[:4], cells[4:]
+        else:
+            cells = line.rstrip("\n").split(",", 4)
+            if len(cells) < 5:
+                yield len(cells), cells, []
+            else:
+                dates = cells.pop()
+                yield 5 + dates.count(","), cells, dates
+
+
+def _date_cells(dates: str | list[str]) -> list[str]:
+    return dates.split(",") if isinstance(dates, str) else dates
 
 
 def _parse_header_date(cell: str, column: int) -> date:
@@ -221,10 +271,11 @@ def parse_jhu_deaths(text) -> DeathsTable:
     sum them. Non-monotone cumulative counts (source data corrections)
     are kept as-is but flagged with a warning.
     """
-    rows = list(_reader(text))
-    if not rows:
+    records = list(_jhu_records(text))
+    if not records:
         raise MalformedHeader("empty input")
-    header = rows[0]
+    _, leading, header_dates = records[0]
+    header = leading + _date_cells(header_dates)
     if tuple(h.strip() for h in header[:4]) != _JHU_FIXED_COLUMNS:
         raise MalformedHeader(
             f"expected leading columns {','.join(_JHU_FIXED_COLUMNS)}, "
@@ -237,29 +288,30 @@ def parse_jhu_deaths(text) -> DeathsTable:
         if (b - a).days != 1:
             raise MalformedHeader(f"date axis is not daily between {a} and {b}")
 
-    body = rows[1:]
+    body = records[1:]
     # rows before a ragged one are parsed (and warned about) first
     n_ok = next(
-        (i for i, row in enumerate(body) if len(row) != len(header)), len(body)
+        (i for i, (width, _, _) in enumerate(body) if width != len(header)), len(body)
     )
     body, ragged = body[:n_ok], body[n_ok:]
-    joined = (",".join(row[4:]) for row in body)
+    joined = (d if isinstance(d, str) else ",".join(d) for _, _, d in body)
     counts = _digit_block(joined, len(body), len(header) - 4, ",")
     if counts is None:  # csv cells: a quoted "1,000" is one cell here
-        counts = _scan_counts([row[4:] for row in body], header[4:], first_row=2)
+        cells = [_date_cells(d) for _, _, d in body]
+        counts = _scan_counts(cells, header[4:], first_row=2)
     counts.flags.writeable = False
     drops = np.diff(counts, axis=1) < 0
     for i in np.flatnonzero(drops.any(axis=1)):
         warnings.warn(
-            f"cumulative counts for {body[i][1].strip()!r} decrease at "
+            f"cumulative counts for {body[i][1][1].strip()!r} decrease at "
             f"{dates[int(drops[i].argmax()) + 1]} (source correction retained as-is)",
             stacklevel=2,
         )
     if ragged:
         raise RaggedRow(
-            f"row {n_ok + 2} has {len(ragged[0])} fields, header has {len(header)}"
+            f"row {n_ok + 2} has {ragged[0][0]} fields, header has {len(header)}"
         )
-    return DeathsTable(tuple(row[1].strip() for row in body), dates, counts)
+    return DeathsTable(tuple(cells[1].strip() for _, cells, _ in body), dates, counts)
 
 
 def serialize_jhu_deaths(table: DeathsTable) -> str:
@@ -280,7 +332,10 @@ def parse_continent_map(text) -> dict[str, str]:
 
     Each country may appear once; a repeat raises ``DuplicateCountry``.
     """
-    rows = list(_reader(text))
+    lines = _lines(text)
+    rows: list[list[str]] = []
+    while (record := _csv_record(lines, len(rows) + 1)) is not None:
+        rows.append(record)
     if not rows or [h.strip() for h in rows[0]] != ["country", "continent"]:
         raise MalformedHeader("expected header 'country,continent'")
     mapping: dict[str, str] = {}

@@ -24,11 +24,13 @@ import json
 import math
 from dataclasses import asdict
 from datetime import date
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .coupling import CoupledPrediction, confidence_band, day_index_to_date
 from .errors import InvalidArgument
-from .plec import PlecModel
+from .plec import PlecModel, plec_eval
 from .regression import PlFit, TplFit
 
 REPORT_COLUMNS = [
@@ -131,6 +133,18 @@ def fallback_rows(unit: str, result: CoupledPrediction) -> list[dict]:
     return rows
 
 
+def _model_values(model: PlecModel | PlFit, horizon: int) -> Iterable[float]:
+    """The model at t = 1..horizon, a cutoff curve in one array evaluation.
+
+    A cutoff curve's non-finite values are returned as they are; the
+    power law raises ``NonFiniteValue`` as each value is drawn.
+    """
+    if isinstance(model, PlFit):
+        return (model.predict(t) for t in range(1, horizon + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return plec_eval(model, np.arange(1.0, horizon + 1.0)).tolist()
+
+
 def curve_rows(result: CoupledPrediction, horizon: int) -> list[dict]:
     """Plot-ready rows t = 1..horizon with the 95% band at each point.
 
@@ -141,8 +155,10 @@ def curve_rows(result: CoupledPrediction, horizon: int) -> list[dict]:
     """
     observed, start = result.observed_series, result.start_date
     rows = []
-    for t in range(1, horizon + 1):
-        predicted = result.baseline + result.model.predict(t)
+    for t, value in enumerate(_model_values(result.model, horizon), start=1):
+        if not math.isfinite(value):
+            value = result.model.predict(t)  # raises NonFiniteValue naming t
+        predicted = result.baseline + value
         band = None
         if result.tpl is not None:
             band = confidence_band(predicted, result.tpl, result.n)

@@ -744,6 +744,29 @@ def test_continent_named_world_exits_2_with_one_line(ftr_paths, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "source, cell, stage",
+    [
+        (0, '"{}"', "parse_jhu_deaths"),  # a quoted country: csv reads the row
+        (1, "{}", "parse_continent_map"),  # csv reads every row of the map
+    ],
+    ids=["quoted_country", "continent_map_cell"],
+)
+def test_csv_field_over_the_limit_exits_2_with_one_line(
+    source, cell, stage, ftr_paths, tmp_path, capsys
+):
+    path = ftr_paths[source]
+    path.write_text(
+        path.read_text().replace("Alphia-B,", cell.format("X" * 200_000) + ",", 1)
+    )
+    status, out = run_ftr(ftr_paths, tmp_path)
+    assert status == 2
+    assert capsys.readouterr().err == (
+        f"error: {stage}: MalformedCsv: row 3: field larger than field limit (131072)\n"
+    )
+    assert not out.exists()
+
+
 def test_repeated_country_in_continent_map_exits_2_with_one_line(
     ftr_paths, tmp_path, capsys
 ):

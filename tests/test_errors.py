@@ -241,6 +241,52 @@ def test_import_guard_flags_unused_imports(source, unused):
     assert _unused_imports(source) == unused
 
 
+def _csv_reader_uses(source: str) -> list[str]:
+    """The functions (``<module>`` at top level) that use ``csv.reader``.
+
+    Counts the attribute ``csv.reader`` and ``from csv import reader``.
+    """
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Attribute)
+                and (child.attr, getattr(child.value, "id", None)) == ("reader", "csv")
+            ) or (
+                isinstance(child, ast.ImportFrom)
+                and child.module == "csv"
+                and any(alias.name == "reader" for alias in child.names)
+            ):
+                found.append(where)
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_csv_is_read_in_one_place():
+    uses = {path.name: _csv_reader_uses(path.read_text()) for path in SOURCES}
+    assert {name: found for name, found in uses.items() if found} == {
+        "ingest.py": ["_csv_record"]
+    }
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import csv\nrows = csv.reader(lines)\n", ["<module>"]),
+        ("from csv import reader\n", ["<module>"]),
+        ("def f(lines):\n    return list(csv.reader(lines))\n", ["f"]),
+        ("def f(lines):\n    return csv.writer(lines)\n", []),
+    ],
+    ids=["module", "from_import", "function", "writer"],
+)
+def test_csv_guard_finds_each_use(source, found):
+    assert _csv_reader_uses(source) == found
+
+
 def _thin_cli_violations(source: str) -> list[str]:
     """What keeps a CLI module from being argparse and I/O only.
 

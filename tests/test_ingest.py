@@ -1,5 +1,6 @@
 """Tests for file parsing, aggregation, and the truncation transform."""
 
+import csv
 from datetime import date
 
 import numpy as np
@@ -20,6 +21,7 @@ from tplec.errors import (
     DateOutOfRange,
     DuplicateCountry,
     DuplicateSampleId,
+    MalformedCsv,
     MalformedHeader,
     RaggedRow,
     ReservedRegion,
@@ -473,6 +475,19 @@ def test_tables_compare_by_labels_and_counts(parse, text, bumped):
 
 
 @pytest.mark.parametrize(
+    "parse, text, name",
+    [
+        (parse_jhu_deaths, SMALL_CSV, "DeathsTable"),
+        (parse_abundance_table, ABUNDANCE_TSV, "AbundanceTable"),
+    ],
+    ids=["deaths", "abundance"],
+)
+def test_tables_are_unhashable(parse, text, name):
+    with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
+        hash(parse(text))
+
+
+@pytest.mark.parametrize(
     "cells, expected",
     [
         ("2/28/21,03/01/21, 3/2/21", (date(2021, 2, 28), date(2021, 3, 1), date(2021, 3, 2))),
@@ -636,3 +651,56 @@ class TestConverterBoundaries:
         # int() strips the newline, so the scanner accepts the count
         table = parse_jhu_deaths(self.HEAD + '\n,X,0,0,"3\n",4\n,Y,0,0,1,2\n')
         assert table.counts.tolist() == [[3, 4], [1, 2]]
+
+
+class TestRecordReader:
+    """Lines that ``csv`` reads, and lines split without it."""
+
+    HEAD = "Province/State,Country/Region,Lat,Long,3/1/21,3/2/21\n"
+
+    def test_blank_line_is_a_record_of_no_fields(self):
+        with pytest.raises(RaggedRow) as err:
+            parse_jhu_deaths(self.HEAD + ",A,0,0,1,2\n\n,B,0,0,3,4\n")
+        assert str(err.value) == "row 3 has 0 fields, header has 6"
+
+    def test_quote_inside_an_unquoted_field_is_kept(self):
+        table = parse_jhu_deaths(self.HEAD + ',Cote d"Ivoire,0,0,1,2\n')
+        assert table.regions == ('Cote d"Ivoire',)
+        assert table.counts.tolist() == [[1, 2]]
+
+    def test_unterminated_quote_runs_to_the_end_of_the_file(self):
+        # csv reads the rest of the file as one cell: a row of 2 fields
+        with pytest.raises(RaggedRow) as err:
+            parse_jhu_deaths(self.HEAD + ',A,0,0,1,2\n,"B,0,0,3,4\n,C,0,0,5,6\n')
+        assert str(err.value) == "row 3 has 2 fields, header has 6"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            HEAD.replace("\n", "\r\n") + ",A,0,0,1,2\r\n,B,0,0,3,4\r\n",
+            HEAD + ",A,0,0,1,2\n,B,0,0,3,4",
+        ],
+        ids=["crlf", "no_final_newline"],
+    )
+    def test_line_endings(self, text):
+        table = parse_jhu_deaths(text)
+        assert table.regions == ("A", "B")
+        assert table.counts.tolist() == [[1, 2], [3, 4]]
+
+    def test_bare_carriage_return_names_its_row(self):
+        with pytest.raises(MalformedCsv) as err:
+            parse_jhu_deaths(self.HEAD + ",A,0,0,1,2\n,B,0,0,3\r,4\n")
+        assert str(err.value).startswith(
+            "row 3: new-line character seen in unquoted field"
+        )
+        with pytest.raises(MalformedCsv, match="row 2: new-line character"):
+            parse_continent_map("country,continent\nA\r,K\n")
+
+    def test_unquoted_file_is_split_without_csv(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        monkeypatch.setattr(csv, "reader", refuse)
+        table = parse_jhu_deaths(SMALL_CSV)
+        assert table.regions == ("Freedonia", "Sylvania")
+        assert table.counts.tolist() == [[5, 8, 13], [100, 110, 125]]

@@ -1,11 +1,16 @@
-"""Property checks: baseline invariance of ``couple``, the kernel against its oracle."""
+"""Property checks: baseline invariance of ``couple``, the kernel against its
+oracle, and the JHU record reader against ``csv.reader``."""
+
+import csv
+import io
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tplec import PlecModel, _kernels, couple, plec_eval
-from tplec.errors import TplecError
+from tplec.errors import MalformedCsv, TplecError
+from tplec.ingest import _date_cells, _jhu_records
 
 from test_kernels import argsort_curves
 
@@ -70,3 +75,31 @@ def test_kernel_equals_argsort_oracle(table, q):
     counts, perms = table
     got = _kernels.accumulation_curves(counts, perms, q)
     assert np.array_equal(got, argsort_curves(counts, perms, q))
+
+
+def _csv_records(text):
+    """csv's records and, if it stops at one, the message naming its row."""
+    records = []
+    try:
+        records.extend(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        return records, f"row {len(records) + 1}: {exc}"
+    return records, None
+
+
+def _split_records(text):
+    records = []
+    try:
+        for width, leading, dates in _jhu_records(text):
+            cells = leading + _date_cells(dates)
+            assert width == len(cells)
+            records.append(cells)
+    except MalformedCsv as exc:
+        return records, str(exc)
+    return records, None
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(text=st.text(alphabet='a1,"\n\r ', max_size=60))
+def test_record_reader_equals_csv_reader(text):
+    assert _split_records(text) == _csv_records(text)
