@@ -100,6 +100,8 @@ def cmd_dar(args) -> int:
         raise StageError(f"cmd_dar: --seed must be >= 0, got {args.seed}")
     stage("cmd_dar", _check_positive, "n", args.n)
     stage("cmd_dar", _check_positive, "horizon", args.horizon)
+    if args.format == "obj" and args.horizon is not None:
+        raise StageError("cmd_dar: --horizon cannot be used with --format obj")
     table_text = _read_text(args.abundance, "parse_abundance_table")
     table = stage("parse_abundance_table", parse_abundance_table, table_text)
     curve = stage(

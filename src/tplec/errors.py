@@ -62,7 +62,7 @@ class MalformedHeader(TplecError):
 
 
 class MalformedCsv(TplecError):
-    """A CSV record the csv module cannot read (an over-long field, a stray CR)."""
+    """A CSV record the csv module cannot read (a field over its size limit)."""
 
 
 class RaggedRow(TplecError):

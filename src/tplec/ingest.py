@@ -5,12 +5,14 @@ Cumulative-fatality time series arrive in the public JHU CSV layout
 per day). Abundance tables arrive as TSV with taxa across the top and
 one sample per row. Continent assignments come from a two-column CSV.
 
-The deaths file is read line by line. A line with no quote and no
-carriage return is split with ``str.split``, a body line at its first
-four commas only, so that its date cells reach the converter below as
-the one string they already are. ``csv`` reads every other line, with
-the further lines a quoted cell spans, and the whole continent map; a
-record it cannot read raises ``MalformedCsv`` naming the row.
+Each parser takes a ``str`` and reads a CRLF or a bare CR as LF, as
+``Path.read_text`` does. A deaths-file line with no quote is split with
+``str.split``, a body line at its first four commas only, so that its
+date cells reach the converter below as the one string they already
+are. ``csv`` reads every other line, with the further lines a quoted
+cell spans, and the whole continent map; a record it cannot read raises
+``MalformedCsv`` naming the row. Header dates are read with ``int()``,
+as the ``datetime`` format ``%m/%d/%y`` reads them.
 
 Both parsers hand their count rows, as text, to one byte-level
 converter. It takes a fixed number of cells at a time, encodes them as
@@ -30,7 +32,7 @@ import io
 import itertools
 import warnings
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -111,8 +113,13 @@ class DeathsTable:
         return DeathsRow(self.regions[row], self.counts[row])
 
 
-def _lines(text) -> Iterator[str]:
-    return iter(io.StringIO(text) if isinstance(text, str) else text)
+def _lf(text: str) -> str:
+    """``text`` with each CRLF and each bare CR turned into LF."""
+    if "\r" in text:
+        # drop a CR before a LF, turn any other into one: a third of replace()'s time
+        head, *tail = text.split("\r")
+        text = "".join([head, *(p if p[:1] == "\n" else "\n" + p for p in tail)])
+    return text
 
 
 def _csv_record(lines: Iterator[str], row: int) -> list[str] | None:
@@ -129,20 +136,19 @@ def _csv_record(lines: Iterator[str], row: int) -> list[str] | None:
         raise MalformedCsv(f"row {row}: {exc}") from None
 
 
-def _jhu_records(text) -> Iterator[tuple[int, list[str], str | list[str]]]:
+def _jhu_records(text: str) -> Iterator[tuple[int, list[str], str | list[str]]]:
     """(width, leading cells, date cells) for each record of a JHU file.
 
-    A line with no quote and no carriage return, other than a blank
-    line, is split at its first four commas only: its date cells stay
-    one comma-joined string, the form ``_digit_block`` reads, and its
-    width is counted from the commas. ``csv`` reads every other line,
-    together with the further lines a quoted cell spans; its date cells
-    come as a list, so a quoted "1,000" stays one cell. A blank line is
-    a record of no cells.
+    A line with no quote, other than a blank line, is split at its first
+    four commas only: its date cells stay one comma-joined string, the
+    form ``_digit_block`` reads, and its width is counted from the
+    commas. ``csv`` reads every other line, together with the further
+    lines a quoted cell spans; its date cells come as a list, so a
+    quoted "1,000" stays one cell. A blank line is a record of no cells.
     """
-    lines = _lines(text)
+    lines = io.StringIO(_lf(text))
     for row, line in enumerate(lines, start=1):
-        if '"' in line or "\r" in line or line == "\n":
+        if '"' in line or line == "\n":
             cells = _csv_record(itertools.chain([line], lines), row)
             yield len(cells), cells[:4], cells[4:]
         else:
@@ -158,32 +164,31 @@ def _date_cells(dates: str | list[str]) -> list[str]:
     return dates.split(",") if isinstance(dates, str) else dates
 
 
-def _parse_header_date(cell: str, column: int) -> date:
-    try:
-        return datetime.strptime(cell.strip(), "%m/%d/%y").date()
-    except ValueError:
-        raise UnparseableDate(
-            f"header column {column}: {cell!r} is not an M/D/YY date"
-        ) from None
+_MONTHS = {f"{m:{w}}": m for m in range(1, 13) for w in ("", "02")}
+_DAYS = {f"{d:{w}}": d for d in range(1, 32) for w in ("", "02", "2")}  # 1, 01, " 1"
 
 
-def _parse_header_dates(cells: list[str]) -> tuple[date, ...]:
-    """Header dates, numbered from column 5.
+def _header_date(cell: str, column: int) -> date:
+    """The stripped ``cell`` read as the ``datetime`` format ``%m/%d/%y`` reads it.
 
-    A cell that spells the day after its predecessor in canonical M/D/YY
-    skips ``strptime``; ``%y`` maps it back to that day only up to 2068.
+    Month 1-12 and day 1-31 in one or two ASCII digits; the day may also
+    be a space and a digit, or 1 or 2 and any decimal digit. Two decimal
+    digits of year, 00-68 read as 20xx and 69-99 as 19xx. The day must exist.
     """
-    dates: list[date] = []
-    for column, cell in enumerate(cells, start=5):
-        if dates:
-            nxt = dates[-1] + timedelta(days=1)
-            if nxt.year <= 2068 and cell.strip() == (
-                f"{nxt.month}/{nxt.day}/{nxt.year % 100:02d}"
-            ):
-                dates.append(nxt)
-                continue
-        dates.append(_parse_header_date(cell, column))
-    return tuple(dates)
+    parts = cell.strip().split("/")
+    if len(parts) == 3:
+        m, d, y = parts
+        month = _MONTHS.get(m)
+        day = _DAYS.get(d)
+        if day is None and len(d) == 2 and d[0] in "12" and d[1].isdecimal():
+            day = int(d)
+        if month and day and len(y) == 2 and y.isdecimal():
+            year = int(y)
+            try:
+                return date(year + (2000 if year <= 68 else 1900), month, day)
+            except ValueError:
+                pass
+    raise UnparseableDate(f"header column {column}: {cell!r} is not an M/D/YY date")
 
 
 def _parse_count(cell: str, row: int, column_name: str) -> int:
@@ -264,7 +269,7 @@ def _digit_block(
     return counts
 
 
-def parse_jhu_deaths(text) -> DeathsTable:
+def parse_jhu_deaths(text: str) -> DeathsTable:
     """Parse a JHU-layout deaths CSV into a table with one row per source row.
 
     Province rows keep their country key so a later aggregation pass can
@@ -283,7 +288,7 @@ def parse_jhu_deaths(text) -> DeathsTable:
         )
     if len(header) < 5:
         raise MalformedHeader("no date columns present")
-    dates = _parse_header_dates(header[4:])
+    dates = tuple(_header_date(c, col) for col, c in enumerate(header[4:], start=5))
     for a, b in zip(dates, dates[1:]):
         if (b - a).days != 1:
             raise MalformedHeader(f"date axis is not daily between {a} and {b}")
@@ -327,12 +332,12 @@ def serialize_jhu_deaths(table: DeathsTable) -> str:
     return out.getvalue()
 
 
-def parse_continent_map(text) -> dict[str, str]:
+def parse_continent_map(text: str) -> dict[str, str]:
     """Parse a ``country,continent`` CSV (header required) into a dict.
 
     Each country may appear once; a repeat raises ``DuplicateCountry``.
     """
-    lines = _lines(text)
+    lines = io.StringIO(_lf(text))
     rows: list[list[str]] = []
     while (record := _csv_record(lines, len(rows) + 1)) is not None:
         rows.append(record)
@@ -431,22 +436,16 @@ def truncate_series(
     return window, baselines
 
 
-def _tsv_lines(text) -> list[str]:
-    raw = text if isinstance(text, str) else text.read()
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return [line.rstrip("\r") for line in lines]
-
-
-def parse_abundance_table(text) -> AbundanceTable:
+def parse_abundance_table(text: str) -> AbundanceTable:
     """Parse a TSV abundance table: taxa across the top, samples as rows.
 
     The header may either list only the taxon identifiers or carry a
     leading corner label above the sample-id column; both layouts are
     accepted. Counts must be nonnegative integers that fit in int64.
     """
-    lines = _tsv_lines(text)
+    lines = _lf(text).split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if not lines or lines == [""]:
         raise MalformedHeader("empty input")
     header = lines[0].split("\t")

@@ -20,6 +20,8 @@ and a curve from ``(result, horizon)``.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import asdict
@@ -78,10 +80,12 @@ def format_cell(value) -> str:
 
 
 def rows_to_dsv(columns: Sequence[str], rows: Sequence[Mapping]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_cell(row.get(col)) for col in columns))
-    return "\n".join(lines) + "\n"
+    """CSV text, a cell quoted when it holds a comma, a quote or a newline."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([format_cell(row.get(col)) for col in columns] for row in rows)
+    return out.getvalue()
 
 
 def report_row(unit: str, result: CoupledPrediction) -> dict:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface on synthetic fixtures."""
 
+import csv
 import json
 import math
 import os
@@ -272,6 +273,15 @@ class TestDarCommand:
         assert err[0].startswith(f"error: cmd_dar: {flag} ")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_obj_report_rejects_horizon(self, tmp_path, capsys):
+        # an obj report has no curve for --horizon to shape; no file is read
+        out = tmp_path / "d.json"
+        extra = ("--format", "obj", "--horizon", "5")
+        assert run_dar(tmp_path / "missing.tsv", out, extra=extra) == 2
+        assert capsys.readouterr().err == (
+            "error: cmd_dar: --horizon cannot be used with --format obj\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("q", ["0", "1"])
     def test_obj_report_has_the_ftr_unit_schema(self, dar_paths, tmp_path, q):
@@ -538,17 +548,50 @@ def test_replicates_beyond_memory_exit_2_with_one_line(dar_paths, tmp_path, caps
     assert not out.exists()
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # scipy.special alone took about 0.3 s of every cold start
-    code = (
-        "import tplec.cli, sys; "
-        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
-    )
+def _run_python(code):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.special alone took about 0.3 s of every cold start
+    _run_python(
+        "import tplec.cli, sys; "
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    )
+
+
+def test_ftr_run_loads_no_strptime(ftr_paths, tmp_path):
+    # the first strptime call imports _strptime, locale and calendar: 3.5 ms
+    deaths, continents, fixture = ftr_paths
+    start, end = fixture["start"].isoformat(), fixture["end"].isoformat()
+    argv = ["ftr", "--deaths", str(deaths), "--continents", str(continents)]
+    argv += ["--start", start, "--end", end, "--out", str(tmp_path / "r.csv")]
+    _run_python(
+        f"import sys; from tplec.cli import main; assert main({argv!r}) == 0; "
+        "assert '_strptime' not in sys.modules, 'strptime ran'"
+    )
+
+
+def test_dsv_cells_holding_a_comma_are_quoted(ftr_paths, dar_paths, tmp_path):
+    _, continents, _ = ftr_paths
+    continents.write_text(
+        continents.read_text().replace(",Gammia\n", ',"Gammia, Far"\n')
+    )
+    status, out = run_ftr(ftr_paths, tmp_path)
+    assert status == 0
+    assert run_dar(dar_paths[0].rename(tmp_path / "a,b.tsv"), tmp_path / "d.csv") == 0
+    for path, unit in [
+        (out, "Gammia, Far"),
+        (out.with_name("report_fallback.csv"), "Gammia, Far"),
+        (tmp_path / "d.csv", "a,b"),
+    ]:
+        header, *rows = csv.reader(path.read_text().splitlines())
+        assert all(len(row) == len(header) for row in rows)
+        assert unit in [row[0] for row in rows]
 
 
 def _per_column_vm_pairs(members, lo, hi):

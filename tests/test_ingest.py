@@ -21,7 +21,6 @@ from tplec.errors import (
     DateOutOfRange,
     DuplicateCountry,
     DuplicateSampleId,
-    MalformedCsv,
     MalformedHeader,
     RaggedRow,
     ReservedRegion,
@@ -688,19 +687,27 @@ class TestRecordReader:
         assert table.counts.tolist() == [[1, 2], [3, 4]]
 
     def test_bare_carriage_return_names_its_row(self):
-        with pytest.raises(MalformedCsv) as err:
+        # a bare CR ends a line, as Path.read_text reads it
+        with pytest.raises(RaggedRow) as err:
             parse_jhu_deaths(self.HEAD + ",A,0,0,1,2\n,B,0,0,3\r,4\n")
-        assert str(err.value).startswith(
-            "row 3: new-line character seen in unquoted field"
-        )
-        with pytest.raises(MalformedCsv, match="row 2: new-line character"):
+        assert str(err.value) == "row 3 has 5 fields, header has 6"
+        with pytest.raises(RaggedRow) as err:
             parse_continent_map("country,continent\nA\r,K\n")
+        assert str(err.value) == "row 2 has 1 fields, expected 2"
 
-    def test_unquoted_file_is_split_without_csv(self, monkeypatch):
+    @pytest.fixture
+    def no_csv(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("csv.reader called")
 
         monkeypatch.setattr(csv, "reader", refuse)
+
+    def test_unquoted_file_is_split_without_csv(self, no_csv):
         table = parse_jhu_deaths(SMALL_CSV)
         assert table.regions == ("Freedonia", "Sylvania")
         assert table.counts.tolist() == [[5, 8, 13], [100, 110, 125]]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_files_are_split_without_csv(self, no_csv, newline):
+        table = parse_jhu_deaths(SMALL_CSV.replace("\n", newline))
+        assert table == parse_jhu_deaths(SMALL_CSV)

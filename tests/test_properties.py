@@ -1,16 +1,18 @@
 """Property checks: baseline invariance of ``couple``, the kernel against its
-oracle, and the JHU record reader against ``csv.reader``."""
+oracle, the JHU record reader against ``csv.reader``, and the header-date
+reader against ``datetime.strptime``."""
 
 import csv
 import io
+from datetime import datetime
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tplec import PlecModel, _kernels, couple, plec_eval
-from tplec.errors import MalformedCsv, TplecError
-from tplec.ingest import _date_cells, _jhu_records
+from tplec.errors import MalformedCsv, TplecError, UnparseableDate
+from tplec.ingest import _date_cells, _header_date, _jhu_records
 
 from test_kernels import argsort_curves
 
@@ -81,7 +83,7 @@ def _csv_records(text):
     """csv's records and, if it stops at one, the message naming its row."""
     records = []
     try:
-        records.extend(csv.reader(io.StringIO(text)))
+        records.extend(csv.reader(io.StringIO(text, newline=None)))
     except csv.Error as exc:
         return records, f"row {len(records) + 1}: {exc}"
     return records, None
@@ -103,3 +105,35 @@ def _split_records(text):
 @given(text=st.text(alphabet='a1,"\n\r ', max_size=60))
 def test_record_reader_equals_csv_reader(text):
     assert _split_records(text) == _csv_records(text)
+
+
+DATE_CHARS = "0123456789/ \u0662"  # ARABIC-INDIC DIGIT TWO: a decimal digit
+DATE_PART = (
+    st.integers(0, 99).map(str)
+    | st.integers(0, 99).map("{:02}".format)
+    | st.text(DATE_CHARS.replace("/", ""), max_size=3)
+)
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(
+    cell=st.text(DATE_CHARS, max_size=10)
+    | st.builds("{}/{}/{}".format, DATE_PART, DATE_PART, DATE_PART)
+)
+@example(cell="12/31/68")  # the last year %y reads as 20xx
+@example(cell="1/1/69")
+@example(cell=" 3/ 1/21 ")  # %d takes a space and one digit
+@example(cell="3/1\u0662/2\u0662")  # any decimal digit after 1 or 2, and in the year
+@example(cell="3/0\u0662/21")
+@example(cell="2/29/00")
+@example(cell="2/29/21")
+def test_header_date_equals_strptime(cell):
+    try:
+        expected = datetime.strptime(cell.strip(), "%m/%d/%y").date()
+    except ValueError:
+        expected = f"header column 5: {cell!r} is not an M/D/YY date"
+    try:
+        got = _header_date(cell, 5)
+    except UnparseableDate as exc:
+        got = str(exc)
+    assert got == expected
