@@ -300,6 +300,6 @@ def run_ftr(
         units.regions, members, rows, baselines
     ):
         pairs = _vm_pairs_for_unit(countries.counts[unit_members, window])
-        name = f"run_ftr_pipeline: {unit}"
+        name = f"couple: {unit}"
         result = stage(name, couple, observed, pairs, n, horizons, baseline, start)
         yield unit, result

@@ -8,21 +8,22 @@ one sample per row. Continent assignments come from a two-column CSV.
 Each parser takes a ``str`` and reads a CRLF or a bare CR as LF, as
 ``Path.read_text`` does. A deaths-file line with no quote is split with
 ``str.split``, a body line at its first four commas only, so that its
-date cells reach the converter below as the one string they already
-are. ``csv`` reads every other line, with the further lines a quoted
-cell spans, and the whole continent map; a record it cannot read raises
-``MalformedCsv`` naming the row. Header dates are read with ``int()``,
-as the ``datetime`` format ``%m/%d/%y`` reads them.
+date cells reach the converter below, uncounted, as the one string they
+already are. ``csv`` reads every other line, with the further lines a
+quoted cell spans, and the whole continent map; a record it cannot read
+raises ``MalformedCsv`` naming the row. Header dates are read with
+``int()``, as the ``datetime`` format ``%m/%d/%y`` reads them.
 
 Both parsers hand their count rows, as text, to one byte-level
-converter. It takes a fixed number of cells at a time, encodes them as
-ASCII and reads every cell of 1 to 18 plain digits with a few numpy
-passes; at most 18 digits, a count cannot overflow int64. When any
-cell is something else (a sign, a space, a non-ASCII digit, a 19th
-digit, a quoted separator), the converter declines and the per-cell
-scanner parses every count with ``int()``. So the accepted counts
-are exactly ``int()``'s, and the scanner names the row and column of the
-first bad cell in row-major order. Counts must fit in int64.
+converter. It takes a fixed number of cells at a time and reads them
+with one whole-array update per digit place, after checking that they
+encode as ASCII, that each row has the expected number of separators
+and ends in its newline, and that every cell is 1 to 18 digits, so that
+no count overflows int64. A deaths-file row it reads thus has the
+header's width; rows are counted only when it declines. Then every cell
+before the first ragged row is parsed with ``int()``, which also takes
+a sign, spaces or non-ASCII digits, and the first bad cell in row-major
+order is reported, by row and column, before a ragged row.
 """
 
 from __future__ import annotations
@@ -136,32 +137,29 @@ def _csv_record(lines: Iterator[str], row: int) -> list[str] | None:
         raise MalformedCsv(f"row {row}: {exc}") from None
 
 
-def _jhu_records(text: str) -> Iterator[tuple[int, list[str], str | list[str]]]:
-    """(width, leading cells, date cells) for each record of a JHU file.
+def _jhu_records(text: str) -> Iterator[tuple[list[str], str | list[str]]]:
+    """(leading cells, date cells) for each record of a JHU file.
 
-    A line with no quote, other than a blank line, is split at its first
-    four commas only: its date cells stay one comma-joined string, the
-    form ``_digit_block`` reads, and its width is counted from the
-    commas. ``csv`` reads every other line, together with the further
-    lines a quoted cell spans; its date cells come as a list, so a
-    quoted "1,000" stays one cell. A blank line is a record of no cells.
+    A line with no quote and five or more cells is split at its first four
+    commas only: its date cells stay one comma-joined string, uncounted,
+    the form ``_digit_block`` reads. ``csv`` reads every other line, with
+    the further lines a quoted cell spans, and gives its date cells as a
+    list, so a quoted "1,000" stays one cell; a blank line has no cells.
     """
+    # a str.find line generator iterates faster but cost ~2700 page faults per ftr call
     lines = io.StringIO(_lf(text))
     for row, line in enumerate(lines, start=1):
         if '"' in line or line == "\n":
             cells = _csv_record(itertools.chain([line], lines), row)
-            yield len(cells), cells[:4], cells[4:]
+            yield cells[:4], cells[4:]
         else:
             cells = line.rstrip("\n").split(",", 4)
-            if len(cells) < 5:
-                yield len(cells), cells, []
-            else:
-                dates = cells.pop()
-                yield 5 + dates.count(","), cells, dates
+            yield (cells[:4], cells[4]) if len(cells) == 5 else (cells, [])
 
 
-def _date_cells(dates: str | list[str]) -> list[str]:
-    return dates.split(",") if isinstance(dates, str) else dates
+def _cells(record: tuple[list[str], str | list[str]]) -> list[str]:
+    leading, dates = record
+    return leading + (dates.split(",") if isinstance(dates, str) else dates)
 
 
 _MONTHS = {f"{m:{w}}": m for m in range(1, 13) for w in ("", "02")}
@@ -227,7 +225,7 @@ def _digit_block(
     block of about ``_BLOCK_CELLS`` cells at a time (a wider row is a
     block of its own). Returns None at the first block that holds a cell
     other than 1 to ``_MAX_DIGITS`` ASCII digits or a row with the wrong
-    number of cells; the caller then scans every cell.
+    number of cells, so a matrix proves every row's width.
     """
     counts = np.empty((n_rows, n_cols), dtype=np.int64)
     rows = iter(rows)
@@ -250,21 +248,23 @@ def _digit_block(
             and (terminators[:, -1] == ord("\n")).all()
         ):
             return None
-        starts = np.empty_like(ends)
-        starts[0] = 0
-        starts[1:] = ends[:-1] + 1
-        widths = ends - starts
+        widths = ends.copy()  # a cell starts after the terminator before it
+        widths[1:] -= ends[:-1] + 1
         if widths.min() < 1 or widths.max() > _MAX_DIGITS:
             return None
-        values = digits[ends - 1].astype(np.int64)
-        multi = np.flatnonzero(widths > 1)  # most cells of a sparse table are "0"
-        if multi.size:
-            first, width = starts[multi], widths[multi]
-            acc = digits[first].astype(np.int64)
-            for j in range(1, int(width.max())):
-                live = np.flatnonzero(width > j)
-                acc[live] = acc[live] * 10 + digits[first[live] + j]
-            values[multi] = acc
+        values = digits[ends - 1].astype(np.int64)  # all a one-digit cell needs
+        longer = widths > 1  # most cells of a sparse table are "0"
+        # where most cells are longer, picking them out costs more than it saves
+        dense = 2 * np.count_nonzero(longer) > longer.size
+        multi = slice(None) if dense else np.flatnonzero(longer)
+        last, width = ends[multi] - 1, widths[multi]
+        if width.size:
+            acc = np.zeros(width.size, dtype=np.int64)
+            # most significant place first; a cell too narrow for it adds 0
+            for j in range(int(width.max()) - 1, 0, -1):
+                acc += digits[last - j] * (width > j)
+                acc *= 10
+            values[multi] += acc
         counts[r0 : r0 + k] = values.reshape(k, n_cols)
     return counts
 
@@ -279,8 +279,7 @@ def parse_jhu_deaths(text: str) -> DeathsTable:
     records = list(_jhu_records(text))
     if not records:
         raise MalformedHeader("empty input")
-    _, leading, header_dates = records[0]
-    header = leading + _date_cells(header_dates)
+    header = _cells(records[0])
     if tuple(h.strip() for h in header[:4]) != _JHU_FIXED_COLUMNS:
         raise MalformedHeader(
             f"expected leading columns {','.join(_JHU_FIXED_COLUMNS)}, "
@@ -294,29 +293,30 @@ def parse_jhu_deaths(text: str) -> DeathsTable:
             raise MalformedHeader(f"date axis is not daily between {a} and {b}")
 
     body = records[1:]
-    # rows before a ragged one are parsed (and warned about) first
-    n_ok = next(
-        (i for i, (width, _, _) in enumerate(body) if width != len(header)), len(body)
-    )
-    body, ragged = body[:n_ok], body[n_ok:]
-    joined = (d if isinstance(d, str) else ",".join(d) for _, _, d in body)
-    counts = _digit_block(joined, len(body), len(header) - 4, ",")
-    if counts is None:  # csv cells: a quoted "1,000" is one cell here
-        cells = [_date_cells(d) for _, _, d in body]
+    n_ok, width = len(body), len(header)
+    joined = (d if isinstance(d, str) else ",".join(d) for _, d in body)
+    counts = _digit_block(joined, n_ok, width - 4, ",")
+    # the converter proves a split line's width, not a csv record's ("1,000")
+    csv_ragged = any(isinstance(d, list) and len(c) + len(d) != width for c, d in body)
+    if counts is None or csv_ragged:
+        # rows before a ragged one are parsed (and warned about) first
+        n_ok = next((i for i, r in enumerate(body) if len(_cells(r)) != width), n_ok)
+        cells = [_cells(r)[4:] for r in body[:n_ok]]  # a quoted "1,000" is one cell
         counts = _scan_counts(cells, header[4:], first_row=2)
+    body, ragged = body[:n_ok], body[n_ok:]
     counts.flags.writeable = False
-    drops = np.diff(counts, axis=1) < 0
+    drops = counts[:, 1:] < counts[:, :-1]
     for i in np.flatnonzero(drops.any(axis=1)):
         warnings.warn(
-            f"cumulative counts for {body[i][1][1].strip()!r} decrease at "
+            f"cumulative counts for {body[i][0][1].strip()!r} decrease at "
             f"{dates[int(drops[i].argmax()) + 1]} (source correction retained as-is)",
             stacklevel=2,
         )
     if ragged:
         raise RaggedRow(
-            f"row {n_ok + 2} has {ragged[0][0]} fields, header has {len(header)}"
+            f"row {n_ok + 2} has {len(_cells(ragged[0]))} fields, header has {width}"
         )
-    return DeathsTable(tuple(cells[1].strip() for _, cells, _ in body), dates, counts)
+    return DeathsTable(tuple(cells[1].strip() for cells, _ in body), dates, counts)
 
 
 def serialize_jhu_deaths(table: DeathsTable) -> str:

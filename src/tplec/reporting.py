@@ -21,11 +21,11 @@ and a curve from ``(result, horizon)``.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import asdict
 from datetime import date
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -80,12 +80,14 @@ def format_cell(value) -> str:
 
 
 def rows_to_dsv(columns: Sequence[str], rows: Sequence[Mapping]) -> str:
-    """CSV text, a cell quoted when it holds a comma, a quote or a newline."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    """CSV text, a cell quoted when it holds a comma, a quote, a LF or a CR."""
+    records: list[str] = []
+    # csv quotes a cell holding a character of its line terminator, so a
+    # "\n" writer would leave a bare CR bare: write "\r\n", then trim the CR
+    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
     writer.writerow(columns)
     writer.writerows([format_cell(row.get(col)) for col in columns] for row in rows)
-    return out.getvalue()
+    return "".join([record[:-2] + "\n" for record in records])
 
 
 def report_row(unit: str, result: CoupledPrediction) -> dict:

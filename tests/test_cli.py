@@ -594,6 +594,15 @@ def test_dsv_cells_holding_a_comma_are_quoted(ftr_paths, dar_paths, tmp_path):
         assert unit in [row[0] for row in rows]
 
 
+def test_dsv_cell_holding_a_bare_cr_is_quoted(dar_paths, tmp_path):
+    table = dar_paths[0].rename(tmp_path / "a\rb.tsv")
+    assert run_dar(table, tmp_path / "d.csv") == 0
+    with open(tmp_path / "d.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert [len(row) for row in rows] == [13, 13]
+    assert rows[1][0] == "a\rb"
+
+
 def _per_column_vm_pairs(members, lo, hi):
     """The per-column loop the variance-mean pairs were first computed with."""
     pairs = []
@@ -734,7 +743,7 @@ def test_single_country_continent_fails_fast_naming_it(ftr_paths, tmp_path, caps
     status, out = run_ftr(ftr_paths, tmp_path)
     assert status == 2
     assert capsys.readouterr().err == (
-        "error: run_ftr_pipeline: Solo: TooFewPoints: "
+        "error: couple: Solo: TooFewPoints: "
         "need at least 3 variance-mean pairs, got 0\n"
     )
     assert not out.exists()

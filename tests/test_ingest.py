@@ -9,6 +9,7 @@ import pytest
 from tplec import (
     DeathsTable,
     aggregate_regions,
+    ingest,
     parse_abundance_table,
     parse_continent_map,
     parse_jhu_deaths,
@@ -619,6 +620,31 @@ def test_rows_wider_than_a_block():
     assert str(err.value) == f"row 3, column {taxa[-2]}: count -1 is negative"
 
 
+@pytest.fixture
+def no_scanner(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the per-cell scanner ran")
+
+    monkeypatch.setattr(ingest, "_scan_counts", refuse)
+
+
+def test_benchmark_layouts_take_the_converter(no_scanner):
+    # quoted country names and province rows, as in JHU files and perfbench's
+    jhu = (
+        "Province/State,Country/Region,Lat,Long,3/1/21,3/2/21,3/3/21\n"
+        ',"Korea, South",35.9078,127.7669,1,22,333\n'
+        "Province 0,Canada,53.9333,-116.5765,4444,55555,666666\n"
+        'Province 1,"Asia Isles, North",-25.0919,-11.9266,0,007,7000000\n'
+        ",Chad,15.4542,18.7322,0,0,0\n"
+    )
+    table = parse_jhu_deaths(jhu)
+    assert table.regions == ("Korea, South", "Canada", "Asia Isles, North", "Chad")
+    expect = [[1, 22, 333], [4444, 55555, 666666], [0, 7, 7000000], [0, 0, 0]]
+    assert table.counts.tolist() == expect
+    tsv = "sample_id\tt1\tt2\tt3\nS000\t0\t120\t0\nS001\t7\t0\t3\n"
+    assert parse_abundance_table(tsv).counts.tolist() == [[0, 120, 0], [7, 0, 3]]
+
+
 class TestConverterBoundaries:
     HEAD = "Province/State,Country/Region,Lat,Long,3/1/21,3/2/21"
 
@@ -642,6 +668,12 @@ class TestConverterBoundaries:
         assert str(err.value) == "row 2, column 3/1/21: '1,000' is not an integer"
         table = parse_jhu_deaths(self.HEAD + '\n,X,0,0,"12",15\n')
         assert table.counts.tolist() == [[12, 15]]
+
+    def test_quoted_comma_does_not_widen_a_short_row(self):
+        # split at its comma, the one cell "1,2" would fill both date columns
+        with pytest.raises(RaggedRow) as err:
+            parse_jhu_deaths(self.HEAD + '\n,X,0,0,"1,2"\n')
+        assert str(err.value) == "row 2 has 5 fields, header has 6"
 
     def test_cell_holding_a_newline(self):
         with pytest.raises(UnparseableCount) as err:

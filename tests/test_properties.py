@@ -1,18 +1,20 @@
 """Property checks: baseline invariance of ``couple``, the kernel against its
-oracle, the JHU record reader against ``csv.reader``, and the header-date
-reader against ``datetime.strptime``."""
+oracle, the JHU record reader against ``csv.reader``, the header-date
+reader against ``datetime.strptime``, and the count converter against
+``int()``."""
 
 import csv
 import io
 from datetime import datetime
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tplec import PlecModel, _kernels, couple, plec_eval
+from tplec import PlecModel, _kernels, couple, ingest, plec_eval
 from tplec.errors import MalformedCsv, TplecError, UnparseableDate
-from tplec.ingest import _date_cells, _header_date, _jhu_records
+from tplec.ingest import _cells, _digit_block, _header_date, _jhu_records
 
 from test_kernels import argsort_curves
 
@@ -92,10 +94,8 @@ def _csv_records(text):
 def _split_records(text):
     records = []
     try:
-        for width, leading, dates in _jhu_records(text):
-            cells = leading + _date_cells(dates)
-            assert width == len(cells)
-            records.append(cells)
+        for record in _jhu_records(text):
+            records.append(_cells(record))
     except MalformedCsv as exc:
         return records, str(exc)
     return records, None
@@ -137,3 +137,42 @@ def test_header_date_equals_strptime(cell):
     except UnparseableDate as exc:
         got = str(exc)
     assert got == expected
+
+
+DIGIT_CELL = st.text("0123456789", min_size=1, max_size=20)  # leading zeros too
+ODD_CELL = st.sampled_from(["", "+1", " 1", "1_0", "\u0663"])  # int() reads "\u0663" as 3
+
+
+@st.composite
+def _count_rows(draw):
+    """``n_cols`` and rows of digit cells, with a few odd cells and at most
+    one row a cell short or long."""
+    n_cols, n_rows = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    row = st.lists(DIGIT_CELL, min_size=n_cols, max_size=n_cols)
+    rows = [draw(row) for _ in range(n_rows)]
+    at = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
+    for i, j in draw(st.lists(at, max_size=2)):
+        rows[i][j] = draw(ODD_CELL)
+    for i in draw(st.lists(st.integers(0, n_rows - 1), max_size=1)):
+        rows[i] = rows[i][:-1] if n_cols > 1 and draw(st.booleans()) else rows[i] + ["0"]
+    return n_cols, rows
+
+
+def _plain(cell):
+    return cell.isascii() and cell.isdigit() and len(cell) <= 18
+
+
+@PROPERTY
+@given(
+    grid=_count_rows(),
+    sep=st.sampled_from([",", "\t"]),
+    block=st.sampled_from([1, 5, 1 << 14]),  # cells per converter block
+)
+def test_converter_reads_int_of_every_cell_or_declines(grid, sep, block):
+    n_cols, rows = grid
+    with patch.object(ingest, "_BLOCK_CELLS", block):
+        counts = _digit_block([sep.join(row) for row in rows], len(rows), n_cols, sep)
+    plain = all(len(row) == n_cols and all(map(_plain, row)) for row in rows)
+    assert (counts is not None) == plain
+    if counts is not None:
+        assert counts.tolist() == [[int(cell) for cell in row] for row in rows]
