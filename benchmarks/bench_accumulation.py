@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark the accumulation kernel at q = 0, 1 and 2.
 
-The resampled accumulation curve is the package's hot loop. For each
-order the script reports the median wall time of ``--repeats`` calls and
-checks a few steps of one replicate against ``hill_number`` of the
-pooled prefix. Run with defaults, or scale the problem:
+The resampled accumulation curve is the package's hot loop. The kernel
+takes the table's taxon-major nonzero list, as ``AbundanceTable`` keeps
+it. The script first reports the median time of a call with zero
+replicates, which is the kernel's set-up alone. Then, for each order, it
+reports the median wall time of ``--repeats`` calls and checks a few
+steps of one replicate against ``hill_number`` of the pooled prefix. Run
+with defaults, or scale the problem:
 
     python benchmarks/bench_accumulation.py --samples 400 --taxa 4000 --replicates 50
 """
@@ -15,7 +18,7 @@ import time
 
 import numpy as np
 
-from tplec import _kernels
+from tplec import AbundanceTable, _kernels
 from tplec.diversity import hill_number
 
 ORDERS = (0.0, 1.0, 2.0)
@@ -37,11 +40,13 @@ def build_problem(n_samples, n_taxa, replicates, density, seed=0):
     return counts, perms
 
 
-def median_time(counts, perms, q, repeats):
+def median_time(table, perms, q, repeats):
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        curves = _kernels.accumulation_curves(counts, perms, q)
+        curves = _kernels.accumulation_curves(
+            table.values, perms, q, table.lengths, table.samples, table.sample_totals
+        )
         times.append(time.perf_counter() - start)
     return statistics.median(times), curves
 
@@ -66,14 +71,18 @@ def main():
     args = parser.parse_args()
 
     counts, perms = build_problem(args.samples, args.taxa, args.replicates, args.density)
+    ids = [str(i) for i in range(max(counts.shape))]
+    table = AbundanceTable(ids[: args.samples], ids[: args.taxa], counts)
     print(
         f"problem: {args.samples} samples x {args.taxa} taxa, "
-        f"{args.replicates} replicates, nnz={int((counts > 0).sum())}, "
+        f"{args.replicates} replicates, nnz={table.values.size}, "
         f"median of {args.repeats}"
     )
+    seconds, _ = median_time(table, perms[:0], 1.0, args.repeats)
+    print(f"set-up (0 replicates, q=1): {seconds * 1000:9.2f} ms")
     failed = False
     for q in ORDERS:
-        seconds, curves = median_time(counts, perms, q, args.repeats)
+        seconds, curves = median_time(table, perms, q, args.repeats)
         err = max_check_error(counts, perms, curves, q)
         failed |= err > 1e-12
         print(f"q={q:g}: {seconds * 1000:9.2f} ms   max rel err vs hill_number {err:.1e}")

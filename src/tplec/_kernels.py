@@ -1,33 +1,42 @@
 """Hot accumulation kernel: per-step Hill numbers along sample orderings.
 
 The table is sparse (most taxa are absent from most samples), so the
-kernel works on the taxon-major (CSC) list of nonzero entries and never
-forms a cumulative samples-by-taxa matrix. Each taxon owns one segment
-of that list. A sample ordering only reorders the entries inside each
-segment, so two things are fixed once per call:
+kernel takes the taxon-major (CSC) list of nonzero entries that
+``AbundanceTable`` keeps, and no layer forms a samples-by-taxa matrix.
+Each taxon owns one segment of that list. A sample ordering only
+reorders the entries inside each segment, so three things are fixed
+once per call:
 
+* each taxon's pooled count, one ``np.add.reduceat`` over the segments;
 * every entry's packed key ``segment | slot``, where ``slot`` is the
   entry's index within its segment (``uint32`` when segment, step and
   slot fit in 32 bits together, ``uint64`` otherwise);
-* every segment's offset, the sum of all counts in the segments before
-  it, which is what a running sum over the list holds on entering it.
+* every segment's offset, the sum of the pooled counts of the segments
+  before it, which is what a running sum over the list holds on
+  entering it.
 
 For each replicate the kernel then
 
 1. maps each entry's sample to its step through the inverse
    permutation and packs the step between segment and slot;
-2. sorts the keys with one ``np.sort`` (the keys are unique), which
-   puts each taxon's entries in step order;
-3. unpacks steps and slots, gathers the counts by slot and takes each
-   taxon's running total as one ``cumsum`` minus the segment offsets;
+2. sorts the keys in place (they are unique), which puts each taxon's
+   entries in step order;
+3. unpacks the slots, gathers the counts by slot and takes each taxon's
+   running total as one ``cumsum`` minus the segment offsets;
 4. adds ``f(new) - f(old)`` per step with ``bincount`` and ``cumsum``
    over steps, where ``f(x) = x ln x`` at q = 1 and ``x**q`` otherwise.
+
+Each of these passes writes into one of five buffers of nnz entries,
+allocated once per call. Every integer sum (running totals, sample
+totals, offsets) is formed in int64 and is at most the table's total,
+which ``AbundanceTable`` bounds by the int64 maximum; a float sum would
+be exact only below 2**53.
 
 At q = 0 no sort is needed: a taxon enters the curve at its first
 step, the minimum step over its segment (``np.minimum.reduceat``),
 and one ``bincount`` + ``cumsum`` of those steps gives the curve.
 
-Memory per replicate is O(nnz); replicates are processed one at a time.
+Memory is O(nnz) per call; replicates are processed one at a time.
 The final step is evaluated directly from the fully pooled count vector,
 so every replicate ends on the bit-identical value.
 """
@@ -56,19 +65,26 @@ def _bits(n: int) -> int:
 
 
 def accumulation_curves(
-    counts: np.ndarray, perms: np.ndarray, q: float
+    values: np.ndarray,
+    perms: np.ndarray,
+    q: float,
+    lengths: np.ndarray,
+    samples: np.ndarray,
+    sample_totals: np.ndarray,
 ) -> np.ndarray:
-    """Per-step Hill numbers along each permutation, one row per replicate."""
+    """Per-step Hill numbers along each permutation, one row per replicate.
+
+    ``values``, ``lengths``, ``samples`` and ``sample_totals`` are an
+    ``AbundanceTable``'s taxon-major nonzero list and its sample totals;
+    every count, and their total, is at most the int64 maximum.
+    """
     n_rep, n_steps = perms.shape
     last = n_steps - 1
-    out = np.empty((n_rep, n_steps), dtype=np.float64)
-    out[:, last] = hill_direct(counts.sum(axis=0), q)
-
-    # flat indices of the transposed mask are taxon * n_samples + sample
-    taxa, samples = np.divmod(np.flatnonzero((counts != 0).T), counts.shape[0])
-    col_len = np.bincount(taxa)
-    col_len = col_len[col_len > 0]
+    col_len = lengths[lengths > 0]
     col_start = np.cumsum(col_len) - col_len
+    out = np.empty((n_rep, n_steps), dtype=np.float64)
+    pooled = np.add.reduceat(values, col_start) if values.size else values
+    out[:, last] = hill_direct(pooled, q)
 
     if q == 0.0:
         inv = np.empty(n_steps, dtype=np.min_scalar_type(max(last, 0)))
@@ -80,37 +96,54 @@ def accumulation_curves(
             out[r, :last] = np.cumsum(gained[:last])
         return out
 
-    data = counts[samples, taxa]
-    sample_total = counts.sum(axis=1)
-    seg_start = np.repeat(col_start, col_len)
-    # a segment's entries only change order, so the running sum over the
-    # list on entering the segment is the same for every replicate
-    offset = np.repeat(np.cumsum(data)[col_start] - data[col_start], col_len)
     # key = segment | step | slot, with slot the index within the segment
     lbits = _bits(col_len.max(initial=1))
     sbits = _bits(n_steps)
     gbits = _bits(col_len.size)
     key_type = np.uint32 if gbits + sbits + lbits <= 32 else np.uint64
+    seg_start = np.repeat(col_start, col_len)
     base = np.repeat(np.arange(col_len.size, dtype=key_type), col_len)
     base <<= sbits + lbits
     base |= (np.arange(samples.size) - seg_start).astype(key_type)
+    # a segment's entries only change order, so the running sum over the
+    # list on entering the segment is the same for every replicate
+    offset = np.repeat(np.cumsum(pooled) - pooled, col_len)
     inv = np.empty(n_steps, dtype=key_type)
     step_keys = np.arange(n_steps, dtype=key_type) << lbits
 
+    # per-replicate buffers, reused: each pass writes into one of them. A
+    # take in any mode but "raise" writes its out array directly, and an
+    # intp index is taken without a cast; every index is in range.
+    keys = np.empty(samples.size, dtype=key_type)
+    slots = np.empty(samples.size, dtype=np.intp)
+    running = np.empty(samples.size, dtype=np.int64)  # then each entry's step
+    total = np.empty(samples.size, dtype=np.float64)  # then each entry's gain
+    f = np.empty_like(total)
     for r in range(n_rep):
         perm = perms[r]
         inv[perm] = step_keys
-        # the keys are unique, so any sort gives the (taxon, step) order
-        keys = np.sort(base | inv[samples])
-        steps = ((keys >> lbits) & ((1 << sbits) - 1)).astype(np.intp)
-        slot = (keys & ((1 << lbits) - 1)).astype(np.intp)
-        total = (np.cumsum(data[seg_start + slot]) - offset).astype(np.float64)
-        f = total * np.log(total) if q == 1.0 else total**q
-        prev = np.empty_like(f)
-        prev[1:] = f[:-1]
-        prev[col_start] = 0.0
-        acc = np.cumsum(np.bincount(steps, weights=f - prev, minlength=n_steps)[:last])
-        n_k = np.cumsum(sample_total[perm[:last]]).astype(np.float64)
+        np.take(inv, samples, out=keys, mode="wrap")
+        keys |= base
+        keys.sort()  # the keys are unique, so any sort gives the (taxon, step) order
+        np.bitwise_and(keys, (1 << lbits) - 1, out=slots)
+        slots += seg_start
+        np.take(values, slots, out=running, mode="wrap")
+        np.cumsum(running, out=running)
+        np.subtract(running, offset, out=total)  # exact in int64, then rounded
+        if q == 1.0:
+            np.log(total, out=f)
+            f *= total
+        else:
+            np.power(total, q, out=f)
+        # each entry's change to its taxon's f; a segment starts from f(0) = 0
+        gain = total
+        np.subtract(f[1:], f[:-1], out=gain[1:])
+        gain[col_start] = f[col_start]
+        steps = running
+        np.right_shift(keys, lbits, out=steps)
+        steps &= (1 << sbits) - 1
+        acc = np.cumsum(np.bincount(steps, weights=gain, minlength=n_steps)[:last])
+        n_k = np.cumsum(sample_totals[perm[:last]]).astype(np.float64)
         if q == 1.0:
             out[r, :last] = np.exp(np.log(n_k) - acc / n_k)
         else:

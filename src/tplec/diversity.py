@@ -1,4 +1,9 @@
-"""Hill-number diversity and resampled diversity-accumulation curves."""
+"""Hill-number diversity and resampled diversity-accumulation curves.
+
+An ``AbundanceTable`` keeps only its nonzero cells, taxon-major, which
+is the form the accumulation kernel (``_kernels``) takes; the dense
+samples x taxa matrix exists only when ``counts`` is read.
+"""
 
 from __future__ import annotations
 
@@ -8,42 +13,121 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
+    CountOverflow,
     EmptyCommunity,
     InvalidArgument,
     InvalidPermutation,
     NegativeCount,
 )
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class AbundanceTable:
-    """Community count matrix, samples by taxa."""
+    """Community counts, samples by taxa, kept as their nonzero cells.
+
+    The cells are stored once, taxon-major: taxon j owns the next
+    ``lengths[j]`` entries of ``samples`` (sample indices, ascending) and
+    ``values`` (its positive int64 counts in those samples).
+    ``sample_totals`` is each sample's total count. All four arrays are
+    read-only. ``counts`` builds the dense samples x taxa int64 matrix on
+    demand.
+
+    ``AbundanceTable(sample_ids, taxon_ids, counts)`` takes that dense
+    matrix, or any integer array or nested sequence of its shape, of
+    nonnegative counts. Every sample needs a positive count, and all the
+    counts together must fit in int64, which bounds every sum the kernel
+    forms.
+    """
 
     sample_ids: tuple[str, ...]
     taxon_ids: tuple[str, ...]
-    counts: np.ndarray
+    lengths: np.ndarray
+    samples: np.ndarray
+    values: np.ndarray
+    sample_totals: np.ndarray
 
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
-        if counts.shape != (len(self.sample_ids), len(self.taxon_ids)):
+    def __init__(self, sample_ids, taxon_ids, counts):
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (len(sample_ids), len(taxon_ids)):
             raise InvalidArgument(
                 f"counts shape {counts.shape} does not match "
-                f"{len(self.sample_ids)} samples x {len(self.taxon_ids)} taxa"
+                f"{len(sample_ids)} samples x {len(taxon_ids)} taxa"
             )
         if np.any(counts < 0):
             raise NegativeCount("abundance counts must be nonnegative")
-        empty = np.where(counts.sum(axis=1) == 0)[0]
+        cells = np.flatnonzero(counts)
+        self._keep(sample_ids, taxon_ids, cells, counts.ravel()[cells])
+
+    @classmethod
+    def _from_cells(cls, sample_ids, taxon_ids, cells, values) -> "AbundanceTable":
+        """The table of a parsed file's nonzero cells.
+
+        ``cells`` holds each cell's flat index ``sample * n_taxa + taxon``
+        in ascending order and ``values`` its count, every one positive.
+        """
+        table = cls.__new__(cls)
+        table._keep(sample_ids, taxon_ids, cells, values)
+        return table
+
+    def _keep(self, sample_ids, taxon_ids, cells, values) -> None:
+        n_samples, n_taxa = len(sample_ids), len(taxon_ids)
+        samples, taxa = np.divmod(cells, max(n_taxa, 1))
+        starts = np.searchsorted(samples, np.arange(n_samples + 1))
+        empty = np.flatnonzero(starts[1:] == starts[:-1])
         if empty.size:
             raise EmptyCommunity(
-                f"sample {self.sample_ids[empty[0]]!r} has no positive count"
+                f"sample {sample_ids[empty[0]]!r} has no positive count"
             )
+        # each count fits in int64; their total, which bounds every running
+        # and sample total, is summed exactly only when it might not
+        if values.size and int(values.max()) > _INT64_MAX // values.size:
+            if sum(values.tolist()) > _INT64_MAX:
+                raise CountOverflow("the total of all counts exceeds the int64 range")
+        sample_totals = (
+            np.add.reduceat(values, starts[:-1])
+            if n_samples
+            else np.zeros(0, dtype=np.int64)
+        )
+        # a stable sort keeps each taxon's samples ascending; on small
+        # unsigned ids numpy sorts by radix
+        taxa = taxa.astype(np.min_scalar_type(max(n_taxa - 1, 0)))
+        order = np.argsort(taxa, kind="stable")
+        fields = {
+            "sample_ids": sample_ids,
+            "taxon_ids": taxon_ids,
+            "lengths": np.bincount(taxa, minlength=n_taxa),
+            "samples": samples[order],
+            "values": values[order],
+            "sample_totals": sample_totals,
+        }
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The dense samples x taxa int64 matrix, built on each read, read-only."""
+        counts = np.zeros((self.n_samples, self.n_taxa), dtype=np.int64)
+        taxa = np.repeat(np.arange(self.n_taxa), self.lengths)
+        counts[self.samples, taxa] = self.values
+        counts.flags.writeable = False
+        return counts
 
     def __eq__(self, other):
         if type(other) is not AbundanceTable:
             return NotImplemented
         labels = (self.sample_ids, self.taxon_ids) == (other.sample_ids, other.taxon_ids)
-        return labels and np.array_equal(self.counts, other.counts)
+        return labels and all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in (
+                (self.lengths, other.lengths),
+                (self.samples, other.samples),
+                (self.values, other.values),
+            )
+        )
 
     @property
     def n_samples(self) -> int:
@@ -90,6 +174,12 @@ def hill_number(counts, q: float) -> float:
     return _kernels.hill_direct(arr, float(q))
 
 
+def _curves(table: AbundanceTable, perms: np.ndarray, q: float) -> np.ndarray:
+    return _kernels.accumulation_curves(
+        table.values, perms, float(q), table.lengths, table.samples, table.sample_totals
+    )
+
+
 def accumulate(table: AbundanceTable, order, q: float) -> np.ndarray:
     """Per-step pooled diversity along one sample ordering.
 
@@ -104,7 +194,7 @@ def accumulate(table: AbundanceTable, order, q: float) -> np.ndarray:
         raise InvalidPermutation(
             f"order must be a permutation of 0..{table.n_samples - 1}"
         )
-    return _kernels.accumulation_curves(table.counts, perm[None, :], float(q))[0]
+    return _curves(table, perm[None, :], q)[0]
 
 
 def resample_accumulation(
@@ -127,7 +217,7 @@ def resample_accumulation(
     perms = np.empty((replicates, n), dtype=np.int64)
     for r in range(replicates):
         perms[r] = np.random.default_rng(seed + r).permutation(n)
-    curves = _kernels.accumulation_curves(table.counts, perms, float(q))
+    curves = _curves(table, perms, q)
 
     lo = curves.min(axis=0)
     hi = curves.max(axis=0)

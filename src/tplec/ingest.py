@@ -14,16 +14,20 @@ quoted cell spans, and the whole continent map; a record it cannot read
 raises ``MalformedCsv`` naming the row. Header dates are read with
 ``int()``, as the ``datetime`` format ``%m/%d/%y`` reads them.
 
-Both parsers hand their count rows, as text, to one byte-level
-converter. It takes a fixed number of cells at a time and reads them
-with one whole-array update per digit place, after checking that they
-encode as ASCII, that each row has the expected number of separators
-and ends in its newline, and that every cell is 1 to 18 digits, so that
-no count overflows int64. A deaths-file row it reads thus has the
-header's width; rows are counted only when it declines. Then every cell
-before the first ragged row is parsed with ``int()``, which also takes
-a sign, spaces or non-ASCII digits, and the first bad cell in row-major
-order is reported, by row and column, before a ragged row.
+Both parsers hand their count rows, as text, to a byte-level
+converter that takes a fixed number of cells at a time. It checks that
+they encode as ASCII, that each row has the expected number of
+separators and ends in its newline, and that every cell is 1 to 18
+digits, so that no count overflows int64. ``_digit_block`` reads every
+cell of a deaths file into a dense matrix, with one whole-array update
+per digit place. ``_nonzero_cells`` takes and declines exactly the same
+rows, and reads an abundance table's nonzero cells only. A row either
+converter reads thus has the expected width; rows are counted only when
+it declines, and an abundance table's layout is first taken from its
+first row. Then every cell before the first ragged row is parsed with
+``int()``, which also takes a sign, spaces or non-ASCII digits, and the
+first bad cell in row-major order is reported, by row and column,
+before a ragged row.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ _JHU_FIXED_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _BLOCK_CELLS = 1 << 14  # cells per converter pass: its scratch arrays stay small
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1, so no overflow check is needed
+_PLACES = 10 ** np.arange(1, _MAX_DIGITS, dtype=np.int64)  # 10, 100, ..., 10**17
 
 
 class DeathsRow(NamedTuple):
@@ -269,6 +274,82 @@ def _digit_block(
     return counts
 
 
+def _nonzero_cells(
+    rows: Iterable[str], n_cols: int, sep: str
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Flat index and value of every nonzero cell of the rows ``_digit_block`` reads.
+
+    Takes and declines exactly the rows ``_digit_block`` takes and
+    declines, a block at a time, and returns each nonzero cell's index
+    ``row * n_cols + column`` (ascending, so in row-major order) with its
+    int64 count. With each continuation digit (a digit another digit
+    follows) deleted, a block it takes is two bytes per cell, the cell's
+    last digit and then its terminator: read as one little-endian uint16,
+    that is a digit's offset from "0" plus the terminator's code times 256.
+    A multi-digit cell's other digits are read from a window of the bytes
+    before its last digit.
+    """
+    rows = iter(rows)
+    per_block = max(1, _BLOCK_CELLS // n_cols)
+    zero = np.full(n_cols, ord("0") | ord(sep) << 8, dtype=np.uint16)
+    zero[-1] = ord("0") | ord("\n") << 8  # a "0" cell at the end of a row
+    found = [np.empty(0, dtype=np.intp)]
+    last_digits = [np.empty(0, dtype=np.uint16)]
+    multi_cells = [np.empty(0, dtype=np.intp)]
+    highs = [np.empty(0, dtype=np.int64)]  # a multi-digit cell's value less its last digit
+    r0 = 0
+    while chunk := list(itertools.islice(rows, per_block)):
+        k = len(chunk)
+        chunk.append("")  # every row, the last included, ends in "\n"
+        try:
+            raw = np.frombuffer("\n".join(chunk).encode("ascii"), dtype=np.uint8)
+        except UnicodeEncodeError:
+            return None
+        digits = raw - ord("0")  # wraps: every other byte lands above 9
+        is_digit = digits <= 9
+        cont = (is_digit[:-1] & is_digit[1:]).nonzero()[0]
+        if raw.size - cont.size != 2 * k * n_cols:
+            return None
+        if cont.size:
+            keep = np.ones(raw.size, dtype=bool)
+            keep[cont] = False
+            raw = raw[keep]
+        offset = (raw.view("<u2").reshape(k, n_cols) - zero).ravel()
+        if not (offset <= 9).all():  # a cell that is not digits, or a misplaced terminator
+            return None
+        is_nonzero = offset != 0
+        if cont.size:
+            # a run of continuation digits is one cell's, just before its last digit
+            run_end = np.empty(cont.size, dtype=bool)
+            np.not_equal(cont[1:], cont[:-1] + 1, out=run_end[:-1])
+            run_end[-1] = True
+            ends = run_end.nonzero()[0]
+            longer = ends + 1  # each multi-digit cell's digits before its last
+            longer[1:] -= ends[:-1] + 1
+            width = int(longer.max())
+            if width >= _MAX_DIGITS:
+                return None
+            last = cont[ends] + 1
+            multi = (last - 1 - ends) // 2
+            is_nonzero[multi] = True
+            # digit j places before the last; a cell too narrow for it adds 0
+            window = digits.take(last[:, None] - np.arange(1, width + 1), mode="clip")
+            window *= np.arange(width) < longer[:, None]
+            multi_cells.append(multi + r0 * n_cols)
+            highs.append(window @ _PLACES[:width])
+        cells = is_nonzero.nonzero()[0]
+        found.append(cells + r0 * n_cols)
+        last_digits.append(offset[cells])
+        r0 += k
+    cells = np.concatenate(found)
+    values = np.concatenate(last_digits).astype(np.int64)
+    multi = np.concatenate(multi_cells)
+    if multi.size:
+        values[np.searchsorted(cells, multi)] += np.concatenate(highs)
+        cells, values = cells[values != 0], values[values != 0]  # "00" is zero
+    return cells, values
+
+
 def parse_jhu_deaths(text: str) -> DeathsTable:
     """Parse a JHU-layout deaths CSV into a table with one row per source row.
 
@@ -436,66 +517,116 @@ def truncate_series(
     return window, baselines
 
 
+def _check_taxa(taxa: Sequence[str]) -> None:
+    if not taxa or not all(map(str.strip, taxa)):
+        raise MalformedHeader("empty taxon column header")
+    if len(set(taxa)) != len(taxa):
+        raise MalformedHeader("duplicate taxon identifiers in header")
+
+
+def _first_repeat(ids: Sequence[str]) -> int:
+    """Index of the first id that an earlier one equals, or ``len(ids)``."""
+    seen: set[str] = set()
+    for i, sid in enumerate(ids):
+        if sid in seen:
+            return i
+        seen.add(sid)
+    return len(ids)
+
+
+def _read_declined_table(header: list[str], body: list[str]) -> AbundanceTable:
+    """Read, row by row, a table the converter declined.
+
+    Every row's fields are counted. The header lists taxa only if every
+    row has one field more than it. The first row that is ragged or
+    repeats a sample id is an error, raised after a bad count in an
+    earlier row.
+    """
+    widths = [line.count("\t") + 1 for line in body]
+    taxa = header if all(w == len(header) + 1 for w in widths) else header[1:]
+    _check_taxa(taxa)
+    n_ok = next((i for i, w in enumerate(widths) if w != len(taxa) + 1), len(body))
+    sample_ids = [line.split("\t", 1)[0].strip() for line in body[:n_ok]]
+    n_unique = _first_repeat(sample_ids)
+    error = None
+    if n_unique < n_ok:
+        error = DuplicateSampleId(
+            f"sample id {sample_ids[n_unique]!r} appears more than once"
+        )
+    elif n_ok < len(body):
+        error = RaggedRow(
+            f"row {n_ok + 2} has {widths[n_ok]} fields, expected {len(taxa) + 1}"
+        )
+    n_ok = n_unique
+    count_rows = [line.split("\t", 1)[1] for line in body[:n_ok]]
+    cells = _nonzero_cells(count_rows, len(taxa), "\t")
+    if cells is None:
+        grid = [row.split("\t") for row in count_rows]
+        counts = _scan_counts(grid, taxa, first_row=2)
+    if error is not None:
+        raise error
+    if cells is None:
+        return AbundanceTable(tuple(sample_ids[:n_ok]), tuple(taxa), counts)
+    return AbundanceTable._from_cells(tuple(sample_ids[:n_ok]), tuple(taxa), *cells)
+
+
+def _split_lines(text: str) -> Iterator[str]:
+    """The lines of ``text.split("\\n")``, one at a time, without a final empty one."""
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    if start < len(text):
+        yield text[start:]
+
+
 def parse_abundance_table(text: str) -> AbundanceTable:
     """Parse a TSV abundance table: taxa across the top, samples as rows.
 
     The header may either list only the taxon identifiers or carry a
     leading corner label above the sample-id column; both layouts are
-    accepted. Counts must be nonnegative integers that fit in int64.
+    accepted. Counts must be nonnegative integers that fit in int64, and
+    so must their total. Only the nonzero cells are kept (see
+    ``AbundanceTable``), and the rows are read one block at a time.
     """
-    lines = _lf(text).split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines or lines == [""]:
+    text = _lf(text)
+    lines = _split_lines(text)
+    head, first = next(lines, None), next(lines, None)
+    if head is None or (head == "" and first is None):
         raise MalformedHeader("empty input")
-    header = lines[0].split("\t")
-    body = lines[1:]
-    if not body:
+    header = head.split("\t")
+    if first is None:
         raise MalformedHeader("no sample rows present")
 
-    widths = [line.count("\t") + 1 for line in body]
-    if all(w == len(header) + 1 for w in widths):
-        taxa = header  # header lists taxa only
-    else:
-        taxa = header[1:]  # leading corner label above the sample ids
-    if not taxa or any(t.strip() == "" for t in taxa):
-        raise MalformedHeader("empty taxon column header")
-    if len(set(taxa)) != len(taxa):
-        raise MalformedHeader("duplicate taxon identifiers in header")
-
+    # the first row's width picks the layout; a converted table proves
+    # that every row has that width, so no other row's tabs are counted
+    taxa = header if first.count("\t") == len(header) else header[1:]
     sample_ids: list[str] = []
-    count_rows: list[str] = []  # each row's count cells, still one string
-    seen: set[str] = set()
-    error = None
-    for i, (line, width) in enumerate(zip(body, widths)):
-        if width != len(taxa) + 1:
-            error = RaggedRow(
-                f"row {i + 2} has {width} fields, expected {len(taxa) + 1}"
-            )
-            break
-        sid, rest = line.split("\t", 1)
-        sid = sid.strip()
-        if sid in seen:
-            error = DuplicateSampleId(f"sample id {sid!r} appears more than once")
-            break
-        seen.add(sid)
-        sample_ids.append(sid)
-        count_rows.append(rest)
-    # a bad count in a row before the first bad row is reported first
-    counts = _digit_block(count_rows, len(count_rows), len(taxa), "\t")
-    if counts is None:
-        cells = [row.split("\t") for row in count_rows]
-        counts = _scan_counts(cells, taxa, first_row=2)
-    if error is not None:
-        raise error
-    return AbundanceTable(
-        sample_ids=tuple(sample_ids), taxon_ids=tuple(taxa), counts=counts
-    )
+
+    def count_rows() -> Iterator[str]:
+        for line in itertools.chain([first], lines):
+            sid, _, rest = line.partition("\t")
+            sample_ids.append(sid.strip())
+            yield rest
+
+    cells = _nonzero_cells(count_rows(), len(taxa), "\t") if taxa else None
+    if cells is None:
+        body = text.split("\n")
+        if body[-1] == "":
+            body.pop()
+        return _read_declined_table(header, body[1:])
+    _check_taxa(taxa)
+    n_unique = _first_repeat(sample_ids)
+    if n_unique < len(sample_ids):
+        raise DuplicateSampleId(
+            f"sample id {sample_ids[n_unique]!r} appears more than once"
+        )
+    return AbundanceTable._from_cells(tuple(sample_ids), tuple(taxa), *cells)
 
 
 def serialize_abundance_table(table: AbundanceTable) -> str:
     """Canonical TSV form: corner label, then taxa; one sample per row."""
     lines = ["\t".join(("sample_id",) + table.taxon_ids)]
-    for i, sid in enumerate(table.sample_ids):
-        lines.append("\t".join([sid] + [str(int(v)) for v in table.counts[i]]))
+    for sid, row in zip(table.sample_ids, table.counts.tolist()):
+        lines.append("\t".join([sid, *map(str, row)]))
     return "\n".join(lines) + "\n"

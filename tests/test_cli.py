@@ -679,6 +679,30 @@ def test_bad_argument_or_count_exits_2_with_one_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("q", ["0", "1", "2"])
+@pytest.mark.parametrize("excess", [0, 1], ids=["int64_max", "one_more"])
+def test_dar_count_total_at_the_int64_boundary(excess, q, tmp_path, capsys, recwarn):
+    rows = [[1, 2], [3, 1], [2, 2], [1, 4], [5, 1]]
+    rows.append([2**63 - 1 - sum(map(sum, rows)) + excess, 0])
+    path = tmp_path / "big.tsv"
+    path.write_text(
+        "sample_id\ta\tb\n" + "".join(f"s{i}\t{a}\t{b}\n" for i, (a, b) in enumerate(rows))
+    )
+    out = tmp_path / "big.csv"
+    status = run_dar(path, out, extra=["--q", q])
+    err = capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    if excess:
+        assert status == 2 and not out.exists()
+        assert err == (
+            "error: parse_abundance_table: CountOverflow: "
+            "the total of all counts exceeds the int64 range\n"
+        )
+    else:  # six samples give too few variance-mean pairs at q = 0
+        assert "CountOverflow" not in err
+        assert status == (2 if q == "0" else 0)
+
+
 BAD_N = "InvalidArgument: n must be >= 1, got 0"
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from tplec import (
     AbundanceTable,
     accumulate,
     hill_number,
+    parse_abundance_table,
     resample_accumulation,
 )
-from tplec.errors import EmptyCommunity, InvalidPermutation, NegativeCount
+from tplec.errors import CountOverflow, EmptyCommunity, InvalidPermutation, NegativeCount
 
 # small community with overlapping taxa; used for the exhaustive
 # permutation oracle below
@@ -206,3 +208,59 @@ class TestAbundanceTable:
     def test_negative_count_rejected(self):
         with pytest.raises(NegativeCount):
             AbundanceTable(("a",), ("x", "y"), np.array([[1, -2]]))
+
+    def test_keeps_the_taxon_major_nonzero_list(self):
+        counts = np.array([[0, 4, 1], [2, 0, 0], [5, 3, 0]])
+        table = AbundanceTable(("a", "b", "c"), ("x", "y", "z"), counts)
+        assert table.lengths.tolist() == [2, 2, 1]
+        assert table.samples.tolist() == [1, 2, 0, 2, 0]
+        assert table.values.tolist() == [2, 5, 4, 3, 1]
+        assert table.sample_totals.tolist() == [5, 2, 8]
+        assert table.counts.tolist() == counts.tolist()
+        for array in (table.lengths, table.samples, table.values, table.counts):
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize(
+        "counts, expect",
+        [
+            ([[1, 2], [3, 2**63 - 7]], None),  # the total is the int64 maximum
+            ([[1, 2], [3, 2**63 - 6]], CountOverflow),
+            ([[2**62] * 4, [1] * 4], CountOverflow),  # not a sample that wraps to 0
+            ([[2**62, 2**62], [0, 0]], EmptyCommunity),
+        ],
+        ids=["int64_max", "one_more", "sample_wraps", "empty_first"],
+    )
+    def test_count_total_must_fit_in_int64(self, counts, expect):
+        build = lambda: AbundanceTable(("a", "b"), tuple("wxyz"[: len(counts[0])]), counts)
+        if expect is None:
+            assert build().sample_totals.tolist() == [3, 2**63 - 4]
+        else:
+            with pytest.raises(expect):
+                build()
+
+
+def test_parse_and_accumulate_memory_grows_with_the_nonzero_cells():
+    # 400 x 40 000 cells at 0.1% density: 31 MB of text, 128 MB as an int64 matrix
+    rng = np.random.default_rng(8)
+    n_samples, n_taxa = 400, 40_000
+    zeros = ["0"] * n_taxa
+    lines = ["sample_id\t" + "\t".join(f"t{j}" for j in range(n_taxa))]
+    for i in range(n_samples):
+        row = zeros.copy()
+        for j in rng.choice(n_taxa, size=40, replace=False):
+            row[j] = str(rng.integers(1, 1000))
+        lines.append(f"s{i}\t" + "\t".join(row))
+    text = "\n".join(lines) + "\n"
+    del lines
+    tracemalloc.start()
+    try:
+        table = parse_abundance_table(text)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        accumulate(table, np.arange(n_samples), 1.0)
+        accumulate_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.values.size == n_samples * 40
+    assert parse_peak < 100e6
+    assert accumulate_peak < 10e6

@@ -29,7 +29,9 @@ from tplec.errors import (
     UnparseableCount,
     UnparseableDate,
 )
-from tplec.ingest import _digit_block
+from tplec.ingest import _digit_block, _nonzero_cells
+
+INT64_MAX = 2**63 - 1
 
 SMALL_CSV = (
     "Province/State,Country/Region,Lat,Long,3/1/21,3/2/21,3/3/21\n"
@@ -297,6 +299,42 @@ class TestParseAbundanceTable:
         assert serialize_abundance_table(again) == text
 
 
+@pytest.mark.parametrize(
+    "text, expect",
+    [
+        ("c\tA\tB\ns1\t1\t2\t3\ns2\t1\t2\n", (RaggedRow, "row 2 has 4 fields, expected 3")),
+        ("c\tA\tB\ns1\t1\t2\ns2\t1\t2\t3\n", (RaggedRow, "row 3 has 4 fields, expected 3")),
+        ("\tA\tB\ns1\t1\t2\t3\ns2\t1\n", (RaggedRow, "row 2 has 4 fields, expected 3")),
+        ("\tA\tB\ns1\t1\t2\ns2\t1\t0\n", [[1, 2], [1, 0]]),
+        ("A\tB\ns1\t0\t2\ns2\t1\t0\n", [[0, 2], [1, 0]]),
+        ("c\tA\tB\ns1\t1\tx\ns1\t1\t2\n", (UnparseableCount, "row 2, column B: 'x' is not an integer")),
+        ("c\tA\tB\ns1\t1\t2\ns1\t1\t2\ns3\t1\n", (DuplicateSampleId, "sample id 's1' appears more than once")),
+        ("c\tA\tB\ns1\t1\t2\ns2\t1\ns1\t1\t2\n", (RaggedRow, "row 3 has 2 fields, expected 3")),
+        ("c\tA\tB\ns1\t1\t2\ns2\n", (RaggedRow, "row 3 has 1 fields, expected 3")),
+        ("c\tA\tB\ns1\t1\t2\ns2\t1\ns3\tx\t1\n", (RaggedRow, "row 3 has 2 fields, expected 3")),
+        ("c\tA\t\ns1\t1\t2\n", (MalformedHeader, "empty taxon column header")),
+        ("A\tB\n s1\t1\t2\ns1 \t3\t4\n", (DuplicateSampleId, "sample id 's1' appears more than once")),
+    ],
+    ids=[
+        "first_row_wide", "later_row_wide", "empty_corner_ragged", "empty_corner",
+        "taxa_only_header", "bad_count_before_repeat", "repeat_before_ragged",
+        "ragged_before_repeat", "row_without_tab", "bad_count_after_ragged",
+        "empty_taxon_converted", "repeat_converted",
+    ],
+)
+def test_abundance_layout_and_first_error(text, expect):
+    """The first row's width picks the layout when every row then converts;
+    otherwise the layout, and the first error, come from every row's width."""
+    if isinstance(expect, list):
+        table = parse_abundance_table(text)
+        assert (table.sample_ids, table.taxon_ids) == (("s1", "s2"), ("A", "B"))
+        assert table.counts.tolist() == expect
+    else:
+        with pytest.raises(expect[0]) as err:
+            parse_abundance_table(text)
+        assert str(err.value) == expect[1]
+
+
 class TestContinentMap:
     def test_parses(self):
         mapping = parse_continent_map("country,continent\nFreedonia,Ruritania\n")
@@ -540,14 +578,25 @@ def test_converter_matches_numpy_int_oracle(shape, max_digits):
     rng = np.random.default_rng(shape[0] * 1000 + shape[1] + max_digits)
     grid = _random_grid(rng, shape, max_digits)
     oracle = np.array(grid, dtype=np.int64)  # int() per cell
-    for counts in _parse_both(grid):
-        assert counts.dtype == np.int64
-        assert np.array_equal(counts, oracle)
-    fast = _digit_block(("\t".join(r) for r in grid), *shape, "\t")
+    counts = parse_jhu_deaths(_as_jhu(grid)[0]).counts
+    assert counts.dtype == np.int64 and np.array_equal(counts, oracle)
+    tsv = _as_tsv(grid)[0]
+    if sum(int(cell) for row in grid for cell in row) <= INT64_MAX:
+        counts = parse_abundance_table(tsv).counts
+        assert counts.dtype == np.int64 and np.array_equal(counts, oracle)
+    else:  # a table's counts must total at most the int64 maximum
+        with pytest.raises(CountOverflow):
+            parse_abundance_table(tsv)
+    rows = ["\t".join(r) for r in grid]
+    fast = _digit_block(iter(rows), *shape, "\t")
+    sparse = _nonzero_cells(rows, shape[1], "\t")
     if max(len(c) for r in grid for c in r) <= 18:
         assert np.array_equal(fast, oracle)
-    else:
-        assert fast is None  # 19 digits: the scanner converts the block
+        cells = np.flatnonzero(oracle)
+        assert np.array_equal(sparse[0], cells)
+        assert np.array_equal(sparse[1], oracle.ravel()[cells])
+    else:  # 19 digits: the scanner converts the block
+        assert fast is None and sparse is None
 
 
 @pytest.mark.parametrize(

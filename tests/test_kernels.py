@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tplec import _kernels, resample_accumulation
+from tplec import AbundanceTable, _kernels, resample_accumulation
 
 from conftest import build_saturating_table
 
@@ -30,6 +30,15 @@ def random_table(rng, n_samples=20, n_taxa=30, density=0.3, high=6):
 def random_perms(rng, replicates, n_samples):
     return np.stack([rng.permutation(n_samples) for _ in range(replicates)]).astype(
         np.int64
+    )
+
+
+def kernel_curves(counts, perms, q):
+    """The kernel on the nonzero list of a table built from a dense matrix."""
+    ids = tuple(str(i) for i in range(max(counts.shape)))
+    table = AbundanceTable(ids[: counts.shape[0]], ids[: counts.shape[1]], counts)
+    return _kernels.accumulation_curves(
+        table.values, perms, q, table.lengths, table.samples, table.sample_totals
     )
 
 
@@ -139,7 +148,7 @@ def test_matches_brute_force_pooled_hill(q):
     rng = np.random.default_rng(17)
     counts = random_table(rng)
     perms = random_perms(rng, replicates=4, n_samples=counts.shape[0])
-    got = _kernels.accumulation_curves(counts, perms, q)
+    got = kernel_curves(counts, perms, q)
     assert_curves_match(got, brute_force_curves(counts, perms, q), q)
     assert np.array_equal(got, argsort_curves(counts, perms, q))
 
@@ -149,7 +158,7 @@ def test_matches_dense_loop(q):
     rng = np.random.default_rng(21)
     counts = random_table(rng, n_samples=80, n_taxa=300, density=0.05, high=200)
     perms = random_perms(rng, replicates=10, n_samples=counts.shape[0])
-    got = _kernels.accumulation_curves(counts, perms, q)
+    got = kernel_curves(counts, perms, q)
     assert_curves_match(got, dense_curves(counts, perms, q), q)
     assert np.array_equal(got, argsort_curves(counts, perms, q))
 
@@ -178,7 +187,7 @@ def _edge_table(name):
 def test_edge_tables_match_brute_force(name, q):
     counts = _edge_table(name)
     perms = random_perms(np.random.default_rng(23), 3, counts.shape[0])
-    got = _kernels.accumulation_curves(counts, perms, q)
+    got = kernel_curves(counts, perms, q)
     assert got.shape == perms.shape
     assert_curves_match(got, brute_force_curves(counts, perms, q), q)
     assert np.array_equal(got, argsort_curves(counts, perms, q))
@@ -189,19 +198,15 @@ def test_final_column_bit_identical_across_replicates(q):
     rng = np.random.default_rng(18)
     counts = random_table(rng)
     perms = random_perms(rng, replicates=20, n_samples=counts.shape[0])
-    final = _kernels.accumulation_curves(counts, perms, q)[:, -1]
+    final = kernel_curves(counts, perms, q)[:, -1]
     assert np.all(final == _kernels.hill_direct(counts.sum(axis=0), q))
 
 
 def test_seeded_determinism():
     counts = random_table(np.random.default_rng(20))
     for q in (0.0, 1.0):
-        a = _kernels.accumulation_curves(
-            counts, random_perms(np.random.default_rng(5), 8, counts.shape[0]), q
-        )
-        b = _kernels.accumulation_curves(
-            counts, random_perms(np.random.default_rng(5), 8, counts.shape[0]), q
-        )
+        a = kernel_curves(counts, random_perms(np.random.default_rng(5), 8, counts.shape[0]), q)
+        b = kernel_curves(counts, random_perms(np.random.default_rng(5), 8, counts.shape[0]), q)
         assert np.array_equal(a, b)
 
 
@@ -232,7 +237,7 @@ def test_long_tailed_table_equals_argsort_oracle(q):
     rng = np.random.default_rng(33)
     counts = long_tailed_table(rng)
     perms = random_perms(rng, replicates=3, n_samples=counts.shape[0])
-    got = _kernels.accumulation_curves(counts, perms, q)
+    got = kernel_curves(counts, perms, q)
     assert np.array_equal(got, argsort_curves(counts, perms, q))
 
 
@@ -263,7 +268,7 @@ def test_both_key_widths_match_dense_loop(n_samples, wide, q):
     counts = wide_key_table(rng, n_samples=n_samples)
     assert (key_bits(counts) > 32) == wide
     perms = random_perms(rng, replicates=2, n_samples=counts.shape[0])
-    got = _kernels.accumulation_curves(counts, perms, q)
+    got = kernel_curves(counts, perms, q)
     assert_curves_match(got, dense_curves(counts, perms, q), q)
     assert np.array_equal(got, argsort_curves(counts, perms, q))
 

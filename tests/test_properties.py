@@ -1,6 +1,6 @@
 """Property checks: baseline invariance of ``couple``, the kernel against its
 oracle, the JHU record reader against ``csv.reader``, the header-date
-reader against ``datetime.strptime``, and the count converter against
+reader against ``datetime.strptime``, and the count converters against
 ``int()``."""
 
 import csv
@@ -12,11 +12,11 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tplec import PlecModel, _kernels, couple, ingest, plec_eval
+from tplec import PlecModel, couple, ingest, plec_eval
 from tplec.errors import MalformedCsv, TplecError, UnparseableDate
-from tplec.ingest import _cells, _digit_block, _header_date, _jhu_records
+from tplec.ingest import _cells, _digit_block, _header_date, _jhu_records, _nonzero_cells
 
-from test_kernels import argsort_curves
+from test_kernels import argsort_curves, kernel_curves
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -77,7 +77,7 @@ def sparse_tables(draw):
 )
 def test_kernel_equals_argsort_oracle(table, q):
     counts, perms = table
-    got = _kernels.accumulation_curves(counts, perms, q)
+    got = kernel_curves(counts, perms, q)
     assert np.array_equal(got, argsort_curves(counts, perms, q))
 
 
@@ -176,3 +176,28 @@ def test_converter_reads_int_of_every_cell_or_declines(grid, sep, block):
     assert (counts is not None) == plain
     if counts is not None:
         assert counts.tolist() == [[int(cell) for cell in row] for row in rows]
+
+
+@PROPERTY
+@given(
+    grid=_count_rows(),
+    sep=st.sampled_from([",", "\t"]),
+    block=st.sampled_from([1, 5, 1 << 14]),  # cells per converter block
+)
+@example(grid=(3, [["0", "00", "007"], ["0" * 18, "0", "010"]]), sep="\t", block=5)
+@example(grid=(2, [["0", "0"], ["0", "0"]]), sep=",", block=1)
+def test_sparse_reader_keeps_the_nonzero_cells_or_declines(grid, sep, block):
+    n_cols, rows = grid
+    texts = [sep.join(row) for row in rows]
+    with patch.object(ingest, "_BLOCK_CELLS", block):
+        dense = _digit_block(texts, len(rows), n_cols, sep)
+        sparse = _nonzero_cells(texts, n_cols, sep)
+    assert (sparse is None) == (dense is None)
+    if sparse is not None:
+        nonzero = [
+            (i * n_cols + j, int(cell))
+            for i, row in enumerate(rows)
+            for j, cell in enumerate(row)
+            if int(cell)
+        ]
+        assert list(zip(sparse[0].tolist(), sparse[1].tolist())) == nonzero
