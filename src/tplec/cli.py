@@ -23,8 +23,11 @@ from .ingest import parse_abundance_table, parse_continent_map, parse_jhu_deaths
 from . import reporting
 
 
-def _read_text(path: str, op: str) -> str:
+def _read_text(path: str, op: str, *, undecoded: bool = False) -> str | bytes:
+    """The UTF-8 text of the file at ``path``, or its bytes if ``undecoded``."""
     try:
+        if undecoded:
+            return Path(path).read_bytes()
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise StageError(f"{op}: cannot read {path}: {exc}") from exc
@@ -102,8 +105,9 @@ def cmd_dar(args) -> int:
     stage("cmd_dar", _check_positive, "horizon", args.horizon)
     if args.format == "obj" and args.horizon is not None:
         raise StageError("cmd_dar: --horizon cannot be used with --format obj")
-    # the text is freed once parsed, so the kernel can reuse its memory
-    table_text = _read_text(args.abundance, "parse_abundance_table")
+    # the parser decodes the bytes itself, so they are never held as a str
+    # as well; they are freed once parsed, so the kernel can reuse their memory
+    table_text = _read_text(args.abundance, "parse_abundance_table", undecoded=True)
     table = stage("parse_abundance_table", parse_abundance_table, table_text)
     del table_text
     curve = stage(

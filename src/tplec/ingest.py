@@ -6,7 +6,8 @@ per day). Abundance tables arrive as TSV with taxa across the top and
 one sample per row. Continent assignments come from a two-column CSV.
 
 Each parser takes a ``str`` and reads a CRLF or a bare CR as LF, as
-``Path.read_text`` does. A deaths-file line with no quote is split with
+``Path.read_text`` does; the abundance parser also takes a file's UTF-8
+bytes, and reads a str as its bytes. A deaths-file line with no quote is split with
 ``str.split``, a body line at its first four commas only, so that its
 date cells reach the converter below, uncounted, as the one string they
 already are. ``csv`` reads every other line, with the further lines a
@@ -14,20 +15,19 @@ quoted cell spans, and the whole continent map; a record it cannot read
 raises ``MalformedCsv`` naming the row. Header dates are read with
 ``int()``, as the ``datetime`` format ``%m/%d/%y`` reads them.
 
-Both parsers hand their count rows, as text, to a byte-level
-converter that takes a fixed number of cells at a time. It checks that
-they encode as ASCII, that each row has the expected number of
-separators and ends in its newline, and that every cell is 1 to 18
-digits, so that no count overflows int64. ``_digit_block`` reads every
-cell of a deaths file into a dense matrix, with one whole-array update
-per digit place. ``_nonzero_cells`` takes and declines exactly the same
-rows, and reads an abundance table's nonzero cells only. A row either
-converter reads thus has the expected width; rows are counted only when
-it declines, and an abundance table's layout is first taken from its
-first row. Then every cell before the first ragged row is parsed with
-``int()``, which also takes a sign, spaces or non-ASCII digits, and the
-first bad cell in row-major order is reported, by row and column,
-before a ragged row.
+Both parsers hand their count rows, as text, to one byte-level
+converter, ``_digit_blocks``. It takes a fixed number of cells at a time
+and reads them with one whole-array update per digit place, after
+checking that they encode as ASCII, that each row has the expected
+number of separators and ends in its newline, and that every cell is 1
+to 18 digits, so that no count overflows int64. A deaths file keeps
+every cell, in a dense matrix; an abundance table keeps only each
+block's nonzero cells. A row the converter reads thus has the expected
+width; rows are counted only when it declines, and an abundance table's
+layout is first taken from its first row. Then every cell before the
+first ragged row is parsed with ``int()``, which also takes a sign,
+spaces or non-ASCII digits, and the first bad cell in row-major order is
+reported, by row and column, before a ragged row.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ _JHU_FIXED_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _BLOCK_CELLS = 1 << 14  # cells per converter pass: its scratch arrays stay small
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1, so no overflow check is needed
-_PLACES = 10 ** np.arange(1, _MAX_DIGITS, dtype=np.int64)  # 10, 100, ..., 10**17
 
 
 class DeathsRow(NamedTuple):
@@ -221,42 +220,45 @@ def _scan_counts(block, columns, first_row: int) -> np.ndarray:
     return counts
 
 
-def _digit_block(
-    rows: Iterable[str], n_rows: int, n_cols: int, sep: str
-) -> np.ndarray | None:
-    """int64 matrix of ``n_rows`` rows of ``n_cols`` plain-digit cells.
+def _digit_blocks(
+    rows: Iterable[str] | Iterable[bytes], n_cols: int, sep: str
+) -> Iterator[np.ndarray | None]:
+    """Each block of ``rows``' cells as a flat int64 array, in row-major order.
 
-    Each row is one string of cells joined by ``sep``. Rows are taken a
-    block of about ``_BLOCK_CELLS`` cells at a time (a wider row is a
-    block of its own). Returns None at the first block that holds a cell
-    other than 1 to ``_MAX_DIGITS`` ASCII digits or a row with the wrong
-    number of cells, so a matrix proves every row's width.
+    Each row is one str, or UTF-8 bytes, of ``n_cols`` cells joined by
+    ``sep``. Rows are taken a block of about ``_BLOCK_CELLS`` cells at a
+    time (a wider row is a block of its own), so the scratch arrays stay
+    block-sized. Yields None, and stops, at the first block that holds a
+    cell other than 1 to ``_MAX_DIGITS`` ASCII digits or a row with the
+    wrong number of cells, so every block it yields proves its rows' width.
     """
-    counts = np.empty((n_rows, n_cols), dtype=np.int64)
     rows = iter(rows)
     per_block = max(1, _BLOCK_CELLS // n_cols)
-    for r0 in range(0, n_rows, per_block):
-        k = min(per_block, n_rows - r0)
-        chunk = list(itertools.islice(rows, k))
-        chunk.append("")  # every row, the last included, ends in "\n"
-        try:
-            raw = np.frombuffer("\n".join(chunk).encode("ascii"), dtype=np.uint8)
-        except UnicodeEncodeError:
-            return None
+    while chunk := list(itertools.islice(rows, per_block)):
+        k = len(chunk)
+        chunk.append(chunk[0][:0])  # every row, the last included, ends in "\n"
+        if isinstance(chunk[0], bytes):
+            joined = b"\n".join(chunk)  # a byte above 127 is no digit, so it declines
+        else:
+            try:
+                joined = "\n".join(chunk).encode("ascii")
+            except UnicodeEncodeError:
+                break
+        raw = np.frombuffer(joined, dtype=np.uint8)
         digits = raw - ord("0")  # wraps: every other byte lands above 9
         ends = np.flatnonzero(digits > 9)
         if ends.size != k * n_cols:
-            return None
+            break
         terminators = raw[ends].reshape(k, n_cols)
         if not (
             (terminators[:, :-1] == ord(sep)).all()
             and (terminators[:, -1] == ord("\n")).all()
         ):
-            return None
+            break
         widths = ends.copy()  # a cell starts after the terminator before it
         widths[1:] -= ends[:-1] + 1
         if widths.min() < 1 or widths.max() > _MAX_DIGITS:
-            return None
+            break
         values = digits[ends - 1].astype(np.int64)  # all a one-digit cell needs
         longer = widths > 1  # most cells of a sparse table are "0"
         # where most cells are longer, picking them out costs more than it saves
@@ -270,84 +272,46 @@ def _digit_block(
                 acc += digits[last - j] * (width > j)
                 acc *= 10
             values[multi] += acc
-        counts[r0 : r0 + k] = values.reshape(k, n_cols)
+        yield values
+    else:
+        return
+    yield None
+
+
+def _digit_block(
+    rows: Iterable[str], n_rows: int, n_cols: int, sep: str
+) -> np.ndarray | None:
+    """The ``n_rows`` x ``n_cols`` int64 matrix of ``_digit_blocks``, or None."""
+    counts = np.empty((n_rows, n_cols), dtype=np.int64)
+    flat = counts.reshape(-1)
+    done = 0
+    for values in _digit_blocks(itertools.islice(rows, n_rows), n_cols, sep):
+        if values is None:
+            return None
+        flat[done : done + values.size] = values
+        done += values.size
     return counts
 
 
-def _nonzero_cells(
-    rows: Iterable[str], n_cols: int, sep: str
+def _nonzero_of_blocks(
+    rows: Iterable[str] | Iterable[bytes], n_cols: int, sep: str
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Flat index and value of every nonzero cell of the rows ``_digit_block`` reads.
+    """Flat index and value of each nonzero cell ``_digit_blocks`` reads, or None.
 
-    Takes and declines exactly the rows ``_digit_block`` takes and
-    declines, a block at a time, and returns each nonzero cell's index
-    ``row * n_cols + column`` (ascending, so in row-major order) with its
-    int64 count. With each continuation digit (a digit another digit
-    follows) deleted, a block it takes is two bytes per cell, the cell's
-    last digit and then its terminator: read as one little-endian uint16,
-    that is a digit's offset from "0" plus the terminator's code times 256.
-    A multi-digit cell's other digits are read from a window of the bytes
-    before its last digit.
+    The index is ``row * n_cols + column``, ascending, so the cells come
+    in row-major order; only a block's nonzero cells outlive it.
     """
-    rows = iter(rows)
-    per_block = max(1, _BLOCK_CELLS // n_cols)
-    zero = np.full(n_cols, ord("0") | ord(sep) << 8, dtype=np.uint16)
-    zero[-1] = ord("0") | ord("\n") << 8  # a "0" cell at the end of a row
-    found = [np.empty(0, dtype=np.intp)]
-    last_digits = [np.empty(0, dtype=np.uint16)]
-    multi_cells = [np.empty(0, dtype=np.intp)]
-    highs = [np.empty(0, dtype=np.int64)]  # a multi-digit cell's value less its last digit
-    r0 = 0
-    while chunk := list(itertools.islice(rows, per_block)):
-        k = len(chunk)
-        chunk.append("")  # every row, the last included, ends in "\n"
-        try:
-            raw = np.frombuffer("\n".join(chunk).encode("ascii"), dtype=np.uint8)
-        except UnicodeEncodeError:
+    cells = [np.empty(0, dtype=np.intp)]
+    kept = [np.empty(0, dtype=np.int64)]
+    done = 0
+    for values in _digit_blocks(rows, n_cols, sep):
+        if values is None:
             return None
-        digits = raw - ord("0")  # wraps: every other byte lands above 9
-        is_digit = digits <= 9
-        cont = (is_digit[:-1] & is_digit[1:]).nonzero()[0]
-        if raw.size - cont.size != 2 * k * n_cols:
-            return None
-        if cont.size:
-            keep = np.ones(raw.size, dtype=bool)
-            keep[cont] = False
-            raw = raw[keep]
-        offset = (raw.view("<u2").reshape(k, n_cols) - zero).ravel()
-        if not (offset <= 9).all():  # a cell that is not digits, or a misplaced terminator
-            return None
-        is_nonzero = offset != 0
-        if cont.size:
-            # a run of continuation digits is one cell's, just before its last digit
-            run_end = np.empty(cont.size, dtype=bool)
-            np.not_equal(cont[1:], cont[:-1] + 1, out=run_end[:-1])
-            run_end[-1] = True
-            ends = run_end.nonzero()[0]
-            longer = ends + 1  # each multi-digit cell's digits before its last
-            longer[1:] -= ends[:-1] + 1
-            width = int(longer.max())
-            if width >= _MAX_DIGITS:
-                return None
-            last = cont[ends] + 1
-            multi = (last - 1 - ends) // 2
-            is_nonzero[multi] = True
-            # digit j places before the last; a cell too narrow for it adds 0
-            window = digits.take(last[:, None] - np.arange(1, width + 1), mode="clip")
-            window *= np.arange(width) < longer[:, None]
-            multi_cells.append(multi + r0 * n_cols)
-            highs.append(window @ _PLACES[:width])
-        cells = is_nonzero.nonzero()[0]
-        found.append(cells + r0 * n_cols)
-        last_digits.append(offset[cells])
-        r0 += k
-    cells = np.concatenate(found)
-    values = np.concatenate(last_digits).astype(np.int64)
-    multi = np.concatenate(multi_cells)
-    if multi.size:
-        values[np.searchsorted(cells, multi)] += np.concatenate(highs)
-        cells, values = cells[values != 0], values[values != 0]  # "00" is zero
-    return cells, values
+        nonzero = np.flatnonzero(values != 0)  # faster on a mask than on int64
+        cells.append(nonzero + done)
+        kept.append(values[nonzero])
+        done += values.size
+    return np.concatenate(cells), np.concatenate(kept)
 
 
 def parse_jhu_deaths(text: str) -> DeathsTable:
@@ -559,7 +523,7 @@ def _read_declined_table(header: list[str], body: list[str]) -> AbundanceTable:
         )
     n_ok = n_unique
     count_rows = [line.split("\t", 1)[1] for line in body[:n_ok]]
-    cells = _nonzero_cells(count_rows, len(taxa), "\t")
+    cells = _nonzero_of_blocks(count_rows, len(taxa), "\t")
     if cells is None:
         grid = [row.split("\t") for row in count_rows]
         counts = _scan_counts(grid, taxa, first_row=2)
@@ -570,17 +534,22 @@ def _read_declined_table(header: list[str], body: list[str]) -> AbundanceTable:
     return AbundanceTable._from_cells(tuple(sample_ids[:n_ok]), tuple(taxa), *cells)
 
 
-def _split_lines(text: str) -> Iterator[str]:
-    """The lines of ``text.split("\\n")``, one at a time, without a final empty one."""
+def _split_lines(data: bytes) -> Iterator[bytes]:
+    """The lines of ``data.split(b"\\n")``, one at a time, without a final empty one."""
     start = 0
-    while (end := text.find("\n", start)) >= 0:
-        yield text[start:end]
+    while (end := data.find(b"\n", start)) >= 0:
+        yield data[start:end]
         start = end + 1
-    if start < len(text):
-        yield text[start:]
+    if start < len(data):
+        yield data[start:]
 
 
-def parse_abundance_table(text: str) -> AbundanceTable:
+def _utf8(data: bytes) -> str:
+    # "surrogatepass" gives back any str that was encoded with it
+    return data.decode("utf-8", "surrogatepass")
+
+
+def parse_abundance_table(text: str | bytes) -> AbundanceTable:
     """Parse a TSV abundance table: taxa across the top, samples as rows.
 
     The header may either list only the taxon identifiers or carry a
@@ -588,30 +557,42 @@ def parse_abundance_table(text: str) -> AbundanceTable:
     accepted. Counts must be nonnegative integers that fit in int64, and
     so must their total. Only the nonzero cells are kept (see
     ``AbundanceTable``), and the rows are read one block at a time.
+
+    ``text`` may also be a file's bytes, read as ``Path.read_text`` reads
+    UTF-8: bytes that are not UTF-8 raise its ``UnicodeDecodeError``, and
+    each CRLF or bare CR is a LF. A str is parsed as its UTF-8 bytes, so
+    a file's bytes need never be held as a str as well.
     """
-    text = _lf(text)
-    lines = _split_lines(text)
+    if isinstance(text, str):
+        data = text.encode("utf-8", "surrogatepass")
+    else:
+        if not text.isascii():
+            text.decode("utf-8")  # raises where the file is not UTF-8
+        data = text
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    lines = _split_lines(data)
     head, first = next(lines, None), next(lines, None)
-    if head is None or (head == "" and first is None):
+    if head is None or (head == b"" and first is None):
         raise MalformedHeader("empty input")
-    header = head.split("\t")
+    header = _utf8(head).split("\t")
     if first is None:
         raise MalformedHeader("no sample rows present")
 
     # the first row's width picks the layout; a converted table proves
     # that every row has that width, so no other row's tabs are counted
-    taxa = header if first.count("\t") == len(header) else header[1:]
+    taxa = header if first.count(b"\t") == len(header) else header[1:]
     sample_ids: list[str] = []
 
-    def count_rows() -> Iterator[str]:
+    def count_rows() -> Iterator[bytes]:
         for line in itertools.chain([first], lines):
-            sid, _, rest = line.partition("\t")
-            sample_ids.append(sid.strip())
+            sid, _, rest = line.partition(b"\t")
+            sample_ids.append(_utf8(sid).strip())
             yield rest
 
-    cells = _nonzero_cells(count_rows(), len(taxa), "\t") if taxa else None
+    cells = _nonzero_of_blocks(count_rows(), len(taxa), "\t") if taxa else None
     if cells is None:
-        body = text.split("\n")
+        body = _utf8(data).split("\n")
         if body[-1] == "":
             body.pop()
         return _read_declined_table(header, body[1:])

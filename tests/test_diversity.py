@@ -251,11 +251,16 @@ def test_parse_and_accumulate_memory_grows_with_the_nonzero_cells():
             row[j] = str(rng.integers(1, 1000))
         lines.append(f"s{i}\t" + "\t".join(row))
     text = "\n".join(lines) + "\n"
+    data = text.encode()
     del lines
     tracemalloc.start()
     try:
         table = parse_abundance_table(text)
         parse_peak = tracemalloc.get_traced_memory()[1]
+        del table
+        tracemalloc.reset_peak()
+        table = parse_abundance_table(data)  # as `tplec dar` reads a file
+        bytes_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         accumulate(table, np.arange(n_samples), 1.0)
         accumulate_peak = tracemalloc.get_traced_memory()[1]
@@ -263,4 +268,5 @@ def test_parse_and_accumulate_memory_grows_with_the_nonzero_cells():
         tracemalloc.stop()
     assert table.values.size == n_samples * 40
     assert parse_peak < 100e6
+    assert bytes_peak < 10e6
     assert accumulate_peak < 10e6

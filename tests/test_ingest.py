@@ -25,11 +25,12 @@ from tplec.errors import (
     MalformedHeader,
     RaggedRow,
     ReservedRegion,
+    TplecError,
     UnmappedCountry,
     UnparseableCount,
     UnparseableDate,
 )
-from tplec.ingest import _digit_block, _nonzero_cells
+from tplec.ingest import _digit_block, _nonzero_of_blocks
 
 INT64_MAX = 2**63 - 1
 
@@ -288,6 +289,44 @@ class TestParseAbundanceTable:
     def test_negative_count(self):
         with pytest.raises(UnparseableCount):
             parse_abundance_table("sample_id\tt1\tt2\ns1\t1\t-2\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            ABUNDANCE_TSV,
+            ABUNDANCE_TSV.replace("\n", "\r\n"),
+            ABUNDANCE_TSV.replace("\n", "\r"),
+            "\ufeffsample_id\tt\u00e9\ns\u00e9\t3\n",  # a byte-order mark, UTF-8 labels
+            "c\tA\tB\ns1\t\u0663\t1\ns1\t1\t2\n",  # a non-ASCII digit
+            "c\tA\tB\ns1\t1\t2\ns2\t1\n",
+        ],
+        ids=["lf", "crlf", "cr", "utf8_labels", "utf8_count", "ragged"],
+    )
+    def test_bytes_are_read_as_read_text_reads_them(self, text, tmp_path):
+        def outcome(source):
+            try:
+                table = parse_abundance_table(source)
+            except TplecError as exc:
+                return type(exc), str(exc)
+            return table.sample_ids, table.taxon_ids, table.counts.tolist()
+
+        path = tmp_path / "table.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(path.read_bytes()) == outcome(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"sample_id\tt1\ns1\t3\ns\xe92\t1\n", b"c\tA\tB\ns1\t1\n\xff\t1\t2\r\n"],
+        ids=["bad_label", "after_a_ragged_row"],
+    )
+    def test_bytes_that_are_not_utf8_raise_as_read_text_does(self, data, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as expected:
+            path.read_text(encoding="utf-8")
+        with pytest.raises(UnicodeDecodeError) as got:
+            parse_abundance_table(data)
+        assert str(got.value) == str(expected.value)
 
     def test_round_trip_preserves_order(self):
         table = parse_abundance_table(ABUNDANCE_TSV)
@@ -589,7 +628,7 @@ def test_converter_matches_numpy_int_oracle(shape, max_digits):
             parse_abundance_table(tsv)
     rows = ["\t".join(r) for r in grid]
     fast = _digit_block(iter(rows), *shape, "\t")
-    sparse = _nonzero_cells(rows, shape[1], "\t")
+    sparse = _nonzero_of_blocks(rows, shape[1], "\t")
     if max(len(c) for r in grid for c in r) <= 18:
         assert np.array_equal(fast, oracle)
         cells = np.flatnonzero(oracle)

@@ -1,7 +1,7 @@
 """Property checks: baseline invariance of ``couple``, the kernel against its
 oracle, the JHU record reader against ``csv.reader``, the header-date
-reader against ``datetime.strptime``, and the count converters against
-``int()``."""
+reader against ``datetime.strptime``, and the count converter, dense and
+sparse, against ``int()``."""
 
 import csv
 import io
@@ -14,7 +14,13 @@ from hypothesis.extra.numpy import arrays
 
 from tplec import PlecModel, couple, ingest, plec_eval
 from tplec.errors import MalformedCsv, TplecError, UnparseableDate
-from tplec.ingest import _cells, _digit_block, _header_date, _jhu_records, _nonzero_cells
+from tplec.ingest import (
+    _cells,
+    _digit_block,
+    _header_date,
+    _jhu_records,
+    _nonzero_of_blocks,
+)
 
 from test_kernels import argsort_curves, kernel_curves
 
@@ -168,32 +174,18 @@ def _plain(cell):
     sep=st.sampled_from([",", "\t"]),
     block=st.sampled_from([1, 5, 1 << 14]),  # cells per converter block
 )
-def test_converter_reads_int_of_every_cell_or_declines(grid, sep, block):
-    n_cols, rows = grid
-    with patch.object(ingest, "_BLOCK_CELLS", block):
-        counts = _digit_block([sep.join(row) for row in rows], len(rows), n_cols, sep)
-    plain = all(len(row) == n_cols and all(map(_plain, row)) for row in rows)
-    assert (counts is not None) == plain
-    if counts is not None:
-        assert counts.tolist() == [[int(cell) for cell in row] for row in rows]
-
-
-@PROPERTY
-@given(
-    grid=_count_rows(),
-    sep=st.sampled_from([",", "\t"]),
-    block=st.sampled_from([1, 5, 1 << 14]),  # cells per converter block
-)
 @example(grid=(3, [["0", "00", "007"], ["0" * 18, "0", "010"]]), sep="\t", block=5)
 @example(grid=(2, [["0", "0"], ["0", "0"]]), sep=",", block=1)
-def test_sparse_reader_keeps_the_nonzero_cells_or_declines(grid, sep, block):
+def test_converter_reads_int_of_every_cell_or_declines(grid, sep, block):
     n_cols, rows = grid
     texts = [sep.join(row) for row in rows]
     with patch.object(ingest, "_BLOCK_CELLS", block):
-        dense = _digit_block(texts, len(rows), n_cols, sep)
-        sparse = _nonzero_cells(texts, n_cols, sep)
-    assert (sparse is None) == (dense is None)
-    if sparse is not None:
+        counts = _digit_block(texts, len(rows), n_cols, sep)
+        sparse = _nonzero_of_blocks(texts, n_cols, sep)
+    plain = all(len(row) == n_cols and all(map(_plain, row)) for row in rows)
+    assert (counts is not None) == plain and (sparse is not None) == plain
+    if plain:
+        assert counts.tolist() == [[int(cell) for cell in row] for row in rows]
         nonzero = [
             (i * n_cols + j, int(cell))
             for i, row in enumerate(rows)
