@@ -20,15 +20,13 @@ from .coupling import CoupledPrediction, date_to_day_index, run_dar_pipeline, ru
 from .diversity import resample_accumulation
 from .errors import InvalidArgument, NonPositiveValue, StageError, TplecError, stage
 from .ingest import parse_abundance_table, parse_continent_map, parse_jhu_deaths
-from . import reporting
+from . import ingest, reporting
 
 
-def _read_text(path: str, op: str, *, undecoded: bool = False) -> str | bytes:
-    """The UTF-8 text of the file at ``path``, or its bytes if ``undecoded``."""
+def _read_text(path: str, op: str) -> bytes:
+    """The bytes of the file at ``path``, which its reader checks and decodes."""
     try:
-        if undecoded:
-            return Path(path).read_bytes()
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise StageError(f"{op}: cannot read {path}: {exc}") from exc
 
@@ -105,9 +103,8 @@ def cmd_dar(args) -> int:
     stage("cmd_dar", _check_positive, "horizon", args.horizon)
     if args.format == "obj" and args.horizon is not None:
         raise StageError("cmd_dar: --horizon cannot be used with --format obj")
-    # the parser decodes the bytes itself, so they are never held as a str
-    # as well; they are freed once parsed, so the kernel can reuse their memory
-    table_text = _read_text(args.abundance, "parse_abundance_table", undecoded=True)
+    # freed once parsed, so the kernel can reuse their memory
+    table_text = _read_text(args.abundance, "parse_abundance_table")
     table = stage("parse_abundance_table", parse_abundance_table, table_text)
     del table_text
     curve = stage(
@@ -154,8 +151,9 @@ def cmd_dar(args) -> int:
 
 def _read_report_unit(path: str, unit: str) -> CoupledPrediction:
     """The result recorded for one unit of an ``ftr`` or ``dar`` obj report."""
+    text = stage("cmd_curve", ingest.decode_utf8, _read_text(path, "cmd_curve"))
     try:
-        document = json.loads(_read_text(path, "cmd_curve"))
+        document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StageError(f"cmd_curve: {path} is not JSON: {exc}") from exc
     units = document.get("units") if isinstance(document, dict) else None

@@ -18,9 +18,31 @@ from .errors import (
     InvalidArgument,
     InvalidPermutation,
     NegativeCount,
+    NonFiniteValue,
 )
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _int64_array(counts) -> np.ndarray:
+    """``counts`` as an int64 array, which is ``counts`` itself if it is one.
+
+    A cell that the conversion would change (1.5, 2**63) or cannot make
+    (NaN, None) raises ``InvalidArgument``.
+    """
+    try:
+        array = np.asarray(counts)
+        if array.dtype == np.int64:
+            return array
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
+            converted = array.astype(np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgument(f"counts cannot be read as int64: {exc}") from None
+    if not np.array_equal(converted, array):
+        raise InvalidArgument(
+            f"counts must be integers in the int64 range; a {array.dtype} cell is not"
+        )
+    return converted
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -35,10 +57,10 @@ class AbundanceTable:
     demand.
 
     ``AbundanceTable(sample_ids, taxon_ids, counts)`` takes that dense
-    matrix, or any integer array or nested sequence of its shape, of
-    nonnegative counts. Every sample needs a positive count, and all the
-    counts together must fit in int64, which bounds every sum the kernel
-    forms.
+    matrix, or any array or nested sequence of its shape whose cells are
+    nonnegative integers in the int64 range. Every sample needs a
+    positive count, and all the counts together must fit in int64, which
+    bounds every sum the kernel forms.
     """
 
     sample_ids: tuple[str, ...]
@@ -49,7 +71,7 @@ class AbundanceTable:
     sample_totals: np.ndarray
 
     def __init__(self, sample_ids, taxon_ids, counts):
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = _int64_array(counts)
         if counts.shape != (len(sample_ids), len(taxon_ids)):
             raise InvalidArgument(
                 f"counts shape {counts.shape} does not match "
@@ -167,6 +189,8 @@ def hill_number(counts, q: float) -> float:
     arr = np.asarray(counts, dtype=np.float64)
     if arr.ndim != 1:
         raise InvalidArgument("counts must be one-dimensional")
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue("counts must be finite")
     if np.any(arr < 0):
         raise NegativeCount("counts must be nonnegative")
     if not np.any(arr > 0):

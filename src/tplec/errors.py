@@ -61,6 +61,10 @@ class MalformedHeader(TplecError):
     """Input file header does not match the expected layout."""
 
 
+class NotUtf8(TplecError):
+    """Input bytes are not UTF-8."""
+
+
 class MalformedCsv(TplecError):
     """A CSV record the csv module cannot read (a field over its size limit)."""
 

@@ -5,29 +5,28 @@ Cumulative-fatality time series arrive in the public JHU CSV layout
 per day). Abundance tables arrive as TSV with taxa across the top and
 one sample per row. Continent assignments come from a two-column CSV.
 
-Each parser takes a ``str`` and reads a CRLF or a bare CR as LF, as
-``Path.read_text`` does; the abundance parser also takes a file's UTF-8
-bytes, and reads a str as its bytes. A deaths-file line with no quote is split with
-``str.split``, a body line at its first four commas only, so that its
-date cells reach the converter below, uncounted, as the one string they
-already are. ``csv`` reads every other line, with the further lines a
-quoted cell spans, and the whole continent map; a record it cannot read
-raises ``MalformedCsv`` naming the row. Header dates are read with
-``int()``, as the ``datetime`` format ``%m/%d/%y`` reads them.
+Every file is read as its bytes, and a library caller's ``str`` as its
+UTF-8 bytes. One check where the input enters raises ``NotUtf8`` for
+bytes that are not UTF-8, and turns each CRLF and bare CR into LF. A
+deaths-file line with no quote is split at its first four commas only,
+so that its date cells reach the converter below, uncounted, as the one
+bytes string they already are. ``csv`` reads every other line, decoded,
+with the further lines a quoted cell spans, and the whole continent map;
+a record it cannot read raises ``MalformedCsv`` naming the row. Header
+dates are read with ``int()``, as ``datetime``'s ``%m/%d/%y`` reads them.
 
-Both parsers hand their count rows, as text, to one byte-level
-converter, ``_digit_blocks``. It takes a fixed number of cells at a time
-and reads them with one whole-array update per digit place, after
-checking that they encode as ASCII, that each row has the expected
-number of separators and ends in its newline, and that every cell is 1
-to 18 digits, so that no count overflows int64. A deaths file keeps
-every cell, in a dense matrix; an abundance table keeps only each
-block's nonzero cells. A row the converter reads thus has the expected
-width; rows are counted only when it declines, and an abundance table's
-layout is first taken from its first row. Then every cell before the
-first ragged row is parsed with ``int()``, which also takes a sign,
-spaces or non-ASCII digits, and the first bad cell in row-major order is
-reported, by row and column, before a ragged row.
+Both parsers hand their count rows to one converter, ``_digit_blocks``,
+which reads a fixed number of cells at a time with one whole-array
+update per digit place, after checking that they are ASCII, that each
+row has the expected number of separators and ends in its newline, and
+that every cell is 1 to 18 digits, so that no count overflows int64. A deaths file keeps every cell, in a dense matrix; an
+abundance table keeps only each block's nonzero cells. A row the
+converter reads thus has the expected width; rows are counted only when
+it declines, and an abundance table's layout is first taken from its
+first row. Then every cell before the first ragged row is parsed with
+``int()``, which also takes a sign, spaces or non-ASCII digits, and the
+first bad cell in row-major order is reported, by row and column, before
+a ragged row.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .diversity import AbundanceTable
+from .diversity import AbundanceTable, _int64_array
 from .errors import (
     CountOverflow,
     DateOutOfRange,
@@ -51,6 +50,7 @@ from .errors import (
     InvalidArgument,
     MalformedCsv,
     MalformedHeader,
+    NotUtf8,
     RaggedRow,
     ReservedRegion,
     UnmappedCountry,
@@ -79,9 +79,10 @@ class DeathsTable:
 
     ``counts`` is a read-only regions x dates int64 matrix of
     nonnegative counts, with at least one date. A read-only int64 array
-    is kept as it is; any other integer array or sequence is converted
-    and frozen as a copy. ``len(table)`` and ``table[i]`` view the table
-    as its rows, which is how perfbench's tracer counts parsed cells.
+    is kept as it is; any other array or sequence of integers in the
+    int64 range is converted and frozen as a copy. ``len(table)`` and
+    ``table[i]`` view the table as its rows, which is how perfbench's
+    tracer counts parsed cells.
     """
 
     regions: tuple[str, ...]
@@ -89,7 +90,7 @@ class DeathsTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = _int64_array(self.counts)
         if not self.dates:
             raise InvalidArgument("a deaths table needs at least one date")
         if counts.shape != (len(self.regions), len(self.dates)):
@@ -118,13 +119,43 @@ class DeathsTable:
         return DeathsRow(self.regions[row], self.counts[row])
 
 
-def _lf(text: str) -> str:
-    """``text`` with each CRLF and each bare CR turned into LF."""
-    if "\r" in text:
-        # drop a CR before a LF, turn any other into one: a third of replace()'s time
-        head, *tail = text.split("\r")
-        text = "".join([head, *(p if p[:1] == "\n" else "\n" + p for p in tail)])
-    return text
+def _input_bytes(text: str | bytes) -> bytes:
+    """A file's bytes, or a str as its UTF-8 bytes, each CRLF and bare CR a LF.
+
+    Bytes that are not UTF-8 raise ``NotUtf8`` naming the first bad byte's
+    offset. A str is encoded with "surrogatepass", which ``_utf8`` undoes.
+    """
+    if isinstance(text, str):
+        data = text.encode("utf-8", "surrogatepass")
+    else:
+        data = text
+        if not data.isascii():
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise NotUtf8(f"byte {exc.start} is not UTF-8: {exc.reason}") from None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
+def _utf8(data: bytes) -> str:
+    return data.decode("utf-8", "surrogatepass")
+
+
+def decode_utf8(text: str | bytes) -> str:
+    """A file's bytes as the parsers read them: checked, each CRLF and bare CR a LF."""
+    return _utf8(_input_bytes(text))
+
+
+def _split_lines(data: bytes) -> Iterator[bytes]:
+    """The lines of ``data.split(b"\\n")``, one at a time, without a final empty one."""
+    start = 0
+    while (end := data.find(b"\n", start)) >= 0:
+        yield data[start:end]
+        start = end + 1
+    if start < len(data):
+        yield data[start:]
 
 
 def _csv_record(lines: Iterator[str], row: int) -> list[str] | None:
@@ -141,29 +172,35 @@ def _csv_record(lines: Iterator[str], row: int) -> list[str] | None:
         raise MalformedCsv(f"row {row}: {exc}") from None
 
 
-def _jhu_records(text: str) -> Iterator[tuple[list[str], str | list[str]]]:
-    """(leading cells, date cells) for each record of a JHU file.
+def _jhu_records(data: bytes) -> Iterator[tuple[list[str], bytes | list[str]]]:
+    """(leading cells, date cells) for each record of a JHU file's bytes.
 
     A line with no quote and five or more cells is split at its first four
-    commas only: its date cells stay one comma-joined string, uncounted,
-    the form ``_digit_block`` reads. ``csv`` reads every other line, with
-    the further lines a quoted cell spans, and gives its date cells as a
-    list, so a quoted "1,000" stays one cell; a blank line has no cells.
+    commas only: its date cells stay the comma-joined bytes ``_digit_block``
+    reads. ``csv`` reads every other line, decoded, with the further lines
+    a quoted cell spans, and gives its date cells as a list, so a quoted
+    "1,000" stays one cell; a blank line has no cells.
     """
-    # a str.find line generator iterates faster but cost ~2700 page faults per ftr call
-    lines = io.StringIO(_lf(text))
-    for row, line in enumerate(lines, start=1):
-        if '"' in line or line == "\n":
-            cells = _csv_record(itertools.chain([line], lines), row)
+    ended = data.count(b"\n")  # lines 1..ended end in "\n"; a last one may not
+    lines = enumerate(_split_lines(data), start=1)
+    for row, (number, line) in enumerate(lines, start=1):
+        if b'"' in line or not line:
+            # csv sees each line as the source ends it: '"' is not '"\n'
+            texts = (
+                _utf8(raw) + "\n" if n <= ended else _utf8(raw)
+                for n, raw in itertools.chain([(number, line)], lines)
+            )
+            cells = _csv_record(texts, row)
             yield cells[:4], cells[4:]
         else:
-            cells = line.rstrip("\n").split(",", 4)
-            yield (cells[:4], cells[4]) if len(cells) == 5 else (cells, [])
+            cells = line.split(b",", 4)
+            dates = cells.pop() if len(cells) == 5 else []
+            yield [_utf8(cell) for cell in cells], dates
 
 
-def _cells(record: tuple[list[str], str | list[str]]) -> list[str]:
+def _cells(record: tuple[list[str], bytes | list[str]]) -> list[str]:
     leading, dates = record
-    return leading + (dates.split(",") if isinstance(dates, str) else dates)
+    return leading + (_utf8(dates).split(",") if isinstance(dates, bytes) else dates)
 
 
 _MONTHS = {f"{m:{w}}": m for m in range(1, 13) for w in ("", "02")}
@@ -221,30 +258,24 @@ def _scan_counts(block, columns, first_row: int) -> np.ndarray:
 
 
 def _digit_blocks(
-    rows: Iterable[str] | Iterable[bytes], n_cols: int, sep: str
+    rows: Iterable[bytes], n_cols: int, sep: str
 ) -> Iterator[np.ndarray | None]:
     """Each block of ``rows``' cells as a flat int64 array, in row-major order.
 
-    Each row is one str, or UTF-8 bytes, of ``n_cols`` cells joined by
-    ``sep``. Rows are taken a block of about ``_BLOCK_CELLS`` cells at a
-    time (a wider row is a block of its own), so the scratch arrays stay
-    block-sized. Yields None, and stops, at the first block that holds a
-    cell other than 1 to ``_MAX_DIGITS`` ASCII digits or a row with the
-    wrong number of cells, so every block it yields proves its rows' width.
+    Each row is the bytes of ``n_cols`` cells joined by ``sep``. Rows are
+    taken a block of about ``_BLOCK_CELLS`` cells at a time (a wider row
+    is a block of its own), so the scratch arrays stay block-sized. Yields
+    None, and stops, at the first block that holds a cell other than 1 to
+    ``_MAX_DIGITS`` ASCII digits or a row with the wrong number of cells,
+    so every block it yields proves its rows' width.
     """
     rows = iter(rows)
     per_block = max(1, _BLOCK_CELLS // n_cols)
     while chunk := list(itertools.islice(rows, per_block)):
         k = len(chunk)
-        chunk.append(chunk[0][:0])  # every row, the last included, ends in "\n"
-        if isinstance(chunk[0], bytes):
-            joined = b"\n".join(chunk)  # a byte above 127 is no digit, so it declines
-        else:
-            try:
-                joined = "\n".join(chunk).encode("ascii")
-            except UnicodeEncodeError:
-                break
-        raw = np.frombuffer(joined, dtype=np.uint8)
+        chunk.append(b"")  # every row, the last included, ends in "\n"
+        # a byte above 127 is no digit, so a row that is not ASCII declines
+        raw = np.frombuffer(b"\n".join(chunk), dtype=np.uint8)
         digits = raw - ord("0")  # wraps: every other byte lands above 9
         ends = np.flatnonzero(digits > 9)
         if ends.size != k * n_cols:
@@ -279,7 +310,7 @@ def _digit_blocks(
 
 
 def _digit_block(
-    rows: Iterable[str], n_rows: int, n_cols: int, sep: str
+    rows: Iterable[bytes], n_rows: int, n_cols: int, sep: str
 ) -> np.ndarray | None:
     """The ``n_rows`` x ``n_cols`` int64 matrix of ``_digit_blocks``, or None."""
     counts = np.empty((n_rows, n_cols), dtype=np.int64)
@@ -294,7 +325,7 @@ def _digit_block(
 
 
 def _nonzero_of_blocks(
-    rows: Iterable[str] | Iterable[bytes], n_cols: int, sep: str
+    rows: Iterable[bytes], n_cols: int, sep: str
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Flat index and value of each nonzero cell ``_digit_blocks`` reads, or None.
 
@@ -314,14 +345,14 @@ def _nonzero_of_blocks(
     return np.concatenate(cells), np.concatenate(kept)
 
 
-def parse_jhu_deaths(text: str) -> DeathsTable:
+def parse_jhu_deaths(text: str | bytes) -> DeathsTable:
     """Parse a JHU-layout deaths CSV into a table with one row per source row.
 
     Province rows keep their country key so a later aggregation pass can
     sum them. Non-monotone cumulative counts (source data corrections)
     are kept as-is but flagged with a warning.
     """
-    records = list(_jhu_records(text))
+    records = list(_jhu_records(_input_bytes(text)))
     if not records:
         raise MalformedHeader("empty input")
     header = _cells(records[0])
@@ -339,7 +370,7 @@ def parse_jhu_deaths(text: str) -> DeathsTable:
 
     body = records[1:]
     n_ok, width = len(body), len(header)
-    joined = (d if isinstance(d, str) else ",".join(d) for _, d in body)
+    joined = (d if isinstance(d, bytes) else _input_bytes(",".join(d)) for _, d in body)
     counts = _digit_block(joined, n_ok, width - 4, ",")
     # the converter proves a split line's width, not a csv record's ("1,000")
     csv_ragged = any(isinstance(d, list) and len(c) + len(d) != width for c, d in body)
@@ -377,12 +408,12 @@ def serialize_jhu_deaths(table: DeathsTable) -> str:
     return out.getvalue()
 
 
-def parse_continent_map(text: str) -> dict[str, str]:
+def parse_continent_map(text: str | bytes) -> dict[str, str]:
     """Parse a ``country,continent`` CSV (header required) into a dict.
 
     Each country may appear once; a repeat raises ``DuplicateCountry``.
     """
-    lines = io.StringIO(_lf(text))
+    lines = io.StringIO(decode_utf8(text))
     rows: list[list[str]] = []
     while (record := _csv_record(lines, len(rows) + 1)) is not None:
         rows.append(record)
@@ -498,7 +529,7 @@ def _first_repeat(ids: Sequence[str]) -> int:
     return len(ids)
 
 
-def _read_declined_table(header: list[str], body: list[str]) -> AbundanceTable:
+def _read_declined_table(header: list[str], body: list[bytes]) -> AbundanceTable:
     """Read, row by row, a table the converter declined.
 
     Every row's fields are counted. The header lists taxa only if every
@@ -506,11 +537,11 @@ def _read_declined_table(header: list[str], body: list[str]) -> AbundanceTable:
     repeats a sample id is an error, raised after a bad count in an
     earlier row.
     """
-    widths = [line.count("\t") + 1 for line in body]
+    widths = [line.count(b"\t") + 1 for line in body]
     taxa = header if all(w == len(header) + 1 for w in widths) else header[1:]
     _check_taxa(taxa)
     n_ok = next((i for i, w in enumerate(widths) if w != len(taxa) + 1), len(body))
-    sample_ids = [line.split("\t", 1)[0].strip() for line in body[:n_ok]]
+    sample_ids = [_utf8(line.split(b"\t", 1)[0]).strip() for line in body[:n_ok]]
     n_unique = _first_repeat(sample_ids)
     error = None
     if n_unique < n_ok:
@@ -522,31 +553,16 @@ def _read_declined_table(header: list[str], body: list[str]) -> AbundanceTable:
             f"row {n_ok + 2} has {widths[n_ok]} fields, expected {len(taxa) + 1}"
         )
     n_ok = n_unique
-    count_rows = [line.split("\t", 1)[1] for line in body[:n_ok]]
+    count_rows = [line.split(b"\t", 1)[1] for line in body[:n_ok]]
     cells = _nonzero_of_blocks(count_rows, len(taxa), "\t")
     if cells is None:
-        grid = [row.split("\t") for row in count_rows]
+        grid = [_utf8(row).split("\t") for row in count_rows]
         counts = _scan_counts(grid, taxa, first_row=2)
     if error is not None:
         raise error
     if cells is None:
         return AbundanceTable(tuple(sample_ids[:n_ok]), tuple(taxa), counts)
     return AbundanceTable._from_cells(tuple(sample_ids[:n_ok]), tuple(taxa), *cells)
-
-
-def _split_lines(data: bytes) -> Iterator[bytes]:
-    """The lines of ``data.split(b"\\n")``, one at a time, without a final empty one."""
-    start = 0
-    while (end := data.find(b"\n", start)) >= 0:
-        yield data[start:end]
-        start = end + 1
-    if start < len(data):
-        yield data[start:]
-
-
-def _utf8(data: bytes) -> str:
-    # "surrogatepass" gives back any str that was encoded with it
-    return data.decode("utf-8", "surrogatepass")
 
 
 def parse_abundance_table(text: str | bytes) -> AbundanceTable:
@@ -557,20 +573,8 @@ def parse_abundance_table(text: str | bytes) -> AbundanceTable:
     accepted. Counts must be nonnegative integers that fit in int64, and
     so must their total. Only the nonzero cells are kept (see
     ``AbundanceTable``), and the rows are read one block at a time.
-
-    ``text`` may also be a file's bytes, read as ``Path.read_text`` reads
-    UTF-8: bytes that are not UTF-8 raise its ``UnicodeDecodeError``, and
-    each CRLF or bare CR is a LF. A str is parsed as its UTF-8 bytes, so
-    a file's bytes need never be held as a str as well.
     """
-    if isinstance(text, str):
-        data = text.encode("utf-8", "surrogatepass")
-    else:
-        if not text.isascii():
-            text.decode("utf-8")  # raises where the file is not UTF-8
-        data = text
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    data = _input_bytes(text)
     lines = _split_lines(data)
     head, first = next(lines, None), next(lines, None)
     if head is None or (head == b"" and first is None):
@@ -592,10 +596,7 @@ def parse_abundance_table(text: str | bytes) -> AbundanceTable:
 
     cells = _nonzero_of_blocks(count_rows(), len(taxa), "\t") if taxa else None
     if cells is None:
-        body = _utf8(data).split("\n")
-        if body[-1] == "":
-            body.pop()
-        return _read_declined_table(header, body[1:])
+        return _read_declined_table(header, list(_split_lines(data))[1:])
     _check_taxa(taxa)
     n_unique = _first_repeat(sample_ids)
     if n_unique < len(sample_ids):

@@ -843,6 +843,46 @@ def test_csv_field_over_the_limit_exits_2_with_one_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, stage",
+    [
+        ("ftr_deaths", "parse_jhu_deaths"),
+        ("ftr_continents", "parse_continent_map"),
+        ("dar", "parse_abundance_table"),
+        ("curve", "cmd_curve"),
+    ],
+)
+def test_input_that_is_not_utf8_exits_2_with_one_line(
+    command, stage, ftr_paths, dar_paths, tmp_path, capsys
+):
+    deaths, continents, _ = ftr_paths
+    report = tmp_path / "report.json"
+    report.write_bytes((GOLDEN / "ftr.json").read_bytes())
+    path = {
+        "ftr_deaths": deaths,
+        "ftr_continents": continents,
+        "dar": dar_paths[0],
+        "curve": report,
+    }[command]
+    data = path.read_bytes()
+    offset = data.index(b"\n") + 3  # a Latin-1 byte in the second line
+    path.write_bytes(data[:offset] + b"\xe9" + data[offset:])
+    out = tmp_path / "out.csv"
+    if command.startswith("ftr"):
+        status, out = run_ftr(ftr_paths, tmp_path)
+    elif command == "dar":
+        status = run_dar(path, out)
+    else:
+        argv = ["curve", "--report", str(report), "--unit", "Alphia"]
+        status = main(argv + ["--horizon", "3", "--out", str(out)])
+    assert status == 2
+    assert capsys.readouterr().err == (
+        f"error: {stage}: NotUtf8: byte {offset} is not UTF-8: "
+        "invalid continuation byte\n"
+    )
+    assert not out.exists()
+
+
 def test_repeated_country_in_continent_map_exits_2_with_one_line(
     ftr_paths, tmp_path, capsys
 ):

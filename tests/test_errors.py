@@ -48,11 +48,22 @@ DAY = (date(2021, 3, 1),)
         lambda: DeathsTable(("A", "B"), DAY, [(-3,), (1,)]),
         lambda: DeathsTable(("A",), DAY, [(1,), (2,)]),
         lambda: DeathsTable(("A",), (), np.zeros((1, 0), dtype=np.int64)),
+        # a cell that int64 conversion would change or cannot make
+        lambda: AbundanceTable(("s",), ("a", "b"), [[1.5, 2]]),
+        lambda: AbundanceTable(("s",), ("a", "b"), [[math.nan, 1]]),
+        lambda: AbundanceTable(("s",), ("a", "b"), [[2**63, 1]]),
+        lambda: AbundanceTable(("s",), ("a", "b"), [[2**64, 1]]),
+        lambda: AbundanceTable(("s", "r"), ("a", "b"), [[1, 2], [3]]),
+        lambda: DeathsTable(("x",), DAY, [[2.7]]),
+        lambda: DeathsTable(("x",), DAY, np.array([[math.inf]])),
+        lambda: DeathsTable(("x",), DAY, [["3"]]),
     ],
     ids=[
         "day_index", "hill_q", "hill_ndim", "accumulate_q", "replicates", "seed",
         "resample_q", "table_shape", "x_not_increasing", "negative_region_count",
-        "deaths_table_shape", "deaths_table_no_dates",
+        "deaths_table_shape", "deaths_table_no_dates", "table_fraction", "table_nan",
+        "table_uint64", "table_beyond_uint64", "table_ragged", "deaths_table_fraction",
+        "deaths_table_inf", "deaths_table_text",
     ],
 )  # fmt: skip
 def test_bad_argument_raises_invalid_argument(call):
@@ -74,6 +85,25 @@ def test_bad_argument_raises_invalid_argument(call):
 def test_non_finite_diversity_order_raises_invalid_argument(call, q):
     with pytest.raises(InvalidArgument, match="q must be finite and >= 0"):
         call(q)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("q", [0.0, 1.0, 2.0])
+def test_non_finite_count_raises_non_finite_value(value, q):
+    with pytest.raises(NonFiniteValue, match="counts must be finite"):
+        hill_number([value, 1.0], q)
+
+
+@pytest.mark.parametrize("dtype", [None, np.uint64, np.float64, object])
+def test_integer_cells_of_any_dtype_are_read(dtype):
+    counts = [[3, 0], [1, 2**62]]
+    cells = counts if dtype is None else np.array(counts, dtype=dtype)
+    dates = DAY + (date(2021, 3, 2),)
+    for table in (
+        AbundanceTable(("s", "r"), ("a", "b"), cells),
+        DeathsTable(("s", "r"), dates, cells),
+    ):
+        assert table.counts.dtype == np.int64 and table.counts.tolist() == counts
 
 
 BAD = (math.nan, math.inf, -math.inf)
@@ -241,29 +271,72 @@ def test_import_guard_flags_unused_imports(source, unused):
     assert _unused_imports(source) == unused
 
 
-def _csv_reader_uses(source: str) -> list[str]:
-    """The functions (``<module>`` at top level) that use ``csv.reader``.
-
-    Counts the attribute ``csv.reader`` and ``from csv import reader``.
-    """
+def _functions_using(source: str, is_use) -> list[str]:
+    """The function (``<module>`` at top level) of each node ``is_use`` picks."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if (
-                isinstance(child, ast.Attribute)
-                and (child.attr, getattr(child.value, "id", None)) == ("reader", "csv")
-            ) or (
-                isinstance(child, ast.ImportFrom)
-                and child.module == "csv"
-                and any(alias.name == "reader" for alias in child.names)
-            ):
+            if is_use(child):
                 found.append(where)
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_function else where)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def _csv_reader_uses(source: str) -> list[str]:
+    """The functions that use ``csv.reader``.
+
+    Counts the attribute ``csv.reader`` and ``from csv import reader``.
+    """
+    return _functions_using(
+        source,
+        lambda node: (
+            isinstance(node, ast.Attribute)
+            and (node.attr, getattr(node.value, "id", None)) == ("reader", "csv")
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "csv"
+            and any(alias.name == "reader" for alias in node.names)
+        ),
+    )
+
+
+def _method_calls(source: str, name: str) -> list[str]:
+    """The functions that call a method ``name``, as in ``x.name(...)``."""
+    return _functions_using(
+        source,
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == name,
+    )
+
+
+def test_no_file_is_read_as_text():
+    # every input is read as bytes and decoded where it enters ingest
+    uses = {path.name: _method_calls(path.read_text(), "read_text") for path in SOURCES}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_ingest_decodes_input_in_one_place():
+    source = (Path(tplec.__file__).parent / "ingest.py").read_text()
+    assert sorted(_method_calls(source, "decode")) == ["_input_bytes", "_utf8"]
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("text = Path(p).read_text()\n", ["<module>"]),
+        ("def f(data):\n    return data.decode('utf-8')\n", ["f"]),
+        ("def f(p):\n    read_text = p.read_bytes()\n", []),
+    ],
+    ids=["module", "function", "not_a_call"],
+)
+def test_method_call_guard_finds_each_call(source, found):
+    assert _method_calls(source, "read_text") + _method_calls(source, "decode") == found
 
 
 def test_csv_is_read_in_one_place():

@@ -23,6 +23,7 @@ from tplec.errors import (
     DuplicateCountry,
     DuplicateSampleId,
     MalformedHeader,
+    NotUtf8,
     RaggedRow,
     ReservedRegion,
     TplecError,
@@ -256,6 +257,52 @@ ABUNDANCE_TSV = (
 )
 
 
+def _assert_bytes_read_as_text(parse, text, tmp_path):
+    """``parse`` gives the same result, or error, on a file's bytes as on
+    the str ``read_text`` reads from them."""
+
+    def outcome(source):
+        try:
+            return parse(source)
+        except TplecError as exc:
+            return type(exc), str(exc)
+
+    path = tmp_path / "input"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(path.read_bytes()) == outcome(path.read_text(encoding="utf-8"))
+
+
+HEAD_2 = "Province/State,Country/Region,Lat,Long,3/1/21,3/2/21\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_jhu_deaths, SMALL_CSV),
+        (parse_jhu_deaths, SMALL_CSV.replace("\n", "\r\n")),
+        (parse_jhu_deaths, SMALL_CSV.replace("\n", "\r")),
+        (parse_jhu_deaths, HEAD_2 + ",C\u00f4te,0,0,1,2\n,\u4e2d\u56fd,0,0,3,4"),
+        (parse_jhu_deaths, HEAD_2 + ',"Korea,\r\nSouth",0,0,1,2\r,"B",0,0,"3\r",4'),
+        (parse_jhu_deaths, HEAD_2 + ',A,0,0,1,2\n,"B,0,0,3,4'),  # a quote left open
+        (parse_jhu_deaths, HEAD_2 + ",A,0,0,1,\u0663\n"),  # a non-ASCII digit
+        (parse_continent_map, "country,continent\nA,K\nB,L\n"),
+        (parse_continent_map, "country,continent\r\nA,K\r\nB,L\r\n"),
+        (parse_continent_map, "country,continent\rA,K\rB,L"),
+        (parse_continent_map, "country,continent\nC\u00f4te d'Ivoire,\u00c1frica\n"),
+        (parse_continent_map, 'country,continent\n"A\r\nB",K\n"C",L\r'),
+    ],
+    ids=[
+        "deaths_lf", "deaths_crlf", "deaths_cr", "deaths_utf8_labels",
+        "deaths_quoted_lines", "deaths_open_quote", "deaths_utf8_count",
+        "map_lf", "map_crlf", "map_cr", "map_utf8_labels", "map_quoted_lines",
+    ],
+)
+def test_deaths_and_continent_bytes_are_read_as_read_text_reads_them(
+    parse, text, tmp_path
+):
+    _assert_bytes_read_as_text(parse, text, tmp_path)
+
+
 class TestParseAbundanceTable:
     def test_small_fixture(self):
         table = parse_abundance_table(ABUNDANCE_TSV)
@@ -303,16 +350,7 @@ class TestParseAbundanceTable:
         ids=["lf", "crlf", "cr", "utf8_labels", "utf8_count", "ragged"],
     )
     def test_bytes_are_read_as_read_text_reads_them(self, text, tmp_path):
-        def outcome(source):
-            try:
-                table = parse_abundance_table(source)
-            except TplecError as exc:
-                return type(exc), str(exc)
-            return table.sample_ids, table.taxon_ids, table.counts.tolist()
-
-        path = tmp_path / "table.tsv"
-        path.write_bytes(text.encode("utf-8"))
-        assert outcome(path.read_bytes()) == outcome(path.read_text(encoding="utf-8"))
+        _assert_bytes_read_as_text(parse_abundance_table, text, tmp_path)
 
     @pytest.mark.parametrize(
         "data",
@@ -320,13 +358,15 @@ class TestParseAbundanceTable:
         ids=["bad_label", "after_a_ragged_row"],
     )
     def test_bytes_that_are_not_utf8_raise_as_read_text_does(self, data, tmp_path):
+        # the typed error names the byte that read_text names, before any other
         path = tmp_path / "table.tsv"
         path.write_bytes(data)
         with pytest.raises(UnicodeDecodeError) as expected:
             path.read_text(encoding="utf-8")
-        with pytest.raises(UnicodeDecodeError) as got:
+        with pytest.raises(NotUtf8) as got:
             parse_abundance_table(data)
-        assert str(got.value) == str(expected.value)
+        expect = f"byte {expected.value.start} is not UTF-8: {expected.value.reason}"
+        assert str(got.value) == expect
 
     def test_round_trip_preserves_order(self):
         table = parse_abundance_table(ABUNDANCE_TSV)
@@ -626,7 +666,7 @@ def test_converter_matches_numpy_int_oracle(shape, max_digits):
     else:  # a table's counts must total at most the int64 maximum
         with pytest.raises(CountOverflow):
             parse_abundance_table(tsv)
-    rows = ["\t".join(r) for r in grid]
+    rows = ["\t".join(r).encode("ascii") for r in grid]
     fast = _digit_block(iter(rows), *shape, "\t")
     sparse = _nonzero_of_blocks(rows, shape[1], "\t")
     if max(len(c) for r in grid for c in r) <= 18:
@@ -648,15 +688,16 @@ def test_converter_matches_numpy_int_oracle(shape, max_digits):
 def test_converter_zero_and_leading_zero_cells(grid, expect):
     jhu, _ = _as_jhu(grid)
     assert parse_jhu_deaths(jhu).counts.tolist() == expect
-    assert _digit_block([",".join(r) for r in grid], 2, 3, ",").tolist() == expect
+    rows = [",".join(r).encode("ascii") for r in grid]
+    assert _digit_block(rows, 2, 3, ",").tolist() == expect
 
 
 def test_converter_digit_limit():
     eighteen, nineteen = "9" * 18, "1" + "0" * 18
-    assert _digit_block([eighteen], 1, 1, "\t").tolist() == [[10**18 - 1]]
-    assert _digit_block([nineteen], 1, 1, "\t") is None
+    assert _digit_block([eighteen.encode()], 1, 1, "\t").tolist() == [[10**18 - 1]]
+    assert _digit_block([nineteen.encode()], 1, 1, "\t") is None
     top = str(2**63 - 1)
-    assert _digit_block([top], 1, 1, ",") is None
+    assert _digit_block([top.encode()], 1, 1, ",") is None
     jhu, _ = _as_jhu([[eighteen, nineteen, top]])
     expect = [10**18 - 1, 10**18, 2**63 - 1]
     assert parse_jhu_deaths(jhu).counts.tolist() == [expect]
@@ -665,12 +706,12 @@ def test_converter_digit_limit():
 @pytest.mark.parametrize(
     "rows, n_cols",
     [
-        (["1\t2", "3"], 2),  # a short row
-        (["1\t2\t3", "4\t5"], 2),  # a long row, same number of cells overall
-        (["1\t2", "3,4"], 2),  # the wrong separator
-        (["1\t", "3\t4"], 2),  # an empty cell
-        (["1\t2", " 3\t4"], 2),  # a space
-        (["1\t٣"], 2),  # a non-ASCII digit
+        ([b"1\t2", b"3"], 2),  # a short row
+        ([b"1\t2\t3", b"4\t5"], 2),  # a long row, same number of cells overall
+        ([b"1\t2", b"3,4"], 2),  # the wrong separator
+        ([b"1\t", b"3\t4"], 2),  # an empty cell
+        ([b"1\t2", b" 3\t4"], 2),  # a space
+        (["1\t٣".encode()], 2),  # a non-ASCII digit, as its UTF-8 bytes
     ],
 )
 def test_converter_declines_what_it_does_not_accept(rows, n_cols):

@@ -18,6 +18,7 @@ from tplec.ingest import (
     _cells,
     _digit_block,
     _header_date,
+    _input_bytes,
     _jhu_records,
     _nonzero_of_blocks,
 )
@@ -100,7 +101,7 @@ def _csv_records(text):
 def _split_records(text):
     records = []
     try:
-        for record in _jhu_records(text):
+        for record in _jhu_records(_input_bytes(text)):
             records.append(_cells(record))
     except MalformedCsv as exc:
         return records, str(exc)
@@ -178,7 +179,7 @@ def _plain(cell):
 @example(grid=(2, [["0", "0"], ["0", "0"]]), sep=",", block=1)
 def test_converter_reads_int_of_every_cell_or_declines(grid, sep, block):
     n_cols, rows = grid
-    texts = [sep.join(row) for row in rows]
+    texts = [sep.join(row).encode("utf-8") for row in rows]
     with patch.object(ingest, "_BLOCK_CELLS", block):
         counts = _digit_block(texts, len(rows), n_cols, sep)
         sparse = _nonzero_of_blocks(texts, n_cols, sep)
