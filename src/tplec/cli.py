@@ -103,10 +103,10 @@ def cmd_dar(args) -> int:
     stage("cmd_dar", _check_positive, "horizon", args.horizon)
     if args.format == "obj" and args.horizon is not None:
         raise StageError("cmd_dar: --horizon cannot be used with --format obj")
-    # freed once parsed, so the kernel can reuse their memory
-    table_text = _read_text(args.abundance, "parse_abundance_table")
-    table = stage("parse_abundance_table", parse_abundance_table, table_text)
-    del table_text
+    # the bytes are freed once parsed, so the kernel can reuse their memory
+    data = _read_text(args.abundance, "parse_abundance_table")
+    table = stage("parse_abundance_table", parse_abundance_table, data)
+    del data
     curve = stage(
         "resample_accumulation",
         resample_accumulation,
