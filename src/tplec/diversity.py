@@ -211,8 +211,11 @@ def accumulate(table: AbundanceTable, order, q: float) -> np.ndarray:
     k samples in ``order``.
     """
     _check_order(q)
-    perm = np.asarray(order, dtype=np.int64)
-    if perm.shape != (table.n_samples,) or not np.array_equal(
+    try:
+        perm = _int64_array(order)  # 0.5 or "a" is no sample index
+    except InvalidArgument:
+        perm = None
+    if perm is None or perm.shape != (table.n_samples,) or not np.array_equal(
         np.sort(perm), np.arange(table.n_samples)
     ):
         raise InvalidPermutation(

@@ -4,18 +4,21 @@ The cutoff factor eventually overwhelms the power-law growth, so the
 curve has an interior maximum whenever w > 0 and d < 0. Fitting is
 damped Gauss-Newton least squares on raw-scale residuals with an
 analytic Jacobian and the taper parameter projected onto d <= D_CEILING
-after every step.
+after every step. It starts from the better, by raw-scale SSR, of two
+log-scale least-squares fits: the plain power law, and the model's own
+log form ln y = ln c + w*ln x + d*x, which is linear in (ln c, w, d).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidArgument, NonPositiveValue, SingularNormalEquations
-from .regression import _finite, _ols_loglog, _validated_xy
+from .regression import _finite, _validated_xy
 
 MAX_ITERATIONS = 200
 RESIDUAL_TOLERANCE = 1e-10
@@ -75,6 +78,12 @@ def plec_eval(model: PlecModel, x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
+def _jacobian(c: float, base: np.ndarray, ln_x: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Partials (d/dc, d/dw, d/dd) from ``base = x**w * exp(d*x)``, one row each."""
+    value = c * base
+    return np.array([base, value * ln_x, value * x])
+
+
 def plec_jacobian(model: PlecModel, x) -> np.ndarray:
     """Analytic partials (d/dc, d/dw, d/dd) at x > 0, one row per point.
 
@@ -85,74 +94,93 @@ def plec_jacobian(model: PlecModel, x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if np.any(arr <= 0.0):
         raise NonPositiveValue("evaluation points must be > 0")
-    base = arr**model.w * np.exp(model.d * arr)
-    value = model.c * base
-    return np.stack([base, value * np.log(arr), value * arr], axis=-1)
+    ln_x = np.log(arr)
+    return _jacobian(model.c, np.exp(model.w * ln_x + model.d * arr), ln_x, arr).T
 
 
+def _start(x: np.ndarray, y: np.ndarray, ln_x: np.ndarray) -> tuple[float, float, float]:
+    """The starting (c, w, d) of ``fit_plec``: the linearised fit when it is
+    finite and its raw-scale SSR is lower, so never worse than the power law."""
+    ln_y = np.log(y)
+    design = np.column_stack([np.ones_like(ln_x), ln_x, x])
+    (ln_c, w), *_ = np.linalg.lstsq(design[:, :2], ln_y, rcond=None)
+    power_law = (float(np.exp(ln_c)), float(w), min(-1.0 / (2.0 * float(x[-1])), D_CEILING))
+    (ln_c, w, d), *_ = np.linalg.lstsq(design, ln_y, rcond=None)
+    linearised = (float(np.exp(ln_c)), float(w), min(float(d), D_CEILING))
+    if not (all(map(math.isfinite, linearised)) and linearised[0] > 0):
+        return power_law
+    ssr = [_residual(y, c, w, d, ln_x, x)[2] for c, w, d in (power_law, linearised)]
+    return linearised if ssr[1] < ssr[0] else power_law
+
+
+def _residual(y, c, w, d, ln_x, x) -> tuple[np.ndarray, np.ndarray, float]:
+    """``base = x**w * exp(d*x)``, the residual ``y - c*base`` and its SSR."""
+    base = np.exp(w * ln_x + d * x)
+    resid = y - c * base
+    return base, resid, float(resid @ resid)
+
+
+def _solve(matrix: np.ndarray, rhs: np.ndarray) -> list[float] | None:
+    """The solution of ``matrix @ step = rhs``; None if singular or not finite."""
+    try:
+        step = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return step.tolist() if np.isfinite(step).all() else None
+
+
+# wild trial steps may overflow; a non-finite SSR is simply rejected
+@np.errstate(over="ignore", invalid="ignore")
 def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagnostics]:
     """Fit the cutoff curve to (x, y) points by damped Gauss-Newton.
 
-    Starts from the log-log OLS estimate of (c, w) with d = -1/(2*x_max),
-    then iterates Levenberg-style steps: the damping factor shrinks
-    after an accepted step and grows after a rejected one, and d is
-    clamped to D_CEILING after every step. Iteration stops when the
-    relative drop in the sum of squared residuals falls below
-    RESIDUAL_TOLERANCE or MAX_ITERATIONS is reached. Failure to
-    converge is reported through the diagnostics, not raised.
+    Starts from the better, by raw-scale SSR, of two log-scale fits: the
+    log-log OLS of (c, w) with d = -1/(2*x_max), and the OLS of the
+    model's log form ln y = ln c + w*ln x + d*x with d clamped to
+    D_CEILING (used only when it is finite). Then iterates
+    Levenberg-style steps: the damping factor shrinks after an accepted
+    step and grows after a rejected one, and d is clamped to D_CEILING
+    after every step. Iteration stops when the relative drop in the sum
+    of squared residuals falls below RESIDUAL_TOLERANCE or
+    MAX_ITERATIONS is reached. Failure to converge is reported through
+    the diagnostics, not raised.
     """
     x, y = _validated_xy(points, "points", 4)
     if np.any(np.diff(x) <= 0.0):
         raise InvalidArgument("x values must be strictly increasing")
 
-    w0, ln_c0, *_ = _ols_loglog(x, y)
-    c = float(np.exp(ln_c0))
-    w = w0
-    d = min(-1.0 / (2.0 * float(x[-1])), D_CEILING)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = y - _eval_arrays(c, w, d, x)
-    ssr = float(resid @ resid)
+    ln_x = np.log(x)
     sst = float(((y - y.mean()) ** 2).sum())
+    c, w, d = _start(x, y, ln_x)
+    base, resid, ssr = _residual(y, c, w, d, ln_x, x)
     lam = INITIAL_DAMPING
     converged = ssr == 0.0
     iterations = 0
 
     while not converged and iterations < MAX_ITERATIONS:
         iterations += 1
-        jac = plec_jacobian(PlecModel(c=c, w=w, d=d), x)
-        grad = jac.T @ resid
-        normal = jac.T @ jac
-        diag = np.diag(normal).copy()
-        floor = diag.max() if diag.max() > 0 else 1.0
-        scale = np.where(diag > 0, diag, floor)
+        jac = _jacobian(c, base, ln_x, x)
+        grad = jac @ resid
+        normal = jac @ jac.T
+        diag = normal.diagonal()
+        top = diag.max()
+        floor = top if top > 0 else 1.0
+        scale = np.diag(np.where(diag > 0, diag, floor))
 
         accepted = False
         while True:
-            damped = normal + lam * np.diag(scale)
-            try:
-                step = np.linalg.solve(damped, grad)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.all(np.isfinite(step)):
-                c_new = c + float(step[0])
-                w_new = w + float(step[1])
-                d_new = d + float(step[2])
+            damped = normal + lam * scale
+            step = _solve(damped, grad)
+            if step is not None:
+                c_new, w_new, d_new = c + step[0], w + step[1], d + step[2]
                 if d_new > D_CEILING:
                     # constraint active: hold d at the ceiling and re-solve
                     # the damped system for (c, w) alone, otherwise the
                     # projected step carries a stale d contribution
-                    try:
-                        reduced = np.linalg.solve(damped[:2, :2], grad[:2])
-                    except np.linalg.LinAlgError:
-                        reduced = None
-                    if reduced is None or not np.all(np.isfinite(reduced)):
-                        step = None
-                    else:
-                        c_new = c + float(reduced[0])
-                        w_new = w + float(reduced[1])
-                        d_new = D_CEILING
-            if step is None or not np.all(np.isfinite(step)):
+                    step = _solve(damped[:2, :2], grad[:2])
+                    if step is not None:
+                        c_new, w_new, d_new = c + step[0], w + step[1], D_CEILING
+            if step is None:
                 lam *= 10.0
                 if lam > _DAMPING_LIMIT:
                     raise SingularNormalEquations(
@@ -161,14 +189,10 @@ def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagn
                 continue
 
             if c_new > 0:
-                # wild trial steps may overflow; a non-finite SSR is simply
-                # rejected below
-                with np.errstate(over="ignore", invalid="ignore"):
-                    resid_new = y - _eval_arrays(c_new, w_new, d_new, x)
-                    ssr_new = float(resid_new @ resid_new)
+                base_new, resid_new, ssr_new = _residual(y, c_new, w_new, d_new, ln_x, x)
             else:
-                ssr_new = np.inf
-            if np.isfinite(ssr_new) and ssr_new < ssr:
+                ssr_new = math.inf
+            if math.isfinite(ssr_new) and ssr_new < ssr:
                 accepted = True
                 break
             lam *= 10.0
@@ -184,7 +208,7 @@ def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagn
 
         rel_drop = (ssr - ssr_new) / ssr if ssr > 0 else 0.0
         c, w, d = c_new, w_new, d_new
-        resid, ssr = resid_new, ssr_new
+        base, resid, ssr = base_new, resid_new, ssr_new
         lam = max(lam / 10.0, 1e-16)
         if rel_drop < RESIDUAL_TOLERANCE:
             converged = True

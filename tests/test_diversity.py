@@ -137,6 +137,19 @@ class TestAccumulate:
         with pytest.raises(InvalidPermutation):
             accumulate(THREE_SAMPLES, [0, 1], q=0)
 
+    def test_float_order_is_not_truncated(self):
+        with pytest.raises(InvalidPermutation):
+            accumulate(THREE_SAMPLES, [0.5, 1, 2], q=0)
+        # an integral float is read exactly
+        assert accumulate(THREE_SAMPLES, [2.0, 0.0, 1.0], q=0).tolist() == (
+            accumulate(THREE_SAMPLES, [2, 0, 1], q=0).tolist()
+        )
+
+    @pytest.mark.parametrize("order", [["a", "b", "c"], ["0", "1", "2"]])
+    def test_string_order_raises_invalid_permutation(self, order):
+        with pytest.raises(InvalidPermutation):
+            accumulate(THREE_SAMPLES, order, q=0)
+
 
 class TestResampleAccumulation:
     def test_deterministic_given_seed(self):

@@ -1,6 +1,8 @@
 """Tests for the exponential-cutoff curve: evaluation, partials, fitting."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,13 @@ from tplec import (
 from tplec.errors import InvalidArgument, NonPositiveValue, TooFewPoints
 from tplec.plec import D_CEILING
 from tplec.regression import _ols_loglog
+
+# the seeded noisy-series generator of benchmarks/noisy_fits.py
+_SPEC = importlib.util.spec_from_file_location(
+    "noisy_fits", Path(__file__).parents[1] / "benchmarks" / "noisy_fits.py"
+)
+noisy_fits = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(noisy_fits)
 
 # frozen from a 50-digit evaluation of c * x**w * exp(d*x)
 EVAL_ORACLE_VALUE = 18355.221386513164
@@ -186,6 +195,27 @@ class TestFitPlec:
             d0 = min(-1.0 / (2.0 * x[-1]), D_CEILING)
             resid0 = y - math.exp(ln_c0) * x**w0 * np.exp(d0 * x)
             assert diag.sum_squared_residuals <= float(resid0 @ resid0) + 1e-12
+
+    def test_interior_fits_of_noisy_series_are_stationary(self):
+        # first-order optimality, whatever the start: at a converged fit with
+        # the taper off its ceiling, the residual is orthogonal to every
+        # Jacobian column, up to the solver's stopping tolerance
+        rng = np.random.default_rng(4)
+        interior = 0
+        for _ in range(200):
+            points = noisy_fits.noisy_series(rng)
+            model, diag = fit_plec(points)
+            if not diag.converged or diag.constraint_active:
+                continue
+            interior += 1
+            x, y = np.array(points).T
+            jac = plec_jacobian(model, x)
+            resid = y - plec_eval(model, x)
+            cosine = np.abs(jac.T @ resid) / (
+                np.linalg.norm(jac, axis=0) * np.linalg.norm(resid)
+            )
+            assert cosine.max() <= 1e-5
+        assert interior >= 150
 
     def test_deterministic(self):
         x = np.arange(1.0, 61.0)

@@ -1,7 +1,7 @@
-"""Property checks: baseline invariance of ``couple``, the kernel against its
-oracle, the JHU record reader against ``csv.reader``, the header-date
-reader against ``datetime.strptime``, and the count converter, dense and
-sparse, against ``int()``."""
+"""Property checks: baseline invariance of ``couple``, ``fit_plec`` on noiseless
+curves, the kernel against its oracle, the JHU record reader against
+``csv.reader``, the header-date reader against ``datetime.strptime``, and the
+count converter, dense and sparse, against ``int()``."""
 
 import csv
 import io
@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tplec import PlecModel, couple, ingest, plec_eval
+from tplec import PlecModel, couple, fit_plec, ingest, plec_eval
 from tplec.errors import MalformedCsv, TplecError, UnparseableDate
 from tplec.ingest import (
     _cells,
@@ -63,6 +63,23 @@ def test_couple_is_invariant_under_a_baseline_shift(c, w, d, days, baseline, law
     )
     assert shifted.observed_series == tuple(baseline + v for v in f)
     assert shifted.n == plain.n == sum(v > 0 for v in f)
+
+
+@PROPERTY
+@given(
+    c=st.floats(0.1, 1e5),
+    w=st.floats(0.3, 2.5),
+    turn=st.floats(0.3, 3.0),  # the turning point -w/d, in spans
+    n=st.integers(15, 200),
+)
+def test_fit_plec_recovers_a_noiseless_curve(c, w, turn, n):
+    x = np.arange(1.0, n + 1.0)
+    true = PlecModel(c, w, -w / (turn * (n - 1)))
+    model, diagnostics = fit_plec(list(zip(x, plec_eval(true, x))))
+    assert diagnostics.converged and not diagnostics.constraint_active
+    np.testing.assert_allclose(
+        (model.c, model.w, model.d), (true.c, true.w, true.d), rtol=1e-8, atol=0
+    )
 
 
 @st.composite
