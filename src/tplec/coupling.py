@@ -194,8 +194,8 @@ def fit_cutoff(points):
 
 
 def couple(
-    observed: Sequence[float],
-    vm_pairs: Sequence[tuple[float, float]] | None,
+    observed: Sequence[float] | np.ndarray,
+    vm_pairs: Sequence[tuple[float, float]] | np.ndarray | None,
     n: int | None = None,
     horizons: Sequence[int] = (),
     baseline: float = 0,
@@ -203,20 +203,27 @@ def couple(
 ) -> CoupledPrediction:
     """Coupled prediction for one unit's observed series.
 
-    ``observed`` is the baseline-inclusive series from t = 1. The
-    scaling law is fitted to ``vm_pairs`` (none, and no band, when it is
-    None), then the cutoff curve to the points ``(t, v - baseline)``
-    with ``v > baseline``, and the baseline-inclusive maximal accrual
-    value is banded. When ``fit_cutoff`` finds no asymptote, the plain
-    power law is fitted instead and bands are attached at the day
-    indices ``horizons``. ``n`` defaults to the number of fitted points;
+    ``observed`` is the baseline-inclusive series from t = 1, a sequence
+    or a 1-d array; ``vm_pairs`` is a sequence of (mean, variance) pairs
+    or an (k, 2) array. The scaling law is fitted to ``vm_pairs`` (none,
+    and no band, when it is None), then the cutoff curve to the points
+    ``(t, v - baseline)`` with ``v > baseline``, and the
+    baseline-inclusive maximal accrual value is banded. An integer
+    series is compared and subtracted in int64, exactly beyond 2**53.
+    When ``fit_cutoff`` finds no asymptote, the plain power law is
+    fitted instead and bands are attached at the day indices
+    ``horizons``. ``n`` defaults to the number of fitted points;
     ``start_date`` is the date of t = 1 (None for an undated curve).
     """
+    values = np.asarray(observed)
+    if values.ndim != 1:
+        raise InvalidArgument(f"observed must be a 1-d series, got shape {values.shape}")
     # values at or below the baseline carry no log-scale information and
     # would poison the initial log-log estimate; day indices are preserved
-    points = [
-        (t, v - baseline) for t, v in enumerate(observed, start=1) if v > baseline
-    ]
+    keep = values > baseline
+    points = np.empty((np.count_nonzero(keep), 2))
+    points[:, 0] = np.flatnonzero(keep) + 1
+    points[:, 1] = values[keep] - baseline
     tpl = None if vm_pairs is None else fit_loglog(vm_pairs)
     n = n if n is not None else len(points)
     model, diagnostics, asymptote = fit_cutoff(points)
@@ -238,7 +245,7 @@ def couple(
         baseline=float(baseline),
         n=n,
         diagnostics=diagnostics,
-        observed_series=tuple(observed),
+        observed_series=tuple(values.tolist()),
         start_date=start_date,
         horizon_bands=horizon_bands,
     )
@@ -251,28 +258,36 @@ def run_dar_pipeline(curve, n: int | None = None) -> CoupledPrediction:
     dropping steps where either is zero (the final step always is), and
     only at ``curve.q`` = 0; at any other order there is no band.
     """
-    means = curve.mean_diversity.tolist()
+    means = curve.mean_diversity
     pairs = None
     if curve.q == 0:
-        variances = curve.variance_diversity.tolist()
-        pairs = [(m, v) for m, v in zip(means, variances) if m > 0 and v > 0]
+        variances = curve.variance_diversity
+        keep = (means > 0) & (variances > 0)
+        pairs = np.stack((means[keep], variances[keep]), axis=1)
     return couple(means, pairs, n)
 
 
-def _vm_pairs_for_unit(members: np.ndarray):
+def _vm_pairs_for_unit(members: np.ndarray) -> np.ndarray:
     """Per-day (mean, variance) of cumulative counts across member countries.
 
-    ``members`` is the members x days block of the window. Each day's
-    members are reduced as one contiguous row, which sums in the same
-    order as a reduction over that day's column alone, so the pairs are
-    the same to the last bit.
+    ``members`` is the members x days block of the window. Returns a
+    (k, 2) float64 array of the days where both are > 0, empty for fewer
+    than two members. One transposed float64 copy holds each day's
+    members as a contiguous row, in member order, and is reduced with
+    the operations of numpy's ``mean`` and ``var(ddof=1)``, the day sums
+    formed once; so the pairs are the same to the last bit as those of
+    that day's column alone.
     """
-    if members.shape[0] < 2:
-        return []
-    days = np.ascontiguousarray(members.T)
-    means = days.mean(axis=1).tolist()
-    variances = days.var(axis=1, ddof=1).tolist()
-    return [(m, v) for m, v in zip(means, variances) if m > 0.0 and v > 0.0]
+    m = members.shape[0]
+    if m < 2:
+        return np.empty((0, 2))
+    days = members.T.astype(np.float64, order="C")
+    means = days.sum(axis=1) / m
+    squares = days - means[:, None]
+    np.square(squares, out=squares)
+    variances = squares.sum(axis=1) / (m - 1)
+    keep = (means > 0.0) & (variances > 0.0)
+    return np.stack((means[keep], variances[keep]), axis=1)
 
 
 def run_ftr(
@@ -295,7 +310,7 @@ def run_ftr(
         "aggregate_regions", aggregate_regions, table, continent_map
     )
     window, baselines = stage("truncate_series", truncate_series, units, start, end)
-    rows = units.counts[:, window].tolist()
+    rows = units.counts[:, window]
     for unit, unit_members, observed, baseline in zip(
         units.regions, members, rows, baselines
     ):

@@ -439,22 +439,28 @@ def _group_rows(
 ) -> tuple[DeathsTable, list[list[int]]]:
     """Rows of ``table`` summed per key, keys sorted, and each key's rows.
 
-    ``keys[i]`` is the key of row i. Raises ``CountOverflow`` naming the
-    first key, in sorted order, whose total exceeds the int64 range.
+    ``keys[i]`` is the key of row i. Each key's total is one array sum
+    over its rows. Raises ``CountOverflow`` naming the first key, in
+    sorted order, whose total exceeds the int64 range; the totals are
+    summed exactly in Python ints only when the largest count times the
+    largest group might exceed it.
     """
     members: dict[str, list[int]] = {}
     for i, key in enumerate(keys):
         members.setdefault(key, []).append(i)
     names = tuple(sorted(members))
-    counts = np.zeros((len(names), len(table.dates)), dtype=np.int64)
-    for total, name in zip(counts, names):
-        for i in members[name]:
-            total += table.counts[i]
-            # two addends in [0, 2**63) wrap to a negative sum, never a positive one
-            if total.min() < 0:
+    groups = [members[name] for name in names]
+    src = table.counts
+    if groups and int(src.max()) > _INT64_MAX // max(map(len, groups)):
+        for name, rows in zip(names, groups):
+            if max(map(sum, zip(*src[rows].tolist()))) > _INT64_MAX:
                 raise CountOverflow(f"the total for {name!r} exceeds the int64 range")
+    counts = src[[rows[0] for rows in groups]]
+    for total, rows in zip(counts, groups):
+        if len(rows) > 1:
+            np.sum(src[rows], axis=0, out=total)
     counts.flags.writeable = False
-    return DeathsTable(names, table.dates, counts), [members[name] for name in names]
+    return DeathsTable(names, table.dates, counts), groups
 
 
 def aggregate_regions(
@@ -463,10 +469,12 @@ def aggregate_regions(
     """Units (each continent, then World), country totals, and unit members.
 
     Province rows are summed per country, countries per continent and
-    continents into World. Countries and continents come sorted by name;
-    an empty table has no units. Every country key must be mapped to a
-    continent other than World. ``members[i]`` selects the rows of unit
-    i's countries in the country table.
+    continents into World, each total by one int64 array sum; a total
+    beyond the int64 range raises ``CountOverflow``. Countries and
+    continents come sorted by name; an empty table has no units. Every
+    country key must be mapped to a continent other than World.
+    ``members[i]`` selects the rows of unit i's countries in the country
+    table.
     """
     for region in table.regions:
         if region not in continent_map:

@@ -15,7 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateX, NonFiniteValue, NonPositiveValue, TooFewPoints
+from .errors import (
+    DegenerateX,
+    InvalidArgument,
+    NonFiniteValue,
+    NonPositiveValue,
+    TooFewPoints,
+)
 
 
 @dataclass(frozen=True)
@@ -182,15 +188,27 @@ def _ols_loglog(x: np.ndarray, y: np.ndarray):
 
 
 def _validated_xy(pairs, what: str, minimum: int) -> tuple[np.ndarray, np.ndarray]:
-    """``pairs`` as x and y arrays: at least ``minimum``, all finite and > 0."""
-    if len(pairs) < minimum:
-        raise TooFewPoints(f"need at least {minimum} {what}, got {len(pairs)}")
-    x = np.asarray([p[0] for p in pairs], dtype=np.float64)
-    y = np.asarray([p[1] for p in pairs], dtype=np.float64)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    """``pairs`` as x and y arrays: at least ``minimum``, all finite and > 0.
+
+    ``pairs`` is a sequence of (x, y) pairs of numbers or an (n, 2)
+    array, read by one float64 conversion; any other shape raises
+    ``InvalidArgument``.
+    """
+    try:
+        xy = np.asarray(pairs, dtype=np.float64)
+    except (TypeError, ValueError):
+        xy = None
+    if xy is not None and xy.shape == (0,):
+        xy = xy.reshape(0, 2)  # an empty sequence has too few points
+    if xy is None or xy.ndim != 2 or xy.shape[1] != 2:
+        raise InvalidArgument(f"{what} must be (x, y) pairs of numbers")
+    if len(xy) < minimum:
+        raise TooFewPoints(f"need at least {minimum} {what}, got {len(xy)}")
+    if not np.isfinite(xy).all():
         raise NonFiniteValue(f"every value in {what} must be finite")
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
+    if np.any(xy <= 0.0):
         raise NonPositiveValue(f"every value in {what} must be > 0 to take logs")
+    x, y = np.ascontiguousarray(xy.T)
     return x, y
 
 
@@ -198,7 +216,7 @@ def fit_loglog(pairs: Sequence[tuple[float, float]]) -> TplFit:
     """Fit ln(V) = ln(a) + b*ln(M) to (mean, variance) pairs by OLS."""
     means, variances = _validated_xy(pairs, "variance-mean pairs", 3)
     b, ln_a, _, r_squared, _ = _ols_loglog(means, variances)
-    return TplFit(ln_a=ln_a, b=b, r_squared=r_squared, n_pairs=len(pairs))
+    return TplFit(ln_a=ln_a, b=b, r_squared=r_squared, n_pairs=len(means))
 
 
 def predict_variance(fit: TplFit, mean: float) -> float:

@@ -16,6 +16,7 @@ from tplec import (
     compute_asymptote,
     confidence_band,
     couple,
+    coupling,
     date_to_day_index,
     day_index_to_date,
     fit_plec,
@@ -259,6 +260,36 @@ class TestCouple:
         assert result.n == 60
         assert result.observed_series == tuple(observed)
         assert result.tpl is None and result.band is None
+
+    def test_integer_series_is_exact_beyond_2_53(self, monkeypatch):
+        # float64 cannot tell 2**60 + 1 from 2**60: the excess must be taken in integers
+        baseline = 2**60
+        observed = [baseline + t for t in range(1, 31)]
+        fitted = []
+
+        def recording_fit_plec(points):
+            fitted.append(np.array(points))
+            return fit_plec(points)
+
+        monkeypatch.setattr(coupling, "fit_plec", recording_fit_plec)
+        pairs = _tpl_pairs(0.5, 1.2)
+        from_list = couple(observed, pairs, horizons=(40,), baseline=baseline)
+        from_array = couple(
+            np.array(observed, dtype=np.int64), np.array(pairs), horizons=(40,),
+            baseline=baseline,
+        )
+        assert len(fitted) == 2
+        for points in fitted:
+            assert points.dtype == np.float64 and points.shape == (30, 2)
+            assert points[:, 0].tolist() == [float(t) for t in range(1, 31)]
+            assert points[:, 1].tolist() == [float(t) for t in range(1, 31)]
+        assert from_list.n == 30
+        assert from_list.observed_series == tuple(observed)
+        assert from_array == from_list
+
+    def test_observed_must_be_one_series(self):
+        with pytest.raises(InvalidArgument, match="1-d series"):
+            couple([[1, 2, 3, 4, 5]], None)
 
     def test_fallback_without_pairs_has_no_bands(self):
         observed = [

@@ -1,26 +1,30 @@
 """Property checks: baseline invariance of ``couple``, ``fit_plec`` on noiseless
 curves, the kernel against its oracle, the JHU record reader against
-``csv.reader``, the header-date reader against ``datetime.strptime``, and the
-count converter, dense and sparse, against ``int()``."""
+``csv.reader``, the header-date reader against ``datetime.strptime``, the
+count converter, dense and sparse, against ``int()``, and ``aggregate_regions``
+against exact per-key sums."""
 
 import csv
 import io
-from datetime import datetime
+from datetime import date, datetime, timedelta
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tplec import PlecModel, couple, fit_plec, ingest, plec_eval
-from tplec.errors import MalformedCsv, TplecError, UnparseableDate
+from tplec.errors import CountOverflow, MalformedCsv, TplecError, UnparseableDate
 from tplec.ingest import (
+    DeathsTable,
     _cells,
     _digit_block,
     _header_date,
     _input_bytes,
     _jhu_records,
     _nonzero_of_blocks,
+    aggregate_regions,
 )
 
 from test_kernels import argsort_curves, kernel_curves
@@ -211,3 +215,55 @@ def test_converter_reads_int_of_every_cell_or_declines(grid, sep, block):
             if int(cell)
         ]
         assert list(zip(sparse[0].tolist(), sparse[1].tolist())) == nonzero
+
+
+INT64_MAX = 2**63 - 1
+# near 2**62, two counts fit in int64 and three do not, so the bound on the
+# largest count times the largest group often fails and the exact sums run
+COUNT = st.integers(0, 1000) | st.integers(2**62 - 2**20, 2**62 + 2**20)
+
+
+@st.composite
+def _grouped_tables(draw):
+    """Row keys with repeats (province rows), a continent per country, and counts."""
+    n_rows, n_dates = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    regions = draw(st.lists(st.sampled_from("abcde"), min_size=n_rows, max_size=n_rows))
+    continent = st.sampled_from(["K", "L", "M"])
+    continent_map = {country: draw(continent) for country in sorted(set(regions))}
+    rows = [draw(st.lists(COUNT, min_size=n_dates, max_size=n_dates)) for _ in regions]
+    return regions, continent_map, rows
+
+
+def _exact_sums(rows, keys):
+    """Python-int totals per key, keys sorted."""
+    totals = {}
+    for key, row in zip(keys, rows):
+        totals[key] = [a + b for a, b in zip(totals.get(key, [0] * len(row)), row)]
+    return sorted(totals.items())
+
+
+@PROPERTY
+@given(table=_grouped_tables())
+@example(table=(["a", "a", "a"], {"a": "K"}, [[2**62 - 1], [1], [1]]))  # bound fails, fits
+@example(table=(["b", "a", "b", "a"], {"a": "K", "b": "K"}, [[2**62]] * 4))  # 'a' first
+@example(table=(["a", "b"], {"a": "K", "b": "K"}, [[2**62, 0], [2**62, 1]]))  # the continent
+@example(table=(["a", "b"], {"a": "K", "b": "L"}, [[0, 2**62], [1, 2**62]]))  # World
+def test_aggregate_regions_equals_exact_per_key_sums(table):
+    regions, continent_map, rows = table
+    dates = tuple(date(2021, 1, 1) + timedelta(days=i) for i in range(len(rows[0])))
+    deaths = DeathsTable(tuple(regions), dates, rows)
+    countries = _exact_sums(rows, regions)
+    continents = _exact_sums([r for _, r in countries], [continent_map[c] for c, _ in countries])
+    world = _exact_sums([r for _, r in continents], ["World"] * len(continents))
+    for name, total in countries + continents + world:  # the first level, then sorted
+        if max(total) > INT64_MAX:
+            with pytest.raises(CountOverflow, match=f"^the total for {name!r} exceeds"):
+                aggregate_regions(deaths, continent_map)
+            return
+    units, got_countries, members = aggregate_regions(deaths, continent_map)
+    assert list(zip(got_countries.regions, got_countries.counts.tolist())) == countries
+    assert list(zip(units.regions, units.counts.tolist())) == continents + world
+    names = got_countries.regions
+    assert [[names[i] for i in m] for m in members[:-1]] == [
+        [c for c in names if continent_map[c] == k] for k, _ in continents
+    ]

@@ -9,9 +9,10 @@ from tplec import (
     PlFit,
     fit_loglog,
     fit_pl_growth,
+    fit_plec,
     predict_variance,
 )
-from tplec.errors import DegenerateX, NonPositiveValue, TooFewPoints
+from tplec.errors import DegenerateX, InvalidArgument, NonPositiveValue, TooFewPoints
 from tplec.regression import _t_two_sided_p
 
 
@@ -268,3 +269,34 @@ class TestProperties:
             pl = fit_pl_growth(list(zip(x, y)))
             assert pl.exponent == tpl.b
             assert pl.ln_c == tpl.ln_a
+
+
+FITS_AND_WHAT = [
+    (fit_loglog, "variance-mean pairs"),
+    (fit_pl_growth, "series points"),
+    (fit_plec, "points"),
+]
+MALFORMED_POINTS = {
+    "three entries": [(1.0, 2.0, 9.0), (2.0, 3.0, 9.0), (3.0, 5.0, 9.0), (4.0, 7.0, 9.0)],
+    "ragged": [(1, 2), (2, 3), (3,)],
+    "flat": [1, 2, 3, 4],
+    "string cell": [(1, 2), (2, "three"), (3, 5), (4, 7)],
+}
+
+
+@pytest.mark.parametrize("shape", MALFORMED_POINTS)
+@pytest.mark.parametrize("fit, what", FITS_AND_WHAT)
+def test_malformed_points_raise_invalid_argument(fit, what, shape):
+    with pytest.raises(InvalidArgument, match=f"^{what} must be"):
+        fit(MALFORMED_POINTS[shape])
+
+
+@pytest.mark.parametrize("fit, what", FITS_AND_WHAT)
+def test_points_may_be_a_list_or_an_array(fit, what):
+    x = np.arange(1.0, 13.0)
+    points = list(zip(x.tolist(), (3.0 * x**1.2 * np.exp(-0.05 * x)).tolist()))
+    assert fit(np.array(points)) == fit(points)
+    with pytest.raises(TooFewPoints, match="got 0"):
+        fit([])
+    with pytest.raises(TooFewPoints, match="got 0"):
+        fit(np.empty((0, 2)))
