@@ -15,12 +15,46 @@ import math
 import sys
 from datetime import date
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .coupling import CoupledPrediction, date_to_day_index, run_dar_pipeline, run_ftr
-from .diversity import resample_accumulation
-from .errors import InvalidArgument, NonPositiveValue, StageError, TplecError, stage
-from .ingest import parse_abundance_table, parse_continent_map, parse_jhu_deaths
-from . import ingest, reporting
+from .errors import (
+    InvalidArgument,
+    NonPositiveValue,
+    StageError,
+    TplecError,
+    UnknownAttribute,
+    stage,
+)
+
+if TYPE_CHECKING:
+    from .coupling import CoupledPrediction
+
+
+def _bind_library() -> None:
+    """Bind the library names the commands call, keeping any already set.
+
+    They are bound on first use, not at import, so that ``--help`` and
+    the argument checks load neither numpy nor the library. A value set
+    on this module beforehand, such as a tracer's wrapper, stays the one
+    the commands call.
+    """
+    from . import ingest, reporting
+    from .coupling import date_to_day_index, run_dar_pipeline, run_ftr
+    from .diversity import resample_accumulation
+    from .ingest import parse_abundance_table, parse_continent_map, parse_jhu_deaths
+
+    for name, value in dict(locals()).items():
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    # a library name read before any command ran, as an outside tracer
+    # does to wrap it; dunders are what the import system probes for
+    if not (name.startswith("__") and name.endswith("__")):
+        _bind_library()
+        if name in globals():
+            return globals()[name]
+    raise UnknownAttribute(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _read_text(path: str, op: str) -> bytes:
@@ -56,12 +90,13 @@ def cmd_ftr(args) -> int:
     stage("cmd_ftr", _check_positive, "n", args.n)
     if args.start >= args.end:
         raise StageError("cmd_ftr: --start must precede --end")
+    if args.horizon and min(args.horizon) < args.start:
+        raise StageError("cmd_ftr: horizon dates must not precede --start")
+    _bind_library()
     if args.horizon:
         horizons = [date_to_day_index(args.start, d) for d in args.horizon]
     else:
         horizons = [date_to_day_index(args.start, args.end) + k for k in (30, 60, 90)]
-    if any(h < 1 for h in horizons):
-        raise StageError("cmd_ftr: horizon dates must not precede --start")
     deaths_text = _read_text(args.deaths, "parse_jhu_deaths")
     map_text = _read_text(args.continents, "parse_continent_map")
     table = stage("parse_jhu_deaths", parse_jhu_deaths, deaths_text)
@@ -103,6 +138,7 @@ def cmd_dar(args) -> int:
     stage("cmd_dar", _check_positive, "horizon", args.horizon)
     if args.format == "obj" and args.horizon is not None:
         raise StageError("cmd_dar: --horizon cannot be used with --format obj")
+    _bind_library()
     # the bytes are freed once parsed, so the kernel can reuse their memory
     data = _read_text(args.abundance, "parse_abundance_table")
     table = stage("parse_abundance_table", parse_abundance_table, data)
@@ -187,10 +223,12 @@ def cmd_curve(args) -> int:
                 raise StageError(f"cmd_curve: {flag} cannot be used with --report")
         if args.unit is None:
             raise StageError("cmd_curve: --unit is required with --report")
+        _bind_library()
         result = _read_report_unit(args.report, args.unit)
     else:
         if args.unit is not None:
             raise StageError("cmd_curve: --unit cannot be used with --params")
+        _bind_library()
         finite = reporting.finite_number
         try:
             c, w, d = (finite("--params", float(v)) for v in args.params.split(","))

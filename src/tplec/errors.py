@@ -25,6 +25,10 @@ class InvalidArgument(TplecError, ValueError):
     """An argument is outside its valid range (also a ``ValueError``)."""
 
 
+class UnknownAttribute(TplecError, AttributeError):
+    """A module has no attribute of that name (also an ``AttributeError``)."""
+
+
 class TooFewPoints(TplecError):
     """Fewer data points than the fit requires."""
 

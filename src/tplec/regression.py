@@ -190,12 +190,21 @@ def _ols_loglog(x: np.ndarray, y: np.ndarray):
 def _validated_xy(pairs, what: str, minimum: int) -> tuple[np.ndarray, np.ndarray]:
     """``pairs`` as x and y arrays: at least ``minimum``, all finite and > 0.
 
-    ``pairs`` is a sequence of (x, y) pairs of numbers or an (n, 2)
-    array, read by one float64 conversion; any other shape raises
-    ``InvalidArgument``.
+    ``pairs`` is a sequence of (x, y) pairs of real numbers or an (n, 2)
+    array, read by one float64 conversion; any other shape, and a text
+    or complex cell, which that conversion would parse or truncate,
+    raise ``InvalidArgument``. Only an object array (Python ints beyond
+    uint64) has its cells looked at one by one.
     """
     try:
-        xy = np.asarray(pairs, dtype=np.float64)
+        xy = np.asarray(pairs)
+        kind = xy.dtype.kind
+        if kind in "biuf" or (
+            kind == "O" and not any(isinstance(v, (str, bytes)) for v in xy.flat)
+        ):
+            xy = xy.astype(np.float64, copy=False)
+        else:
+            xy = None
     except (TypeError, ValueError):
         xy = None
     if xy is not None and xy.shape == (0,):

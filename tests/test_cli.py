@@ -1,18 +1,21 @@
 """End-to-end tests of the command-line surface on synthetic fixtures."""
 
 import csv
+import importlib
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import textwrap
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tplec
 from tplec import (
     AccumulationCurve,
     cli,
@@ -561,6 +564,114 @@ def test_importing_the_cli_loads_no_scipy():
     _run_python(
         "import tplec.cli, sys; "
         "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    )
+
+
+def _modules_imported(args, cwd):
+    """Exit status, imported modules and other stderr lines of ``python ARGS``.
+
+    ``-X importtime`` prints one line for every module the run imports.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env=env, cwd=cwd, capture_output=True, text=True,
+    )  # fmt: skip
+    imported, other = set(), []
+    for line in done.stderr.splitlines():
+        if not line.startswith("import time:"):
+            other.append(line)
+        elif "self [us]" not in line:
+            imported.add(line.rsplit("|", 1)[1].strip())
+    return done.returncode, imported, other
+
+
+@pytest.mark.parametrize(
+    "args, status, err",
+    [
+        (["-c", "import tplec"], 0, []),
+        (["-c", "import tplec.cli"], 0, []),
+        (["-m", "tplec", "--help"], 0, []),
+        (
+            ["-m", "tplec", "dar", "--abundance", "missing.tsv", "--replicates", "1"]
+            + ["--out", "report.csv"],
+            2,
+            ["error: cmd_dar: --replicates must be at least 2"],
+        ),
+    ],
+    ids=["import_tplec", "import_cli", "help", "argument_error"],
+)
+def test_help_and_argument_errors_load_no_numpy(args, status, err, tmp_path):
+    # numpy and the library took about 50 of the 81 ms that importing the CLI took
+    returncode, imported, other = _modules_imported(args, tmp_path)
+    assert (returncode, other) == (status, err)
+    assert "numpy" not in imported
+    assert {m for m in imported if m.split(".")[0] == "tplec"} <= {
+        "tplec", "tplec.cli", "tplec.errors", "tplec.__main__"
+    }  # fmt: skip
+
+
+def test_package_exports_resolve_to_their_defining_modules():
+    star = {}
+    exec("from tplec import *", star)
+    for name in tplec.__all__:
+        value = getattr(tplec, name)
+        assert star[name] is value
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    assert set(tplec.__all__) <= set(dir(tplec))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        tplec.no_such_name
+    from tplec import reporting
+
+    assert reporting is importlib.import_module("tplec.reporting")
+
+
+def test_outside_tracer_wraps_the_cli_before_the_first_call():
+    # perfbench/tracing.py patches names on tplec.cli right after the
+    # import, before any command has bound them
+    perfbench = str(Path(__file__).parents[1] / "perfbench")
+    not_on_the_cli = [
+        "aggregate_regions", "truncate_series", "_collapse_by_country",
+        "_vm_pairs_for_unit", "run_ftr_pipeline", "fit_cutoff", "fit_pl_growth",
+    ]  # fmt: skip
+    _run_python(
+        textwrap.dedent(
+            f"""
+            import sys
+            sys.path.insert(0, {perfbench!r})
+            import tplec.cli as cli, tracing
+            missing = tracing.Tracer().missing
+            assert missing == ["tplec.cli." + n for n in {not_on_the_cli!r}], missing
+            for module, name, *_ in tracing.PATCHES:
+                if module == "tplec.cli" and name not in {not_on_the_cli!r}:
+                    assert getattr(cli, name).__module__.startswith("tplec."), name
+            assert getattr(cli, "fit_cutoff", None) is None
+            """
+        )
+    )
+
+
+def test_a_value_set_on_the_cli_first_is_the_one_the_command_calls(
+    ftr_paths, tmp_path
+):
+    deaths, continents, fixture = ftr_paths
+    start, end = fixture["start"].isoformat(), fixture["end"].isoformat()
+    argv = ["ftr", "--deaths", str(deaths), "--continents", str(continents)]
+    argv += ["--start", start, "--end", end, "--out", str(tmp_path / "r.csv")]
+    _run_python(
+        textwrap.dedent(
+            f"""
+            import tplec.cli as cli
+            calls = []
+            def spy(data):
+                from tplec.ingest import parse_jhu_deaths
+                calls.append(len(data))
+                return parse_jhu_deaths(data)
+            cli.parse_jhu_deaths = spy
+            assert cli.main({argv!r}) == 0
+            assert len(calls) == 1 and cli.parse_jhu_deaths is spy
+            """
+        )
     )
 
 

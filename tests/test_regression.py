@@ -281,6 +281,10 @@ MALFORMED_POINTS = {
     "ragged": [(1, 2), (2, 3), (3,)],
     "flat": [1, 2, 3, 4],
     "string cell": [(1, 2), (2, "three"), (3, 5), (4, 7)],
+    "numeric text cells": [(1, "2"), (2, "4.5"), (3, "7"), (4, "9")],
+    "bytes cell": [(1, 2), (2, b"3"), (3, 5), (4, 7)],
+    "text beside a big int": [(1, 2**70), (2, "3"), (3, 5), (4, 7)],
+    "complex array": np.array([(1, 2), (2, 3 + 1j), (3, 5), (4, 7)]),
 }
 
 
@@ -300,3 +304,22 @@ def test_points_may_be_a_list_or_an_array(fit, what):
         fit([])
     with pytest.raises(TooFewPoints, match="got 0"):
         fit(np.empty((0, 2)))
+
+
+@pytest.mark.parametrize(
+    "dtype", [np.int16, np.int64, np.uint32, np.uint64, np.float32, np.longdouble, object]
+)
+@pytest.mark.parametrize("fit, what", FITS_AND_WHAT)
+def test_points_of_every_real_dtype_are_read(fit, what, dtype):
+    points = [(1, 3), (2, 9), (3, 14), (4, 18), (5, 20), (6, 21)]
+    assert fit(np.array(points, dtype=dtype)) == fit(np.array(points, dtype=float))
+
+
+@pytest.mark.parametrize("fit, what", FITS_AND_WHAT)
+def test_python_ints_beyond_int64_are_read(fit, what):
+    # numpy reads ints beyond int64 as float64, and beyond uint64 as objects
+    for base, step in ((2**63, 2**55), (2**70, 2**68)):
+        points = [(t, base + step * t**2) for t in range(1, 7)]
+        assert np.asarray(points).dtype.kind == ("f" if base < 2**64 else "O")
+        as_floats = [(float(t), float(y)) for t, y in points]
+        assert fit(points) == fit(as_floats)
