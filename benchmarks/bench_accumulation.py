@@ -5,9 +5,11 @@ The resampled accumulation curve is the package's hot loop. The kernel
 takes the table's taxon-major nonzero list, as ``AbundanceTable`` keeps
 it. The script first reports the median time of a call with zero
 replicates, which is the kernel's set-up alone. Then, for each order, it
-reports the median wall time of ``--repeats`` calls and checks a few
-steps of one replicate against ``hill_number`` of the pooled prefix. Run
-with defaults, or scale the problem:
+reports the median wall and CPU time of ``--repeats`` calls and checks a
+few steps of one replicate against ``hill_number`` of the pooled prefix.
+The kernel splits the replicates over one thread per usable CPU; the
+script prints that worker count, and CPU time above wall time is the
+split's cost. Run with defaults, or scale the problem:
 
     python benchmarks/bench_accumulation.py --samples 400 --taxa 4000 --replicates 50
 """
@@ -40,15 +42,17 @@ def build_problem(n_samples, n_taxa, replicates, density, seed=0):
     return counts, perms
 
 
-def median_time(table, perms, q, repeats):
-    times = []
+def median_times(table, perms, q, repeats):
+    """Median wall and CPU seconds of ``repeats`` kernel calls, and the last curves."""
+    walls, cpus = [], []
     for _ in range(repeats):
-        start = time.perf_counter()
+        wall, cpu = time.perf_counter(), time.process_time()
         curves = _kernels.accumulation_curves(
             table.values, perms, q, table.lengths, table.samples, table.sample_totals
         )
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), curves
+        walls.append(time.perf_counter() - wall)
+        cpus.append(time.process_time() - cpu)
+    return statistics.median(walls), statistics.median(cpus), curves
 
 
 def max_check_error(counts, perms, curves, q):
@@ -76,16 +80,19 @@ def main():
     print(
         f"problem: {args.samples} samples x {args.taxa} taxa, "
         f"{args.replicates} replicates, nnz={table.values.size}, "
-        f"median of {args.repeats}"
+        f"median of {args.repeats}, {_kernels._worker_count(args.replicates)} worker(s)"
     )
-    seconds, _ = median_time(table, perms[:0], 1.0, args.repeats)
+    seconds, _, _ = median_times(table, perms[:0], 1.0, args.repeats)
     print(f"set-up (0 replicates, q=1): {seconds * 1000:9.2f} ms")
     failed = False
     for q in ORDERS:
-        seconds, curves = median_time(table, perms, q, args.repeats)
+        wall, cpu, curves = median_times(table, perms, q, args.repeats)
         err = max_check_error(counts, perms, curves, q)
         failed |= err > 1e-12
-        print(f"q={q:g}: {seconds * 1000:9.2f} ms   max rel err vs hill_number {err:.1e}")
+        print(
+            f"q={q:g}: {wall * 1000:9.2f} ms wall {cpu * 1000:9.2f} ms CPU   "
+            f"max rel err vs hill_number {err:.1e}"
+        )
     if failed:
         raise SystemExit("kernel disagrees with hill_number beyond 1e-12")
 

@@ -26,8 +26,9 @@ For each replicate the kernel then
 4. adds ``f(new) - f(old)`` per step with ``bincount`` and ``cumsum``
    over steps, where ``f(x) = x ln x`` at q = 1 and ``x**q`` otherwise.
 
-Each of these passes writes into one of five buffers of nnz entries,
-allocated once per call. Every integer sum (running totals, sample
+Each of these passes writes into one of four buffers of nnz entries,
+allocated once per worker: 28 bytes per entry with ``uint32`` keys, 32
+with ``uint64`` keys. Every integer sum (running totals, sample
 totals, offsets) is formed in int64 and is at most the table's total,
 which ``AbundanceTable`` bounds by the int64 maximum; a float sum would
 be exact only below 2**53.
@@ -36,12 +37,19 @@ At q = 0 no sort is needed: a taxon enters the curve at its first
 step, the minimum step over its segment (``np.minimum.reduceat``),
 and one ``bincount`` + ``cumsum`` of those steps gives the curve.
 
-Memory is O(nnz) per call; replicates are processed one at a time.
-The final step is evaluated directly from the fully pooled count vector,
-so every replicate ends on the bit-identical value.
+No replicate reads another's result and numpy releases the GIL in
+every pass, so the replicates are split over one thread per CPU this
+process may use (``_split``). Each worker owns its buffers and its rows
+of the output and shares the read-only set-up, so memory is
+O(nnz x workers) and every row is bit-identical however the replicates
+are split. The final step is evaluated directly from the fully pooled
+count vector, so every replicate ends on the bit-identical value.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -62,6 +70,48 @@ def hill_direct(pooled: np.ndarray, q: float) -> float:
 def _bits(n: int) -> int:
     """Bits needed to store every integer in 0..n-1."""
     return max(int(n) - 1, 0).bit_length()
+
+
+def _worker_count(replicates: int) -> int:
+    """Threads to run ``replicates`` on: one per usable CPU, at most one per replicate."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, replicates))
+
+
+def _split(work, replicates: int) -> None:
+    """Run ``work(rows)`` over every replicate, split across ``_worker_count`` threads.
+
+    With w workers the calling thread takes rows ``0, w, 2w, ...`` and
+    each of w - 1 helper threads one other residue mod w. A helper's
+    exception is re-raised here once every helper has been joined, so
+    no helper outlives the call.
+    """
+    workers = _worker_count(replicates)
+    failure = None
+
+    def helper(rows):
+        nonlocal failure
+        try:
+            work(rows)
+        except BaseException as exc:  # re-raised on the calling thread
+            failure = exc
+
+    started = []
+    try:
+        for first in range(1, workers):
+            rows = range(first, replicates, workers)
+            thread = threading.Thread(target=helper, args=(rows,))
+            thread.start()
+            started.append(thread)
+        work(range(0, replicates, workers))
+    finally:
+        for thread in started:
+            thread.join()
+    if failure is not None:
+        raise failure
 
 
 def accumulation_curves(
@@ -87,13 +137,17 @@ def accumulation_curves(
     out[:, last] = hill_direct(pooled, q)
 
     if q == 0.0:
-        inv = np.empty(n_steps, dtype=np.min_scalar_type(max(last, 0)))
-        step_ids = np.arange(n_steps, dtype=inv.dtype)
-        for r in range(n_rep):
-            inv[perms[r]] = step_ids
-            firsts = np.minimum.reduceat(inv[samples], col_start)
-            gained = np.bincount(firsts, minlength=n_steps)
-            out[r, :last] = np.cumsum(gained[:last])
+        step_ids = np.arange(n_steps, dtype=np.min_scalar_type(max(last, 0)))
+
+        def richness(rows):
+            inv = np.empty_like(step_ids)
+            for r in rows:
+                inv[perms[r]] = step_ids
+                firsts = np.minimum.reduceat(inv[samples], col_start)
+                gained = np.bincount(firsts, minlength=n_steps)
+                out[r, :last] = np.cumsum(gained[:last])
+
+        _split(richness, n_rep)
         return out
 
     # key = segment | step | slot, with slot the index within the segment
@@ -108,44 +162,49 @@ def accumulation_curves(
     # a segment's entries only change order, so the running sum over the
     # list on entering the segment is the same for every replicate
     offset = np.repeat(np.cumsum(pooled) - pooled, col_len)
-    inv = np.empty(n_steps, dtype=key_type)
     step_keys = np.arange(n_steps, dtype=key_type) << lbits
 
-    # per-replicate buffers, reused: each pass writes into one of them. A
-    # take in any mode but "raise" writes its out array directly, and an
-    # intp index is taken without a cast; every index is in range.
-    keys = np.empty(samples.size, dtype=key_type)
-    slots = np.empty(samples.size, dtype=np.intp)
-    running = np.empty(samples.size, dtype=np.int64)  # then each entry's step
-    total = np.empty(samples.size, dtype=np.float64)  # then each entry's gain
-    f = np.empty_like(total)
-    for r in range(n_rep):
-        perm = perms[r]
-        inv[perm] = step_keys
-        np.take(inv, samples, out=keys, mode="wrap")
-        keys |= base
-        keys.sort()  # the keys are unique, so any sort gives the (taxon, step) order
-        np.bitwise_and(keys, (1 << lbits) - 1, out=slots)
-        slots += seg_start
-        np.take(values, slots, out=running, mode="wrap")
-        np.cumsum(running, out=running)
-        np.subtract(running, offset, out=total)  # exact in int64, then rounded
-        if q == 1.0:
-            np.log(total, out=f)
-            f *= total
-        else:
-            np.power(total, q, out=f)
-        # each entry's change to its taxon's f; a segment starts from f(0) = 0
-        gain = total
-        np.subtract(f[1:], f[:-1], out=gain[1:])
-        gain[col_start] = f[col_start]
-        steps = running
-        np.right_shift(keys, lbits, out=steps)
-        steps &= (1 << sbits) - 1
-        acc = np.cumsum(np.bincount(steps, weights=gain, minlength=n_steps)[:last])
-        n_k = np.cumsum(sample_totals[perm[:last]]).astype(np.float64)
-        if q == 1.0:
-            out[r, :last] = np.exp(np.log(n_k) - acc / n_k)
-        else:
-            out[r, :last] = (acc / n_k**q) ** (1.0 / (1.0 - q))
+    def hill(rows):
+        # per-worker buffers, reused: each pass writes into one of them. A
+        # take in any mode but "raise" writes its out array directly, and an
+        # int64 (intp) index is taken without a cast; every index is in range.
+        inv = np.empty(n_steps, dtype=key_type)
+        keys = np.empty(samples.size, dtype=key_type)
+        ints = np.empty(samples.size, dtype=np.int64)  # slots, running sums, steps
+        total = np.empty(samples.size, dtype=np.float64)  # then each entry's gain
+        f = np.empty_like(total)
+        for r in rows:
+            perm = perms[r]
+            inv[perm] = step_keys
+            np.take(inv, samples, out=keys, mode="wrap")
+            keys |= base
+            keys.sort()  # the keys are unique, so any sort gives the (taxon, step) order
+            slots = ints
+            np.bitwise_and(keys, (1 << lbits) - 1, out=slots)
+            slots += seg_start
+            gathered = total.view(np.int64)
+            np.take(values, slots, out=gathered, mode="wrap")
+            running = ints
+            np.cumsum(gathered, out=running)
+            np.subtract(running, offset, out=total)  # exact in int64, then rounded
+            if q == 1.0:
+                np.log(total, out=f)
+                f *= total
+            else:
+                np.power(total, q, out=f)
+            # each entry's change to its taxon's f; a segment starts from f(0) = 0
+            gain = total
+            np.subtract(f[1:], f[:-1], out=gain[1:])
+            gain[col_start] = f[col_start]
+            steps = ints
+            np.right_shift(keys, lbits, out=steps)
+            steps &= (1 << sbits) - 1
+            acc = np.cumsum(np.bincount(steps, weights=gain, minlength=n_steps)[:last])
+            n_k = np.cumsum(sample_totals[perm[:last]]).astype(np.float64)
+            if q == 1.0:
+                out[r, :last] = np.exp(np.log(n_k) - acc / n_k)
+            else:
+                out[r, :last] = (acc / n_k**q) ** (1.0 / (1.0 - q))
+
+    _split(hill, n_rep)
     return out

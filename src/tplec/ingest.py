@@ -106,6 +106,18 @@ class DeathsTable:
             counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
+    @classmethod
+    def _of_sums(cls, regions, dates, counts: np.ndarray) -> "DeathsTable":
+        """The table of ``counts``, int64 sums of checked tables' rows, frozen in place.
+
+        Its shape matches and no count is negative, so nothing is scanned.
+        """
+        table = cls.__new__(cls)
+        counts.flags.writeable = False
+        for name, value in (("regions", regions), ("dates", dates), ("counts", counts)):
+            object.__setattr__(table, name, value)
+        return table
+
     def __eq__(self, other):
         if type(other) is not DeathsTable:
             return NotImplemented
@@ -459,8 +471,7 @@ def _group_rows(
     for total, rows in zip(counts, groups):
         if len(rows) > 1:
             np.sum(src[rows], axis=0, out=total)
-    counts.flags.writeable = False
-    return DeathsTable(names, table.dates, counts), groups
+    return DeathsTable._of_sums(names, table.dates, counts), groups
 
 
 def aggregate_regions(
@@ -490,7 +501,7 @@ def aggregate_regions(
     continents, members = _group_rows(countries, keys)
     world, _ = _group_rows(continents, ["World"] * len(continents))
     members += [slice(None)] * len(world)  # World's members: every country
-    units = DeathsTable(
+    units = DeathsTable._of_sums(
         continents.regions + world.regions,
         table.dates,
         np.concatenate([continents.counts, world.counts]),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from datetime import date, timedelta
 
 import numpy as np
@@ -177,3 +178,22 @@ def abundance_tsv(table) -> str:
     from tplec import serialize_abundance_table
 
     return serialize_abundance_table(table)
+
+
+def set_workers(monkeypatch, n):
+    """Run the accumulation kernel's replicates on ``n`` threads for one test."""
+    from tplec import _kernels
+
+    monkeypatch.setattr(_kernels, "_worker_count", lambda replicates: n)
+
+
+def fail_in_helpers(monkeypatch):
+    """Make ``np.bincount``, which every replicate calls, fail off the main thread."""
+    real_bincount = np.bincount
+
+    def bincount(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("helper ran out")
+        return real_bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", bincount)

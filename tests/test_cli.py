@@ -35,7 +35,13 @@ from tplec.reporting import (
     rows_to_dsv,
 )
 
-from conftest import abundance_tsv, build_deaths_csv, build_saturating_table
+from conftest import (
+    abundance_tsv,
+    build_deaths_csv,
+    build_saturating_table,
+    fail_in_helpers,
+    set_workers,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -548,6 +554,19 @@ def test_replicates_beyond_memory_exit_2_with_one_line(dar_paths, tmp_path, caps
     assert main(argv + ["--out", str(out)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: dar: MemoryError: ")
+    assert not out.exists()
+
+
+def test_helper_thread_memory_error_exits_2_with_one_line(
+    dar_paths, tmp_path, capsys, monkeypatch
+):
+    set_workers(monkeypatch, 2)
+    fail_in_helpers(monkeypatch)
+    out = tmp_path / "o.csv"
+    argv = ["dar", "--abundance", str(dar_paths[0]), "--replicates", "4"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: dar: MemoryError: helper ran out\n"
     assert not out.exists()
 
 

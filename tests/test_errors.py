@@ -157,8 +157,10 @@ def _untyped_raises(source: str, module_name: str) -> list[int]:
 
     Allowed: a bare re-raise; a name that resolves in the module to a
     ``TplecError`` subclass (called or not); a local that every
-    assignment in its function binds to such a call; and, in the CLI,
-    ``argparse.ArgumentTypeError``, which argparse turns into exit 2.
+    assignment in its function binds to None, to such a call or to an
+    exception its function caught (``except ... as exc``), which is a
+    deferred bare re-raise; and, in the CLI, ``argparse.ArgumentTypeError``,
+    which argparse turns into exit 2.
     """
     tree = ast.parse(source)
     scope = {}
@@ -191,9 +193,13 @@ def _untyped_raises(source: str, module_name: str) -> list[int]:
                 if isinstance(a, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == exc.id for t in a.targets)
             ]
+            caught = {
+                h.name for h in ast.walk(scope[node]) if isinstance(h, ast.ExceptHandler)
+            }
             if bound:
                 return all(
                     (isinstance(v, ast.Constant) and v.value is None)
+                    or (isinstance(v, ast.Name) and v.id in caught)
                     or (
                         isinstance(v, ast.Call)
                         and isinstance(v.func, ast.Name)
@@ -224,11 +230,26 @@ def test_every_raise_in_the_package_is_a_tplec_error(path):
         'raise argparse.ArgumentTypeError("bad")',
         "error = ValueError()\n    raise error",
         'error = InvalidArgument("bad") if x else ValueError()\n    raise error',
+        "error = x\n    raise error",
     ],
 )
 def test_raise_guard_flags_untyped_raises(line):
     source = f"def f(x):\n    {line}\n"
     assert _untyped_raises(source, "tplec.ingest") != []
+
+
+def test_raise_guard_allows_a_caught_exception_raised_later():
+    source = (
+        "def f(x):\n"
+        "    error = None\n"
+        "    try:\n"
+        "        x()\n"
+        "    except BaseException as exc:\n"
+        "        error = exc\n"
+        "    if error is not None:\n"
+        "        raise error\n"
+    )
+    assert _untyped_raises(source, "tplec.ingest") == []
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -1,15 +1,16 @@
 """The sparse accumulation kernel against independent oracles."""
 
 import math
+import threading
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from tplec import AbundanceTable, _kernels, resample_accumulation
+from tplec import AbundanceTable, _kernels, accumulate, resample_accumulation
 
-from conftest import build_saturating_table
+from conftest import build_saturating_table, fail_in_helpers, set_workers
 
 ORDERS = [0.0, 0.5, 1.0, 2.0, 3.0]
 
@@ -271,6 +272,70 @@ def test_both_key_widths_match_dense_loop(n_samples, wide, q):
     got = kernel_curves(counts, perms, q)
     assert_curves_match(got, dense_curves(counts, perms, q), q)
     assert np.array_equal(got, argsort_curves(counts, perms, q))
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Every thread started during the test, in start order."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("n_samples, wide", [(1100, True), (300, False)], ids=["uint64", "uint32"])
+def test_split_replicates_are_bit_identical(monkeypatch, thread_starts, n_samples, wide, q):
+    rng = np.random.default_rng(34)
+    counts = wide_key_table(rng, n_samples=n_samples)
+    assert (key_bits(counts) > 32) == wide
+    perms = random_perms(rng, replicates=4, n_samples=counts.shape[0])
+    threads = threading.active_count()
+    curves = {}
+    for workers in (1, 2, 3, 6):  # 6 workers for 4 replicates leaves helpers idle
+        set_workers(monkeypatch, workers)
+        del thread_starts[:]
+        curves[workers] = kernel_curves(counts, perms, q)
+        assert len(thread_starts) == workers - 1
+        assert threading.active_count() == threads
+    for got in curves.values():
+        assert np.array_equal(got, curves[1])
+    assert_curves_match(curves[1], dense_curves(counts, perms, q), q)
+    assert np.array_equal(curves[1], argsort_curves(counts, perms, q))
+
+
+def test_one_ordering_starts_no_thread(thread_starts):
+    table, _ = build_saturating_table()
+    threads = threading.active_count()
+    for q in (0.0, 1.0):
+        accumulate(table, np.arange(table.n_samples), q)
+    assert thread_starts == []
+    assert threading.active_count() == threads
+
+
+def test_resampling_joins_its_threads(thread_starts):
+    table, _ = build_saturating_table()
+    threads = threading.active_count()
+    for q in (0.0, 1.0):
+        resample_accumulation(table, 5, q, seed=2)
+        assert threading.active_count() == threads
+    assert len(thread_starts) == 2 * (_kernels._worker_count(5) - 1)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_helper_error_reaches_the_caller(monkeypatch, q):
+    table, _ = build_saturating_table()
+    set_workers(monkeypatch, 2)
+    fail_in_helpers(monkeypatch)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="helper ran out"):
+        resample_accumulation(table, 4, q, seed=3)
+    assert threading.active_count() == threads
 
 
 def mao_tau(counts):
