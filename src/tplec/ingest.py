@@ -15,18 +15,20 @@ with the further lines a quoted cell spans, and the whole continent map;
 a record it cannot read raises ``MalformedCsv`` naming the row. Header
 dates are read with ``int()``, as ``datetime``'s ``%m/%d/%y`` reads them.
 
-Both parsers hand their count rows to one converter, ``_digit_blocks``,
-which reads a fixed number of cells at a time with one whole-array
-update per digit place, after checking that they are ASCII, that each
-row has the expected number of separators and ends in its newline, and
-that every cell is 1 to 18 digits, so that no count overflows int64. A deaths file keeps every cell, in a dense matrix; an
-abundance table keeps only each block's nonzero cells. A row the
-converter reads thus has the expected width; rows are counted only when
-it declines, and an abundance table's layout is first taken from its
-first row. Then every cell before the first ragged row is parsed with
-``int()``, which also takes a sign, spaces or non-ASCII digits, and the
-first bad cell in row-major order is reported, by row and column, before
-a ragged row.
+Both parsers hand their count rows to one converter, ``_digit_blocks``.
+It takes a block of rows at a time if they are ASCII, if each row has
+the expected number of separators and ends in its newline, and if every
+cell is 1 to 18 digits, so that no count overflows int64. A block of
+nearly all one-digit cells, such as an abundance table's "0" cells, is
+read two bytes per cell; any other block by its cells' terminators, with
+one whole-array update per digit place. A deaths file keeps every cell,
+in a dense matrix; an abundance table keeps only each block's nonzero
+cells. A row the converter reads thus has the expected width; rows are
+counted only when it declines, and an abundance table's layout is first
+taken from its first row. Then every cell before the first ragged row is
+parsed with ``int()``, which also takes a sign, spaces or non-ASCII
+digits, and the first bad cell in row-major order is reported, by row
+and column, before a ragged row.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ _JHU_FIXED_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _BLOCK_CELLS = 1 << 14  # cells per converter pass: its scratch arrays stay small
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1, so no overflow check is needed
+_SPARSE_SHARE = 8  # a two-byte block has at most one continuation digit per 8 cells
+_TWO_BYTE_WIDENING = 4  # a two-byte block's scratch is O(bytes), so the next is wider
 
 
 class DeathsRow(NamedTuple):
@@ -274,20 +278,44 @@ def _digit_blocks(
 ) -> Iterator[np.ndarray | None]:
     """Each block of ``rows``' cells as a flat int64 array, in row-major order.
 
-    Each row is the bytes of ``n_cols`` cells joined by ``sep``. Rows are
-    taken a block of about ``_BLOCK_CELLS`` cells at a time (a wider row
-    is a block of its own), so the scratch arrays stay block-sized. Yields
+    Each row is the bytes of ``n_cols`` cells joined by ``sep``. Yields
     None, and stops, at the first block that holds a cell other than 1 to
     ``_MAX_DIGITS`` ASCII digits or a row with the wrong number of cells,
     so every block it yields proves its rows' width.
+
+    Each block takes one route, by its byte count. A block of at most
+    ``2 + 1/_SPARSE_SHARE`` bytes per cell, so that nearly every cell is
+    one digit and its terminator, is read by ``_two_byte_cells``. Any
+    other is read by finding each cell's terminator, with one whole-array
+    update per digit place. Both routes take and decline the same blocks.
+    Rows are taken a block of about ``_BLOCK_CELLS`` cells at a time, or
+    ``_TWO_BYTE_WIDENING`` times that after a two-byte block, whose
+    scratch is O(bytes) where the other route's is O(8 bytes per cell);
+    a wider row is a block of its own.
     """
     rows = iter(rows)
-    per_block = max(1, _BLOCK_CELLS // n_cols)
+    narrow = max(1, _BLOCK_CELLS // n_cols)
+    wide = max(1, _TWO_BYTE_WIDENING * _BLOCK_CELLS // n_cols)
+    per_block = narrow
+    # a "0" cell and its terminator, as one little-endian uint16
+    zero = np.full(n_cols, ord("0") | ord(sep) << 8, dtype=np.uint16)
+    zero[-1] = ord("0") | ord("\n") << 8
     while chunk := list(itertools.islice(rows, per_block)):
         k = len(chunk)
         chunk.append(b"")  # every row, the last included, ends in "\n"
         # a byte above 127 is no digit, so a row that is not ASCII declines
         raw = np.frombuffer(b"\n".join(chunk), dtype=np.uint8)
+        if _SPARSE_SHARE * (raw.size - 2 * k * n_cols) <= k * n_cols:
+            values = _two_byte_cells(raw, zero, k)
+            if values is None:
+                break
+            per_block = wide
+            yield values
+            continue
+        # The other route reads the block here, so that its scratch lives
+        # until the next block's replaces it. Freed as a function returned,
+        # it took about 1200 more page faults in a cold ftr-jhu parse.
+        per_block = narrow
         digits = raw - ord("0")  # wraps: every other byte lands above 9
         ends = np.flatnonzero(digits > 9)
         if ends.size != k * n_cols:
@@ -309,16 +337,60 @@ def _digit_blocks(
         multi = slice(None) if dense else np.flatnonzero(longer)
         last, width = ends[multi] - 1, widths[multi]
         if width.size:
-            acc = np.zeros(width.size, dtype=np.int64)
-            # most significant place first; a cell too narrow for it adds 0
-            for j in range(int(width.max()) - 1, 0, -1):
-                acc += digits[last - j] * (width > j)
-                acc *= 10
-            values[multi] += acc
+            _add_leading_digits(values, multi, digits, last, width)
         yield values
     else:
         return
     yield None
+
+
+def _two_byte_cells(raw: np.ndarray, zero: np.ndarray, k: int) -> np.ndarray | None:
+    """The cells of a block's bytes, read two bytes per cell, or None.
+
+    With each continuation digit (a digit another digit follows) deleted,
+    a block of valid cells is each cell's last digit and then its
+    terminator: read as one little-endian uint16, that less ``zero``'s
+    entry for its column is the digit, 0 to 9. Anything else, a byte
+    that is not ASCII included, lands above 9.
+    """
+    digits = raw - ord("0")  # wraps: every other byte lands above 9
+    is_digit = digits <= 9
+    cont = np.flatnonzero(is_digit[:-1] & is_digit[1:])
+    if raw.size - cont.size != 2 * k * zero.size:
+        return None
+    pairs = np.delete(raw, cont) if cont.size else raw
+    offset = pairs.view("<u2").reshape(k, zero.size) - zero
+    if offset.max() > 9:
+        return None
+    values = offset.astype(np.int64).reshape(-1)
+    if cont.size:
+        # a run of continuation digits is one cell's, just before its last digit
+        run_end = np.empty(cont.size, dtype=bool)
+        np.not_equal(cont[1:], cont[:-1] + 1, out=run_end[:-1])
+        run_end[-1] = True
+        ends = np.flatnonzero(run_end)
+        width = ends + 2  # each multi-digit cell's digits
+        width[1:] -= ends[:-1] + 1
+        if width.max() > _MAX_DIGITS:
+            return None
+        last = cont[ends] + 1
+        cells = (last - 1 - ends) // 2  # the pair its last digit is in
+        _add_leading_digits(values, cells, digits, last, width)
+    return values
+
+
+def _add_leading_digits(values, cells, digits, last, width) -> None:
+    """Add to ``values[cells]`` each cell's digits before its last one.
+
+    The cell's last digit is ``digits[last]`` and it has ``width`` digits.
+    One whole-array update per digit place, most significant first; a cell
+    too narrow for a place adds 0.
+    """
+    acc = np.zeros(width.size, dtype=np.int64)
+    for j in range(int(width.max()) - 1, 0, -1):
+        acc += digits[last - j] * (width > j)
+        acc *= 10
+    values[cells] += acc
 
 
 def _digit_block(

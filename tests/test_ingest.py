@@ -1,7 +1,10 @@
 """Tests for file parsing, aggregation, and the truncation transform."""
 
 import csv
+import importlib.util
+import sys
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -714,8 +717,16 @@ def test_converter_digit_limit():
         (["1\t٣".encode()], 2),  # a non-ASCII digit, as its UTF-8 bytes
     ],
 )
-def test_converter_declines_what_it_does_not_accept(rows, n_cols):
+def test_converter_declines_what_it_does_not_accept(rows, n_cols, two_byte_blocks):
     assert _digit_block(rows, len(rows), n_cols, "\t") is None
+    # amid 80 rows of "0" cells the block is read two bytes per cell; amid
+    # 80 rows of "99" cells, by its terminators
+    for pad, two_byte in [(b"0", 1), (b"99", 0)]:
+        padding = [b"\t".join([pad] * n_cols)] * 40
+        padded = padding + rows + padding
+        two_byte_blocks.clear()
+        assert _digit_block(padded, len(padded), n_cols, "\t") is None
+        assert len(two_byte_blocks) == two_byte
 
 
 @pytest.mark.parametrize("layout", ["jhu", "tsv"])
@@ -736,17 +747,35 @@ def test_bad_cell_in_a_later_block_is_named(layout):
 
 
 def test_rows_wider_than_a_block():
-    cols = (1 << 16) + 3  # four times the converter's block
-    grid = [[str(j % 1000) for j in range(cols)] for _ in range(2)]
-    text, taxa = _as_tsv(grid)
-    assert np.array_equal(
-        parse_abundance_table(text).counts, np.array(grid, dtype=np.int64)
-    )
-    grid[1][-2] = "-1"
-    text, taxa = _as_tsv(grid)
-    with pytest.raises(UnparseableCount) as err:
-        parse_abundance_table(text)
-    assert str(err.value) == f"row 3, column {taxa[-2]}: count -1 is negative"
+    # wider than a block of either route: ingest._BLOCK_CELLS is 1 << 14, and
+    # a block after one read two bytes per cell is four times that
+    cols = (1 << 16) + 3
+    for every in (1, 100):  # each cell, or one in 100 (two bytes per cell), not "0"
+        row = [str(j % 1000) if j % every == 0 else "0" for j in range(cols)]
+        grid = [row, row.copy()]
+        text, taxa = _as_tsv(grid)
+        assert np.array_equal(
+            parse_abundance_table(text).counts, np.array(grid, dtype=np.int64)
+        )
+        grid[1][-2] = "-1"
+        text, taxa = _as_tsv(grid)
+        with pytest.raises(UnparseableCount) as err:
+            parse_abundance_table(text)
+        assert str(err.value) == f"row 3, column {taxa[-2]}: count -1 is negative"
+
+
+@pytest.fixture
+def two_byte_blocks(monkeypatch):
+    """The cell count of each block the converter reads two bytes per cell."""
+    cells = []
+    read = ingest._two_byte_cells
+
+    def spy(raw, zero, k):
+        cells.append(k * zero.size)
+        return read(raw, zero, k)
+
+    monkeypatch.setattr(ingest, "_two_byte_cells", spy)
+    return cells
 
 
 @pytest.fixture
@@ -772,6 +801,28 @@ def test_benchmark_layouts_take_the_converter(no_scanner):
     assert table.counts.tolist() == expect
     tsv = "sample_id\tt1\tt2\tt3\nS000\t0\t120\t0\nS001\t7\t0\t3\n"
     assert parse_abundance_table(tsv).counts.tolist() == [[0, 120, 0], [7, 0, 3]]
+
+
+# perfbench's seeded input generators; its dataclass needs it in sys.modules
+_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py"
+)
+workloads = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(workloads)
+
+
+@pytest.mark.filterwarnings("ignore:cumulative counts")
+def test_benchmark_workloads_take_their_routes(two_byte_blocks, tmp_path):
+    # the dar-shannon table's cells are 95% "0", and every block of it is
+    # read two bytes per cell; nearly every cell of the ftr-jhu deaths file
+    # is a count of two or more digits, and no block of it is
+    workloads.prepare_dar_shannon(7, tmp_path)
+    table = parse_abundance_table((tmp_path / "shannon.tsv").read_bytes())
+    assert sum(two_byte_blocks) == len(table.sample_ids) * len(table.taxon_ids)
+    two_byte_blocks.clear()
+    workloads.prepare_ftr(7, tmp_path)
+    parse_jhu_deaths((tmp_path / "deaths.csv").read_bytes())
+    assert two_byte_blocks == []
 
 
 class TestConverterBoundaries:

@@ -1,8 +1,8 @@
 """Property checks: baseline invariance of ``couple``, ``fit_plec`` on noiseless
 curves, the kernel against its oracle, the JHU record reader against
 ``csv.reader``, the header-date reader against ``datetime.strptime``, the
-count converter, dense and sparse, against ``int()``, and ``aggregate_regions``
-against exact per-key sums."""
+count converter, dense and sparse, on any cells and on mostly "0" cells,
+against ``int()``, and ``aggregate_regions`` against exact per-key sums."""
 
 import csv
 import io
@@ -171,14 +171,21 @@ DIGIT_CELL = st.text("0123456789", min_size=1, max_size=20)  # leading zeros too
 ODD_CELL = st.sampled_from(["", "+1", " 1", "1_0", "\u0663"])  # int() reads "\u0663" as 3
 
 
+# mostly "0", a few "00" and "12": most blocks of these are read two bytes per cell
+ZERO_OR_DIGIT = st.sampled_from(["0"] * 40 + list("123456789") + ["00", "12"])
+
+
 @st.composite
-def _count_rows(draw):
-    """``n_cols`` and rows of digit cells, with a few odd cells and at most
-    one row a cell short or long."""
-    n_cols, n_rows = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    row = st.lists(DIGIT_CELL, min_size=n_cols, max_size=n_cols)
+def _count_rows(draw, cell=DIGIT_CELL, max_cols=6, max_rows=8, long_cells=0):
+    """``n_cols`` and rows of ``cell`` cells, with up to ``long_cells`` digit
+    cells of any width, a few odd cells and at most one row a cell short or
+    long."""
+    n_cols, n_rows = draw(st.integers(1, max_cols)), draw(st.integers(1, max_rows))
+    row = st.lists(cell, min_size=n_cols, max_size=n_cols)
     rows = [draw(row) for _ in range(n_rows)]
     at = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
+    for i, j in draw(st.lists(at, max_size=long_cells)):
+        rows[i][j] = draw(DIGIT_CELL)
     for i, j in draw(st.lists(at, max_size=2)):
         rows[i][j] = draw(ODD_CELL)
     for i in draw(st.lists(st.integers(0, n_rows - 1), max_size=1)):
@@ -215,6 +222,35 @@ def test_converter_reads_int_of_every_cell_or_declines(grid, sep, block):
             if int(cell)
         ]
         assert list(zip(sparse[0].tolist(), sparse[1].tolist())) == nonzero
+
+
+ZEROS = [["0"] * 40] * 15
+
+
+@PROPERTY
+@given(
+    grid=_count_rows(cell=ZERO_OR_DIGIT, max_cols=40, max_rows=16, long_cells=2),
+    sep=st.sampled_from([",", "\t"]),
+    block=st.sampled_from([1, 64, 1 << 14]),  # cells per converter block
+)
+@example(grid=(20, [["0"] * 19 + ["00"], ["0"] * 19 + ["010"]]), sep="\t", block=64)
+# one 18- or 19-digit cell among 640: the block is read two bytes per cell
+@example(grid=(40, ZEROS + [["0"] * 39 + ["9" * 18]]), sep=",", block=1 << 14)
+@example(grid=(40, ZEROS + [["1" + "0" * 18] + ["0"] * 39]), sep="\t", block=1 << 14)
+def test_converter_reads_int_of_mostly_zero_cells_or_declines(grid, sep, block):
+    n_cols, rows = grid
+    texts = [sep.join(row).encode("utf-8") for row in rows]
+    with patch.object(ingest, "_BLOCK_CELLS", block):
+        counts = _digit_block(texts, len(rows), n_cols, sep)
+        sparse = _nonzero_of_blocks(texts, n_cols, sep)
+    plain = all(len(row) == n_cols and all(map(_plain, row)) for row in rows)
+    assert (counts is not None) == plain and (sparse is not None) == plain
+    if plain:
+        expect = np.array([[int(cell) for cell in row] for row in rows], dtype=np.int64)
+        assert np.array_equal(counts, expect)
+        cells = np.flatnonzero(expect)
+        assert np.array_equal(sparse[0], cells)
+        assert np.array_equal(sparse[1], expect.ravel()[cells])
 
 
 INT64_MAX = 2**63 - 1
