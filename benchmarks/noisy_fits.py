@@ -14,7 +14,8 @@ is importable (set ``PYTHONPATH`` to compare two source trees). One line
 per series gives the SSR (17 significant digits), the iterations, the
 converged and constraint flags, the route (``cutoff`` when an asymptote
 was found, ``power-law`` when the caller falls back, or the error raised)
-and the fit's wall time; a last line gives the totals:
+and the fit's wall time; a last line gives the totals, with ``at_cap``
+the number of fits that stopped at ``MAX_ITERATIONS``:
 
     PYTHONPATH=src python benchmarks/noisy_fits.py --seed 0 --series 300
 """
@@ -26,6 +27,7 @@ import numpy as np
 
 from tplec import fit_cutoff
 from tplec.errors import TplecError
+from tplec.plec import MAX_ITERATIONS
 
 
 def noisy_series(rng: np.random.Generator) -> list[tuple[float, float]]:
@@ -54,7 +56,7 @@ def main(argv=None) -> None:
 
     rng = np.random.default_rng(args.seed)
     print("series points ssr iterations converged constraint route fit_ms")
-    iterations = 0
+    iterations = at_cap = 0
     fit_s = 0.0
     routes: dict[str, int] = {}
     for k in range(args.series):
@@ -73,6 +75,7 @@ def main(argv=None) -> None:
             fields = ["-"] * 4
         else:
             iterations += diagnostics.iterations
+            at_cap += diagnostics.iterations >= MAX_ITERATIONS
             fields = [
                 f"{diagnostics.sum_squared_residuals:.17g}",
                 diagnostics.iterations,
@@ -81,7 +84,10 @@ def main(argv=None) -> None:
             ]
         print(k, len(points), *fields, route, f"{elapsed * 1e3:.3f}")
     counts = " ".join(f"{name}={n}" for name, n in sorted(routes.items()))
-    print(f"total series={args.series} iterations={iterations} fit_ms={fit_s * 1e3:.1f} {counts}")
+    print(
+        f"total series={args.series} iterations={iterations} at_cap={at_cap}"
+        f" fit_ms={fit_s * 1e3:.1f} {counts}"
+    )
 
 
 if __name__ == "__main__":

@@ -2,11 +2,11 @@
 
 The cutoff factor eventually overwhelms the power-law growth, so the
 curve has an interior maximum whenever w > 0 and d < 0. Fitting is
-damped Gauss-Newton least squares on raw-scale residuals with an
-analytic Jacobian and the taper parameter projected onto d <= D_CEILING
-after every step. It starts from the better, by raw-scale SSR, of two
-log-scale least-squares fits: the plain power law, and the model's own
-log form ln y = ln c + w*ln x + d*x, which is linear in (ln c, w, d).
+variable projection: c enters linearly and takes its closed-form
+least-squares value, and damped Gauss-Newton runs on (w, d) alone, on
+raw-scale residuals with d <= D_CEILING. It starts from the better, by
+raw-scale SSR, of two log-scale least-squares fits: the plain power law,
+and the model's own log form ln y = ln c + w*ln x + d*x.
 """
 
 from __future__ import annotations
@@ -78,12 +78,6 @@ def plec_eval(model: PlecModel, x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def _jacobian(c: float, base: np.ndarray, ln_x: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Partials (d/dc, d/dw, d/dd) from ``base = x**w * exp(d*x)``, one row each."""
-    value = c * base
-    return np.array([base, value * ln_x, value * x])
-
-
 def plec_jacobian(model: PlecModel, x) -> np.ndarray:
     """Analytic partials (d/dc, d/dw, d/dd) at x > 0, one row per point.
 
@@ -95,29 +89,34 @@ def plec_jacobian(model: PlecModel, x) -> np.ndarray:
     if np.any(arr <= 0.0):
         raise NonPositiveValue("evaluation points must be > 0")
     ln_x = np.log(arr)
-    return _jacobian(model.c, np.exp(model.w * ln_x + model.d * arr), ln_x, arr).T
+    base = np.exp(model.w * ln_x + model.d * arr)
+    value = model.c * base
+    return np.array([base, value * ln_x, value * arr]).T
 
 
-def _start(x: np.ndarray, y: np.ndarray, ln_x: np.ndarray) -> tuple[float, float, float]:
-    """The starting (c, w, d) of ``fit_plec``: the linearised fit when it is
-    finite and its raw-scale SSR is lower, so never worse than the power law."""
+def _projected(y, w, d, ln_x, x) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """``base = x**w * exp(d*x)``, the best scale ``c`` for it, the residual
+    ``y - c*base`` and its SSR. The SSR is not finite when ``base·base``
+    overflows or underflows to 0; otherwise ``c > 0``, as y > 0 and base > 0."""
+    base = np.exp(w * ln_x + d * x)
+    c = float((base @ y) / (base @ base))
+    resid = y - c * base
+    return base, c, resid, float(resid @ resid)
+
+
+def _start(x: np.ndarray, y: np.ndarray, ln_x: np.ndarray) -> tuple[float, float]:
+    """The starting (w, d) of ``fit_plec``: the linearised fit when it is
+    finite and its projected SSR is lower, so never worse than the power law."""
     ln_y = np.log(y)
     design = np.column_stack([np.ones_like(ln_x), ln_x, x])
-    (ln_c, w), *_ = np.linalg.lstsq(design[:, :2], ln_y, rcond=None)
-    power_law = (float(np.exp(ln_c)), float(w), min(-1.0 / (2.0 * float(x[-1])), D_CEILING))
-    (ln_c, w, d), *_ = np.linalg.lstsq(design, ln_y, rcond=None)
-    linearised = (float(np.exp(ln_c)), float(w), min(float(d), D_CEILING))
-    if not (all(map(math.isfinite, linearised)) and linearised[0] > 0):
+    _, w = np.linalg.lstsq(design[:, :2], ln_y, rcond=None)[0]
+    power_law = (float(w), min(-1.0 / (2.0 * float(x[-1])), D_CEILING))
+    _, w, d = np.linalg.lstsq(design, ln_y, rcond=None)[0]
+    linearised = (float(w), min(float(d), D_CEILING))
+    if not all(map(math.isfinite, linearised)):
         return power_law
-    ssr = [_residual(y, c, w, d, ln_x, x)[2] for c, w, d in (power_law, linearised)]
+    ssr = [_projected(y, w, d, ln_x, x)[3] for w, d in (power_law, linearised)]
     return linearised if ssr[1] < ssr[0] else power_law
-
-
-def _residual(y, c, w, d, ln_x, x) -> tuple[np.ndarray, np.ndarray, float]:
-    """``base = x**w * exp(d*x)``, the residual ``y - c*base`` and its SSR."""
-    base = np.exp(w * ln_x + d * x)
-    resid = y - c * base
-    return base, resid, float(resid @ resid)
 
 
 def _solve(matrix: np.ndarray, rhs: np.ndarray) -> list[float] | None:
@@ -130,20 +129,21 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray) -> list[float] | None:
 
 
 # wild trial steps may overflow; a non-finite SSR is simply rejected
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagnostics]:
-    """Fit the cutoff curve to (x, y) points by damped Gauss-Newton.
+    """Fit the cutoff curve to (x, y) points by damped Gauss-Newton on (w, d).
 
-    Starts from the better, by raw-scale SSR, of two log-scale fits: the
-    log-log OLS of (c, w) with d = -1/(2*x_max), and the OLS of the
-    model's log form ln y = ln c + w*ln x + d*x with d clamped to
-    D_CEILING (used only when it is finite). Then iterates
-    Levenberg-style steps: the damping factor shrinks after an accepted
-    step and grows after a rejected one, and d is clamped to D_CEILING
-    after every step. Iteration stops when the relative drop in the sum
-    of squared residuals falls below RESIDUAL_TOLERANCE or
-    MAX_ITERATIONS is reached. Failure to converge is reported through
-    the diagnostics, not raised.
+    For each (w, d) the scale c is (base·y)/(base·base), base = x**w *
+    exp(d*x). Starts from the better, by that projected SSR, of two
+    log-scale fits: the log-log OLS with d = -1/(2*x_max), and the OLS of
+    ln y = ln c + w*ln x + d*x with d clamped to D_CEILING (used only when
+    finite). Then iterates Levenberg-style steps on Kaufman's Jacobian, c
+    times the partials of base projected off base: the damping factor
+    shrinks after an accepted step and grows after a rejected one, and a
+    step taking d past D_CEILING is re-solved for w alone with d there.
+    Iteration stops when the relative drop in the sum of squared residuals
+    falls below RESIDUAL_TOLERANCE or MAX_ITERATIONS is reached. Failure
+    to converge is reported through the diagnostics, not raised.
     """
     x, y = _validated_xy(points, "points", 4)
     if np.any(np.diff(x) <= 0.0):
@@ -151,15 +151,17 @@ def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagn
 
     ln_x = np.log(x)
     sst = float(((y - y.mean()) ** 2).sum())
-    c, w, d = _start(x, y, ln_x)
-    base, resid, ssr = _residual(y, c, w, d, ln_x, x)
+    w, d = _start(x, y, ln_x)
+    base, c, resid, ssr = _projected(y, w, d, ln_x, x)
     lam = INITIAL_DAMPING
     converged = ssr == 0.0
     iterations = 0
 
     while not converged and iterations < MAX_ITERATIONS:
         iterations += 1
-        jac = _jacobian(c, base, ln_x, x)
+        # Kaufman's Jacobian: c times d(base)/d(w, d), projected off base
+        jac = c * np.array([base * ln_x, base * x])
+        jac -= np.outer(jac @ base / (base @ base), base)
         grad = jac @ resid
         normal = jac @ jac.T
         diag = normal.diagonal()
@@ -172,14 +174,14 @@ def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagn
             damped = normal + lam * scale
             step = _solve(damped, grad)
             if step is not None:
-                c_new, w_new, d_new = c + step[0], w + step[1], d + step[2]
+                w_new, d_new = w + step[0], d + step[1]
                 if d_new > D_CEILING:
                     # constraint active: hold d at the ceiling and re-solve
-                    # the damped system for (c, w) alone, otherwise the
+                    # the damped system for w alone, otherwise the
                     # projected step carries a stale d contribution
-                    step = _solve(damped[:2, :2], grad[:2])
+                    step = _solve(damped[:1, :1], grad[:1])
                     if step is not None:
-                        c_new, w_new, d_new = c + step[0], w + step[1], D_CEILING
+                        w_new, d_new = w + step[0], D_CEILING
             if step is None:
                 lam *= 10.0
                 if lam > _DAMPING_LIMIT:
@@ -188,10 +190,7 @@ def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagn
                     )
                 continue
 
-            if c_new > 0:
-                base_new, resid_new, ssr_new = _residual(y, c_new, w_new, d_new, ln_x, x)
-            else:
-                ssr_new = math.inf
+            base_new, c_new, resid_new, ssr_new = _projected(y, w_new, d_new, ln_x, x)
             if math.isfinite(ssr_new) and ssr_new < ssr:
                 accepted = True
                 break
@@ -207,8 +206,8 @@ def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagn
             break
 
         rel_drop = (ssr - ssr_new) / ssr if ssr > 0 else 0.0
-        c, w, d = c_new, w_new, d_new
-        base, resid, ssr = base_new, resid_new, ssr_new
+        w, d = w_new, d_new
+        base, c, resid, ssr = base_new, c_new, resid_new, ssr_new
         lam = max(lam / 10.0, 1e-16)
         if rel_drop < RESIDUAL_TOLERANCE:
             converged = True
