@@ -69,9 +69,22 @@ def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _sibling(out: str, suffix: str) -> str:
-    p = Path(out)
-    return str(p.with_name(p.stem + suffix + (p.suffix or ".csv")))
+def _write_obj(out: str, run: dict, results: list) -> None:
+    """One obj document: ``run``'s keys, then a record per ``(unit, result)``."""
+    units = [reporting.unit_payload(unit, result) for unit, result in results]
+    _write_text(out, reporting.to_json({**run, "units": units}))
+
+
+def _write_dsv(
+    out: str, results: list, suffix: str, columns: list, sibling_rows: list
+) -> None:
+    """The main report, then ``sibling_rows`` beside it when there are any."""
+    rows = [reporting.report_row(unit, result) for unit, result in results]
+    _write_text(out, reporting.rows_to_dsv(reporting.REPORT_COLUMNS, rows))
+    if sibling_rows:
+        p = Path(out)
+        sibling = p.with_name(p.stem + suffix + (p.suffix or ".csv"))
+        _write_text(str(sibling), reporting.rows_to_dsv(columns, sibling_rows))
 
 
 def _check_positive(name: str, value: int | None) -> None:
@@ -102,28 +115,14 @@ def cmd_ftr(args) -> int:
     table = stage("parse_jhu_deaths", parse_jhu_deaths, deaths_text)
     continent_map = stage("parse_continent_map", parse_continent_map, map_text)
 
-    report_rows = []
-    fallback_rows = []
-    payloads = []
-    for unit, result in run_ftr(
-        table, continent_map, args.start, args.end, n=args.n, horizons=horizons
-    ):
-        report_rows.append(reporting.report_row(unit, result))
-        if result.fallback_used:
-            fallback_rows.extend(reporting.fallback_rows(unit, result))
-        payloads.append(reporting.unit_payload(unit, result))
-
+    results = list(
+        run_ftr(table, continent_map, args.start, args.end, n=args.n, horizons=horizons)
+    )
     if args.format == "obj":
-        _write_text(args.out, reporting.to_json({"command": "ftr", "units": payloads}))
+        _write_obj(args.out, {"command": "ftr"}, results)
     else:
-        _write_text(
-            args.out, reporting.rows_to_dsv(reporting.REPORT_COLUMNS, report_rows)
-        )
-        if fallback_rows:
-            _write_text(
-                _sibling(args.out, "_fallback"),
-                reporting.rows_to_dsv(reporting.FALLBACK_COLUMNS, fallback_rows),
-            )
+        fallback = [row for u, r in results for row in reporting.fallback_rows(u, r)]
+        _write_dsv(args.out, results, "_fallback", reporting.FALLBACK_COLUMNS, fallback)
     return 0
 
 
@@ -151,7 +150,6 @@ def cmd_dar(args) -> int:
         args.q,
         args.seed,
     )
-    unit = Path(args.abundance).stem
     result = stage("run_dar_pipeline", run_dar_pipeline, curve, n=args.n)
     if result.tpl is None:
         print(
@@ -159,15 +157,10 @@ def cmd_dar(args) -> int:
             "emitting point predictions without intervals",
             file=sys.stderr,
         )
+    results = [(Path(args.abundance).stem, result)]
     if args.format == "obj":
-        document = {
-            "command": "dar",
-            "q": args.q,
-            "replicates": args.replicates,
-            "seed": args.seed,
-            "units": [reporting.unit_payload(unit, result)],
-        }
-        _write_text(args.out, reporting.to_json(document))
+        run = dict(command="dar", q=args.q, replicates=args.replicates, seed=args.seed)
+        _write_obj(args.out, run, results)
         return 0
 
     horizon = args.horizon
@@ -176,12 +169,7 @@ def cmd_dar(args) -> int:
         if result.asymptote is not None:
             horizon = max(horizon, math.ceil(result.asymptote.x_max))
     rows = reporting.curve_rows(result, horizon)
-    row = reporting.report_row(unit, result)
-    _write_text(args.out, reporting.rows_to_dsv(reporting.REPORT_COLUMNS, [row]))
-    _write_text(
-        _sibling(args.out, "_curve"),
-        reporting.rows_to_dsv(reporting.CURVE_COLUMNS, rows),
-    )
+    _write_dsv(args.out, results, "_curve", reporting.CURVE_COLUMNS, rows)
     return 0
 
 

@@ -645,15 +645,14 @@ def _read_declined_table(header: list[str], body: list[bytes]) -> AbundanceTable
         )
     n_ok = n_unique
     count_rows = [line.split(b"\t", 1)[1] for line in body[:n_ok]]
-    cells = _nonzero_of_blocks(count_rows, len(taxa), "\t")
-    if cells is None:
+    # with no error every row has the first row's layout, whose counts the
+    # converter declined; the rows before an error may be ones it accepts
+    if error is None or _nonzero_of_blocks(count_rows, len(taxa), "\t") is None:
         grid = [_utf8(row).split("\t") for row in count_rows]
         counts = _scan_counts(grid, taxa, first_row=2)
     if error is not None:
         raise error
-    if cells is None:
-        return AbundanceTable(tuple(sample_ids[:n_ok]), tuple(taxa), counts)
-    return AbundanceTable._from_cells(tuple(sample_ids[:n_ok]), tuple(taxa), *cells)
+    return AbundanceTable(tuple(sample_ids[:n_ok]), tuple(taxa), counts)
 
 
 def parse_abundance_table(text: str | bytes) -> AbundanceTable:

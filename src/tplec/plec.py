@@ -104,10 +104,10 @@ def _projected(y, w, d, ln_x, x) -> tuple[np.ndarray, float, np.ndarray, float]:
     return base, c, resid, float(resid @ resid)
 
 
-def _start(x: np.ndarray, y: np.ndarray, ln_x: np.ndarray) -> tuple[float, float]:
+def _start(x, y, ln_x, ln_y) -> tuple[float, float]:
     """The starting (w, d) of ``fit_plec``: the linearised fit when it is
-    finite and its projected SSR is lower, so never worse than the power law."""
-    ln_y = np.log(y)
+    finite and its projected SSR on ``y`` is lower, so never worse than the
+    power law. ``ln_y`` is the log of the unscaled y."""
     design = np.column_stack([np.ones_like(ln_x), ln_x, x])
     _, w = np.linalg.lstsq(design[:, :2], ln_y, rcond=None)[0]
     power_law = (float(w), min(-1.0 / (2.0 * float(x[-1])), D_CEILING))
@@ -143,15 +143,23 @@ def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagn
     step taking d past D_CEILING is re-solved for w alone with d there.
     Iteration stops when the relative drop in the sum of squared residuals
     falls below RESIDUAL_TOLERANCE or MAX_ITERATIONS is reached. Failure
-    to converge is reported through the diagnostics, not raised.
+    to converge is reported through the diagnostics, not raised. All of
+    this runs on y scaled by a power of two, its largest value in [0.5, 1),
+    so that the SSR of a tiny or huge y neither underflows nor overflows;
+    c and the SSR are scaled back, and a fit whose c or SSR is then not a
+    finite float raises ``SingularNormalEquations``.
     """
     x, y = _validated_xy(points, "points", 4)
     if np.any(np.diff(x) <= 0.0):
         raise InvalidArgument("x values must be strictly increasing")
 
     ln_x = np.log(x)
+    # the fit runs on y / 2**k: every step is as on y, but the SSR of a
+    # tiny or huge y stays finite and > 0; the start's logs are of y itself
+    k = math.frexp(float(y.max()))[1]
+    ln_y, y = np.log(y), np.ldexp(y, -k)
     sst = float(((y - y.mean()) ** 2).sum())
-    w, d = _start(x, y, ln_x)
+    w, d = _start(x, y, ln_x, ln_y)
     base, c, resid, ssr = _projected(y, w, d, ln_x, x)
     lam = INITIAL_DAMPING
     converged = ssr == 0.0
@@ -212,8 +220,11 @@ def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagn
         if rel_drop < RESIDUAL_TOLERANCE:
             converged = True
 
-    model = PlecModel(c=c, w=w, d=d)
     r_squared = 1.0 - ssr / sst if sst > 0 else 1.0
+    c, ssr = float(np.ldexp(c, k)), float(np.ldexp(ssr, 2 * k))
+    if not (0.0 < c < math.inf and ssr < math.inf):
+        raise SingularNormalEquations(f"the fit's c = {c} or SSR = {ssr} is out of range")
+    model = PlecModel(c=c, w=w, d=d)
     diagnostics = FitDiagnostics(
         converged=converged,
         iterations=iterations,

@@ -118,7 +118,7 @@ def report_row(unit: str, result: CoupledPrediction) -> dict:
 
 
 def fallback_rows(unit: str, result: CoupledPrediction) -> list[dict]:
-    """Per-horizon power-law predictions for one fallback unit."""
+    """Per-horizon power-law predictions for a fallback unit; none for another."""
     pl = result.model
     rows = []
     for t, band in result.horizon_bands:

@@ -9,7 +9,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +132,42 @@ class TestFtrCommand:
             assert float(r["lower_95"]) <= float(r["predicted"]) <= float(
                 r["upper_95"]
             )
+
+    def test_horizon_dates_are_the_fallback_rows_dates(self, ftr_paths, tmp_path):
+        end = ftr_paths[2]["end"]
+        horizons = [end + timedelta(days=10), end + timedelta(days=45)]
+        extra = ("--horizon", ",".join(d.isoformat() for d in horizons))
+        status, out = run_ftr(ftr_paths, tmp_path, extra=extra)
+        assert status == 0
+        _, rows = read_rows(out.with_name("report_fallback.csv"))
+        dates = [r["horizon_date"] for r in rows if r["unit"] == "Gammia"]
+        assert dates == [d.isoformat() for d in horizons]
+
+    @pytest.mark.parametrize(
+        "fmt, unused",
+        [
+            ("dsv", ["unit_payload", "to_json"]),
+            ("obj", ["report_row", "fallback_rows"]),
+        ],
+        ids=["dsv", "obj"],
+    )
+    def test_a_run_builds_only_the_records_its_format_writes(
+        self, ftr_paths, tmp_path, monkeypatch, fmt, unused
+    ):
+        cli._bind_library()
+
+        def unused_call(*args):
+            raise AssertionError("a record the format does not write was built")
+
+        for name in unused:
+            monkeypatch.setattr(cli.reporting, name, unused_call)
+        status, out = run_ftr(ftr_paths, tmp_path, fmt=fmt)
+        assert status == 0
+        written = sorted(path.name for path in tmp_path.glob("report*"))
+        if fmt == "dsv":
+            assert written == ["report.csv", "report_fallback.csv"]
+        else:
+            assert written == ["report.json"]
 
     def test_completion_has_one_decimal(self, ftr_paths, tmp_path):
         _, out = run_ftr(ftr_paths, tmp_path)

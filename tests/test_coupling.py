@@ -19,6 +19,7 @@ from tplec import (
     coupling,
     date_to_day_index,
     day_index_to_date,
+    fit_cutoff,
     fit_plec,
     parse_abundance_table,
     parse_continent_map,
@@ -87,6 +88,13 @@ class TestComputeAsymptote:
         assert np.all(np.diff(lv) > 0)
         assert np.all(np.diff(rv) < 0)
         assert lv.max() < asym.y_max and rv.max() < asym.y_max
+
+
+def test_fit_cutoff_falls_back_on_singular_normal_equations():
+    # x_max = 9e-300 puts the start's taper -1/(2*x_max) at -6e298: base·base
+    # underflows to 0, so c and the Jacobian are not finite at any damping
+    points = [(1e-300 * i, float(i)) for i in range(1, 10)]
+    assert fit_cutoff(points) == (None, None, None)
 
 
 class TestConfidenceBand:

@@ -81,6 +81,11 @@ class TestParseJhuDeaths:
         with pytest.raises(MalformedHeader):
             parse_jhu_deaths("State,Country,Lat,Long,3/1/21\n,X,0,0,1\n")
 
+    @pytest.mark.parametrize("text", ["", b""], ids=["str", "bytes"])
+    def test_empty_input(self, text):
+        with pytest.raises(MalformedHeader, match="^empty input$"):
+            parse_jhu_deaths(text)
+
     def test_bad_date_column(self):
         with pytest.raises(UnparseableDate):
             parse_jhu_deaths(

@@ -353,6 +353,15 @@ def mao_tau(counts):
     return np.array(expected)
 
 
+def test_worker_count_without_affinity_uses_cpu_count(monkeypatch):
+    # a platform with no os.sched_getaffinity, such as macOS or Windows
+    monkeypatch.delattr(_kernels.os, "sched_getaffinity")
+    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 3)
+    assert [_kernels._worker_count(r) for r in (1, 2, 3, 50)] == [1, 2, 3, 3]
+    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: None)
+    assert _kernels._worker_count(50) == 1
+
+
 def test_richness_mean_matches_mao_tau():
     table, _ = build_saturating_table()
     replicates = 400

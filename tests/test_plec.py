@@ -14,7 +14,12 @@ from tplec import (
     plec_eval,
     plec_jacobian,
 )
-from tplec.errors import InvalidArgument, NonPositiveValue, TooFewPoints
+from tplec.errors import (
+    InvalidArgument,
+    NonPositiveValue,
+    SingularNormalEquations,
+    TooFewPoints,
+)
 from tplec.plec import D_CEILING, MAX_ITERATIONS
 from tplec.regression import _ols_loglog
 
@@ -236,6 +241,30 @@ class TestFitPlec:
             )
             assert cosine.max() <= 1e-5
         assert interior >= 0.75 * count
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160])
+    def test_tiny_and_huge_y_are_fitted_as_at_unit_scale(self, scale):
+        # the SSR of y itself underflows to 0 at the start (1e-300) or
+        # overflows there (1e160); the fit runs on y scaled to about 1
+        x = np.arange(1.0, 40.0)
+        y = scale * 50.0 * x**1.4 * np.exp(-0.05 * x)
+        model, diag = fit_plec(list(zip(x, y)))
+        assert diag.converged and diag.iterations > 0
+        assert model.w == pytest.approx(1.4, rel=1e-9)
+        assert model.d == pytest.approx(-0.05, rel=1e-9)
+        assert model.c == pytest.approx(50.0 * scale, rel=1e-9)
+
+    def test_ssr_past_the_float_range_raises(self):
+        # the fit itself succeeds on the scaled y, but its SSR, about
+        # 2e-30 * 4**1007, is no float: the caller falls back as before
+        x = np.arange(1.0, 40.0)
+        y = 1e300 * 50.0 * x**1.4 * np.exp(-0.05 * x)
+        with pytest.raises(SingularNormalEquations):
+            fit_plec(list(zip(x, y)))
+
+    def test_tiny_x_raises_singular_normal_equations(self):
+        with pytest.raises(SingularNormalEquations, match="maximum damping"):
+            fit_plec([(1e-300 * i, float(i)) for i in range(1, 10)])
 
     def test_deterministic(self):
         x = np.arange(1.0, 61.0)
