@@ -78,13 +78,19 @@ def _write_obj(out: str, run: dict, results: list) -> None:
 def _write_dsv(
     out: str, results: list, suffix: str, columns: list, sibling_rows: list
 ) -> None:
-    """The main report, then ``sibling_rows`` beside it when there are any."""
+    """The main report, then ``sibling_rows`` beside it when there are any.
+
+    With none, a sibling file that an earlier run left there is removed,
+    so that it is never read as this report's.
+    """
     rows = [reporting.report_row(unit, result) for unit, result in results]
     _write_text(out, reporting.rows_to_dsv(reporting.REPORT_COLUMNS, rows))
+    p = Path(out)
+    sibling = p.with_name(p.stem + suffix + (p.suffix or ".csv"))
     if sibling_rows:
-        p = Path(out)
-        sibling = p.with_name(p.stem + suffix + (p.suffix or ".csv"))
         _write_text(str(sibling), reporting.rows_to_dsv(columns, sibling_rows))
+    else:
+        sibling.unlink(missing_ok=True)
 
 
 def _check_positive(name: str, value: int | None) -> None:

@@ -23,12 +23,14 @@ nearly all one-digit cells, such as an abundance table's "0" cells, is
 read two bytes per cell; any other block by its cells' terminators, with
 one whole-array update per digit place. A deaths file keeps every cell,
 in a dense matrix; an abundance table keeps only each block's nonzero
-cells. A row the converter reads thus has the expected width; rows are
-counted only when it declines, and an abundance table's layout is first
-taken from its first row. Then every cell before the first ragged row is
-parsed with ``int()``, which also takes a sign, spaces or non-ASCII
-digits, and the first bad cell in row-major order is reported, by row
-and column, before a ragged row.
+cells, and its layout is taken from its first row's width alone. A row
+the converter reads thus has the expected width. It stops at the first
+block it declines, and the parser keeps the rows before that block and
+reads every row from there on cell by cell: it counts the row's fields
+and parses each cell with ``int()``, which also takes a sign, spaces or
+non-ASCII digits. The first ragged row, repeated sample id or bad cell
+(named by row and column), in row order, is raised; a deaths file's
+decrease warnings for the rows before a ragged row come first.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .diversity import AbundanceTable, _int64_array
+from .diversity import _INT64_MAX, AbundanceTable, _int64_array
 from .errors import (
     CountOverflow,
     DateOutOfRange,
@@ -63,7 +65,6 @@ from .errors import (
 _JHU_FIXED_COLUMNS = ("Province/State", "Country/Region", "Lat", "Long")
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
 _BLOCK_CELLS = 1 << 14  # cells per converter pass: its scratch arrays stay small
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1, so no overflow check is needed
 _SPARSE_SHARE = 8  # a two-byte block has at most one continuation digit per 8 cells
@@ -273,15 +274,15 @@ def _scan_counts(block, columns, first_row: int) -> np.ndarray:
     return counts
 
 
-def _digit_blocks(
-    rows: Iterable[bytes], n_cols: int, sep: str
-) -> Iterator[np.ndarray | None]:
+def _digit_blocks(rows: Iterable[bytes], n_cols: int, sep: str) -> Iterator[np.ndarray]:
     """Each block of ``rows``' cells as a flat int64 array, in row-major order.
 
-    Each row is the bytes of ``n_cols`` cells joined by ``sep``. Yields
-    None, and stops, at the first block that holds a cell other than 1 to
-    ``_MAX_DIGITS`` ASCII digits or a row with the wrong number of cells,
-    so every block it yields proves its rows' width.
+    Each row is the bytes of ``n_cols`` cells joined by ``sep``. Stops at
+    the first block that holds a cell other than 1 to ``_MAX_DIGITS``
+    ASCII digits or a row with the wrong number of cells, having taken
+    that block's rows from ``rows``. So every block it yields proves its
+    rows' width, and the cells it yields are those of the rows before the
+    block it declined, or of every row.
 
     Each block takes one route, by its byte count. A block of at most
     ``2 + 1/_SPARSE_SHARE`` bytes per cell, so that nearly every cell is
@@ -308,7 +309,7 @@ def _digit_blocks(
         if _SPARSE_SHARE * (raw.size - 2 * k * n_cols) <= k * n_cols:
             values = _two_byte_cells(raw, zero, k)
             if values is None:
-                break
+                return
             per_block = wide
             yield values
             continue
@@ -319,17 +320,17 @@ def _digit_blocks(
         digits = raw - ord("0")  # wraps: every other byte lands above 9
         ends = np.flatnonzero(digits > 9)
         if ends.size != k * n_cols:
-            break
+            return
         terminators = raw[ends].reshape(k, n_cols)
         if not (
             (terminators[:, :-1] == ord(sep)).all()
             and (terminators[:, -1] == ord("\n")).all()
         ):
-            break
+            return
         widths = ends.copy()  # a cell starts after the terminator before it
         widths[1:] -= ends[:-1] + 1
         if widths.min() < 1 or widths.max() > _MAX_DIGITS:
-            break
+            return
         values = digits[ends - 1].astype(np.int64)  # all a one-digit cell needs
         longer = widths > 1  # most cells of a sparse table are "0"
         # where most cells are longer, picking them out costs more than it saves
@@ -339,9 +340,6 @@ def _digit_blocks(
         if width.size:
             _add_leading_digits(values, multi, digits, last, width)
         yield values
-    else:
-        return
-    yield None
 
 
 def _two_byte_cells(raw: np.ndarray, zero: np.ndarray, k: int) -> np.ndarray | None:
@@ -395,23 +393,23 @@ def _add_leading_digits(values, cells, digits, last, width) -> None:
 
 def _digit_block(
     rows: Iterable[bytes], n_rows: int, n_cols: int, sep: str
-) -> np.ndarray | None:
-    """The ``n_rows`` x ``n_cols`` int64 matrix of ``_digit_blocks``, or None."""
+) -> tuple[np.ndarray, int]:
+    """The ``n_rows`` x ``n_cols`` int64 matrix of ``_digit_blocks``, and how
+    many leading rows of it the converter read; the other rows are unset."""
     counts = np.empty((n_rows, n_cols), dtype=np.int64)
     flat = counts.reshape(-1)
     done = 0
     for values in _digit_blocks(itertools.islice(rows, n_rows), n_cols, sep):
-        if values is None:
-            return None
         flat[done : done + values.size] = values
         done += values.size
-    return counts
+    return counts, done // n_cols
 
 
 def _nonzero_of_blocks(
     rows: Iterable[bytes], n_cols: int, sep: str
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Flat index and value of each nonzero cell ``_digit_blocks`` reads, or None.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Flat index and value of each nonzero cell ``_digit_blocks`` reads,
+    and how many leading rows it read.
 
     The index is ``row * n_cols + column``, ascending, so the cells come
     in row-major order; only a block's nonzero cells outlive it.
@@ -420,13 +418,11 @@ def _nonzero_of_blocks(
     kept = [np.empty(0, dtype=np.int64)]
     done = 0
     for values in _digit_blocks(rows, n_cols, sep):
-        if values is None:
-            return None
         nonzero = np.flatnonzero(values != 0)  # faster on a mask than on int64
         cells.append(nonzero + done)
         kept.append(values[nonzero])
         done += values.size
-    return np.concatenate(cells), np.concatenate(kept)
+    return np.concatenate(cells), np.concatenate(kept), done // n_cols
 
 
 def parse_jhu_deaths(text: str | bytes) -> DeathsTable:
@@ -452,18 +448,23 @@ def parse_jhu_deaths(text: str | bytes) -> DeathsTable:
         if (b - a).days != 1:
             raise MalformedHeader(f"date axis is not daily between {a} and {b}")
 
-    body = records[1:]
-    n_ok, width = len(body), len(header)
-    joined = (d if isinstance(d, bytes) else _input_bytes(",".join(d)) for _, d in body)
-    counts = _digit_block(joined, n_ok, width - 4, ",")
-    # the converter proves a split line's width, not a csv record's ("1,000")
-    csv_ragged = any(isinstance(d, list) and len(c) + len(d) != width for c, d in body)
-    if counts is None or csv_ragged:
-        # rows before a ragged one are parsed (and warned about) first
-        n_ok = next((i for i, r in enumerate(body) if len(_cells(r)) != width), n_ok)
-        cells = [_cells(r)[4:] for r in body[:n_ok]]  # a quoted "1,000" is one cell
-        counts = _scan_counts(cells, header[4:], first_row=2)
-    body, ragged = body[:n_ok], body[n_ok:]
+    body, width = records[1:], len(header)
+    # a csv record of another width goes to the converter as an empty row,
+    # which it declines: joined, a quoted "1,000" would be two cells
+    joined = (
+        d if isinstance(d, bytes)
+        else _input_bytes(",".join(d)) if len(c) + len(d) == width
+        else b""
+        for c, d in body
+    )
+    counts, done = _digit_block(joined, len(body), width - 4, ",")
+    # the rows from the declined block on are read cell by cell, up to the
+    # first ragged one, and warned about before it is raised
+    rest = [_cells(r) for r in body[done:]]
+    n_ok = done + next((i for i, r in enumerate(rest) if len(r) != width), len(rest))
+    cells = [r[4:] for r in rest[: n_ok - done]]  # a quoted "1,000" is one cell
+    counts[done:n_ok] = _scan_counts(cells, header[4:], first_row=done + 2)
+    body, counts = body[:n_ok], counts[:n_ok]
     counts.flags.writeable = False
     drops = counts[:, 1:] < counts[:, :-1]
     for i in np.flatnonzero(drops.any(axis=1)):
@@ -472,9 +473,9 @@ def parse_jhu_deaths(text: str | bytes) -> DeathsTable:
             f"{dates[int(drops[i].argmax()) + 1]} (source correction retained as-is)",
             stacklevel=2,
         )
-    if ragged:
+    if n_ok < done + len(rest):
         raise RaggedRow(
-            f"row {n_ok + 2} has {len(_cells(ragged[0]))} fields, header has {width}"
+            f"row {n_ok + 2} has {len(rest[n_ok - done])} fields, header has {width}"
         )
     return DeathsTable(tuple(cells[1].strip() for cells, _ in body), dates, counts)
 
@@ -620,49 +621,14 @@ def _first_repeat(ids: Sequence[str]) -> int:
     return len(ids)
 
 
-def _read_declined_table(header: list[str], body: list[bytes]) -> AbundanceTable:
-    """Read, row by row, a table the converter declined.
-
-    Every row's fields are counted. The header lists taxa only if every
-    row has one field more than it. The first row that is ragged or
-    repeats a sample id is an error, raised after a bad count in an
-    earlier row.
-    """
-    widths = [line.count(b"\t") + 1 for line in body]
-    taxa = header if all(w == len(header) + 1 for w in widths) else header[1:]
-    _check_taxa(taxa)
-    n_ok = next((i for i, w in enumerate(widths) if w != len(taxa) + 1), len(body))
-    sample_ids = [_utf8(line.split(b"\t", 1)[0]).strip() for line in body[:n_ok]]
-    n_unique = _first_repeat(sample_ids)
-    error = None
-    if n_unique < n_ok:
-        error = DuplicateSampleId(
-            f"sample id {sample_ids[n_unique]!r} appears more than once"
-        )
-    elif n_ok < len(body):
-        error = RaggedRow(
-            f"row {n_ok + 2} has {widths[n_ok]} fields, expected {len(taxa) + 1}"
-        )
-    n_ok = n_unique
-    count_rows = [line.split(b"\t", 1)[1] for line in body[:n_ok]]
-    # with no error every row has the first row's layout, whose counts the
-    # converter declined; the rows before an error may be ones it accepts
-    if error is None or _nonzero_of_blocks(count_rows, len(taxa), "\t") is None:
-        grid = [_utf8(row).split("\t") for row in count_rows]
-        counts = _scan_counts(grid, taxa, first_row=2)
-    if error is not None:
-        raise error
-    return AbundanceTable(tuple(sample_ids[:n_ok]), tuple(taxa), counts)
-
-
 def parse_abundance_table(text: str | bytes) -> AbundanceTable:
     """Parse a TSV abundance table: taxa across the top, samples as rows.
 
     The header may either list only the taxon identifiers or carry a
-    leading corner label above the sample-id column; both layouts are
-    accepted. Counts must be nonnegative integers that fit in int64, and
-    so must their total. Only the nonzero cells are kept (see
-    ``AbundanceTable``), and the rows are read one block at a time.
+    leading corner label above the sample-id column; the first row's
+    width picks the layout. Counts must be nonnegative integers that fit
+    in int64, and so must their total. Only the nonzero cells are kept
+    (see ``AbundanceTable``), and the rows are read one block at a time.
     """
     data = _input_bytes(text)
     lines = _split_lines(data)
@@ -673,9 +639,10 @@ def parse_abundance_table(text: str | bytes) -> AbundanceTable:
     if first is None:
         raise MalformedHeader("no sample rows present")
 
-    # the first row's width picks the layout; a converted table proves
-    # that every row has that width, so no other row's tabs are counted
+    # the first row's width picks the layout; a converted row proves its
+    # width, so only the rows the converter declines have their tabs counted
     taxa = header if first.count(b"\t") == len(header) else header[1:]
+    _check_taxa(taxa)
     sample_ids: list[str] = []
 
     def count_rows() -> Iterator[bytes]:
@@ -684,16 +651,33 @@ def parse_abundance_table(text: str | bytes) -> AbundanceTable:
             sample_ids.append(_utf8(sid).strip())
             yield rest
 
-    cells = _nonzero_of_blocks(count_rows(), len(taxa), "\t") if taxa else None
-    if cells is None:
-        return _read_declined_table(header, list(_split_lines(data))[1:])
-    _check_taxa(taxa)
+    cells, values, done = _nonzero_of_blocks(count_rows(), len(taxa), "\t")
+    # Every row from the block the converter declined on, if it declined
+    # one, is read cell by cell; if not, it spent ``lines``. The first
+    # ragged row, repeated sample id or bad cell, in row order, is raised.
+    if done < len(sample_ids):
+        lines = itertools.islice(_split_lines(data), done + 1, None)
+    rest = [_utf8(line).split("\t") for line in lines]
+    width = len(taxa) + 1
+    n_ok = done + next((i for i, r in enumerate(rest) if len(r) != width), len(rest))
+    del sample_ids[done:]
+    sample_ids += [r[0].strip() for r in rest[: n_ok - done]]
     n_unique = _first_repeat(sample_ids)
-    if n_unique < len(sample_ids):
+    grid = [r[1:] for r in rest[: max(n_unique - done, 0)]]
+    scanned = _scan_counts(grid, taxa, first_row=done + 2)
+    if n_unique < n_ok:
         raise DuplicateSampleId(
             f"sample id {sample_ids[n_unique]!r} appears more than once"
         )
-    return AbundanceTable._from_cells(tuple(sample_ids), tuple(taxa), *cells)
+    if n_ok < done + len(rest):
+        raise RaggedRow(
+            f"row {n_ok + 2} has {len(rest[n_ok - done])} fields, expected {width}"
+        )
+    if rest:
+        nonzero = np.flatnonzero(scanned)
+        cells = np.concatenate([cells, nonzero + done * len(taxa)])
+        values = np.concatenate([values, scanned.reshape(-1)[nonzero]])
+    return AbundanceTable._from_cells(tuple(sample_ids), tuple(taxa), cells, values)
 
 
 def serialize_abundance_table(table: AbundanceTable) -> str:

@@ -169,6 +169,23 @@ class TestFtrCommand:
         else:
             assert written == ["report.json"]
 
+    def test_a_run_with_no_fallback_unit_removes_an_earlier_fallback_file(
+        self, ftr_paths, tmp_path
+    ):
+        status, out = run_ftr(ftr_paths, tmp_path)
+        assert status == 0
+        assert out.with_name("report_fallback.csv").exists()
+        deaths, continents, _ = ftr_paths
+        for path in (deaths, continents):
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(line for line in lines if "Gammia" not in line))
+        status, out = run_ftr(ftr_paths, tmp_path)
+        assert status == 0
+        _, rows = read_rows(out)
+        assert [r["unit"] for r in rows] == ["Alphia", "Betia", "World"]
+        assert not any(r["fallback_used"] == "true" for r in rows)
+        assert sorted(p.name for p in tmp_path.glob("report*")) == ["report.csv"]
+
     def test_completion_has_one_decimal(self, ftr_paths, tmp_path):
         _, out = run_ftr(ftr_paths, tmp_path)
         _, rows = read_rows(out)

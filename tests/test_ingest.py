@@ -389,9 +389,10 @@ class TestParseAbundanceTable:
 @pytest.mark.parametrize(
     "text, expect",
     [
-        ("c\tA\tB\ns1\t1\t2\t3\ns2\t1\t2\n", (RaggedRow, "row 2 has 4 fields, expected 3")),
+        ("c\tA\tB\ns1\t1\t2\t3\ns2\t1\t2\n", (RaggedRow, "row 3 has 3 fields, expected 4")),
         ("c\tA\tB\ns1\t1\t2\ns2\t1\t2\t3\n", (RaggedRow, "row 3 has 4 fields, expected 3")),
-        ("\tA\tB\ns1\t1\t2\t3\ns2\t1\n", (RaggedRow, "row 2 has 4 fields, expected 3")),
+        ("\tA\tB\ns1\t1\t2\t3\ns2\t1\n", (MalformedHeader, "empty taxon column header")),
+        ("A\tB\ns1\t1\t2\ns2\t1\n", (RaggedRow, "row 3 has 2 fields, expected 3")),
         ("\tA\tB\ns1\t1\t2\ns2\t1\t0\n", [[1, 2], [1, 0]]),
         ("A\tB\ns1\t0\t2\ns2\t1\t0\n", [[0, 2], [1, 0]]),
         ("c\tA\tB\ns1\t1\tx\ns1\t1\t2\n", (UnparseableCount, "row 2, column B: 'x' is not an integer")),
@@ -403,15 +404,16 @@ class TestParseAbundanceTable:
         ("A\tB\n s1\t1\t2\ns1 \t3\t4\n", (DuplicateSampleId, "sample id 's1' appears more than once")),
     ],
     ids=[
-        "first_row_wide", "later_row_wide", "empty_corner_ragged", "empty_corner",
+        "first_row_wide", "later_row_wide", "empty_corner_ragged",
+        "taxa_only_header_ragged", "empty_corner",
         "taxa_only_header", "bad_count_before_repeat", "repeat_before_ragged",
         "ragged_before_repeat", "row_without_tab", "bad_count_after_ragged",
         "empty_taxon_converted", "repeat_converted",
     ],
 )
 def test_abundance_layout_and_first_error(text, expect):
-    """The first row's width picks the layout when every row then converts;
-    otherwise the layout, and the first error, come from every row's width."""
+    """The first row's width alone picks the layout; then the first ragged
+    row, repeated sample id or bad cell, in row order, is raised."""
     if isinstance(expect, list):
         table = parse_abundance_table(text)
         assert (table.sample_ids, table.taxon_ids) == (("s1", "s2"), ("A", "B"))
@@ -675,15 +677,16 @@ def test_converter_matches_numpy_int_oracle(shape, max_digits):
         with pytest.raises(CountOverflow):
             parse_abundance_table(tsv)
     rows = ["\t".join(r).encode("ascii") for r in grid]
-    fast = _digit_block(iter(rows), *shape, "\t")
-    sparse = _nonzero_of_blocks(rows, shape[1], "\t")
-    if max(len(c) for r in grid for c in r) <= 18:
-        assert np.array_equal(fast, oracle)
-        cells = np.flatnonzero(oracle)
-        assert np.array_equal(sparse[0], cells)
-        assert np.array_equal(sparse[1], oracle.ravel()[cells])
-    else:  # 19 digits: the scanner converts the block
-        assert fast is None and sparse is None
+    fast, done = _digit_block(iter(rows), *shape, "\t")
+    *sparse, sparse_done = _nonzero_of_blocks(rows, shape[1], "\t")
+    # the converter stops at the block that holds a 19-digit cell
+    long_row = next((i for i, r in enumerate(grid) if max(map(len, r)) > 18), shape[0])
+    assert sparse_done == done <= long_row
+    assert (done == shape[0]) == (long_row == shape[0])
+    assert np.array_equal(fast[:done], oracle[:done])
+    cells = np.flatnonzero(oracle[:done])
+    assert np.array_equal(sparse[0], cells)
+    assert np.array_equal(sparse[1], oracle.ravel()[cells])
 
 
 @pytest.mark.parametrize(
@@ -697,15 +700,17 @@ def test_converter_zero_and_leading_zero_cells(grid, expect):
     jhu, _ = _as_jhu(grid)
     assert parse_jhu_deaths(jhu).counts.tolist() == expect
     rows = [",".join(r).encode("ascii") for r in grid]
-    assert _digit_block(rows, 2, 3, ",").tolist() == expect
+    counts, done = _digit_block(rows, 2, 3, ",")
+    assert done == 2 and counts.tolist() == expect
 
 
 def test_converter_digit_limit():
     eighteen, nineteen = "9" * 18, "1" + "0" * 18
-    assert _digit_block([eighteen.encode()], 1, 1, "\t").tolist() == [[10**18 - 1]]
-    assert _digit_block([nineteen.encode()], 1, 1, "\t") is None
+    counts, done = _digit_block([eighteen.encode()], 1, 1, "\t")
+    assert done == 1 and counts.tolist() == [[10**18 - 1]]
+    assert _digit_block([nineteen.encode()], 1, 1, "\t")[1] == 0
     top = str(2**63 - 1)
-    assert _digit_block([top.encode()], 1, 1, ",") is None
+    assert _digit_block([top.encode()], 1, 1, ",")[1] == 0
     jhu, _ = _as_jhu([[eighteen, nineteen, top]])
     expect = [10**18 - 1, 10**18, 2**63 - 1]
     assert parse_jhu_deaths(jhu).counts.tolist() == [expect]
@@ -723,14 +728,14 @@ def test_converter_digit_limit():
     ],
 )
 def test_converter_declines_what_it_does_not_accept(rows, n_cols, two_byte_blocks):
-    assert _digit_block(rows, len(rows), n_cols, "\t") is None
+    assert _digit_block(rows, len(rows), n_cols, "\t")[1] == 0
     # amid 80 rows of "0" cells the block is read two bytes per cell; amid
     # 80 rows of "99" cells, by its terminators
     for pad, two_byte in [(b"0", 1), (b"99", 0)]:
         padding = [b"\t".join([pad] * n_cols)] * 40
         padded = padding + rows + padding
         two_byte_blocks.clear()
-        assert _digit_block(padded, len(padded), n_cols, "\t") is None
+        assert _digit_block(padded, len(padded), n_cols, "\t")[1] == 0
         assert len(two_byte_blocks) == two_byte
 
 
@@ -784,14 +789,45 @@ def two_byte_blocks(monkeypatch):
 
 
 @pytest.fixture
-def no_scanner(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the per-cell scanner ran")
+def scanned_rows(monkeypatch):
+    """The row number of each cell the per-cell scanner reads, in order."""
+    rows = []
+    parse = ingest._parse_count
 
-    monkeypatch.setattr(ingest, "_scan_counts", refuse)
+    def spy(cell, row, column_name):
+        rows.append(row)
+        return parse(cell, row, column_name)
+
+    monkeypatch.setattr(ingest, "_parse_count", spy)
+    return rows
 
 
-def test_benchmark_layouts_take_the_converter(no_scanner):
+def _same_table(a, b):
+    if isinstance(a, DeathsTable):
+        return a == b
+    labels = (a.sample_ids, a.taxon_ids) == (b.sample_ids, b.taxon_ids)
+    return labels and np.array_equal(a.counts, b.counts)
+
+
+@pytest.mark.parametrize("layout", ["jhu", "tsv"])
+def test_a_declined_block_is_read_from_its_first_row(
+    layout, scanned_rows, monkeypatch
+):
+    # blocks of 2 rows of 3 cells, read by their terminators: rows 2-9 of
+    # the file are converted, and the block of rows 10 and 11 is declined
+    monkeypatch.setattr(ingest, "_BLOCK_CELLS", 6)
+    grid = [["12", "12", "12"] for _ in range(10)]
+    parse = parse_jhu_deaths if layout == "jhu" else parse_abundance_table
+    write = _as_jhu if layout == "jhu" else _as_tsv
+    grid[-1][0] = "1"
+    expect = parse(write(grid)[0])
+    assert scanned_rows == []
+    grid[-1][0] = "+1"
+    assert _same_table(parse(write(grid)[0]), expect)
+    assert scanned_rows == [10] * 3 + [11] * 3
+
+
+def test_benchmark_layouts_take_the_converter(scanned_rows):
     # quoted country names and province rows, as in JHU files and perfbench's
     jhu = (
         "Province/State,Country/Region,Lat,Long,3/1/21,3/2/21,3/3/21\n"
@@ -806,6 +842,7 @@ def test_benchmark_layouts_take_the_converter(no_scanner):
     assert table.counts.tolist() == expect
     tsv = "sample_id\tt1\tt2\tt3\nS000\t0\t120\t0\nS001\t7\t0\t3\n"
     assert parse_abundance_table(tsv).counts.tolist() == [[0, 120, 0], [7, 0, 3]]
+    assert scanned_rows == []
 
 
 # perfbench's seeded input generators; its dataclass needs it in sys.modules
@@ -828,6 +865,33 @@ def test_benchmark_workloads_take_their_routes(two_byte_blocks, tmp_path):
     workloads.prepare_ftr(7, tmp_path)
     parse_jhu_deaths((tmp_path / "deaths.csv").read_bytes())
     assert two_byte_blocks == []
+
+
+@pytest.mark.filterwarnings("ignore:cumulative counts")
+def test_one_signed_cell_in_a_benchmark_input_is_read_with_its_block(
+    scanned_rows, tmp_path
+):
+    # "+1" in the last row is read as "1", and only the rows from the block
+    # that holds it on are read cell by cell
+    workloads.prepare_dar_shannon(7, tmp_path)
+    workloads.prepare_ftr(7, tmp_path)
+    for name, sep, parse in [
+        ("shannon.tsv", b"\t", parse_abundance_table),
+        ("deaths.csv", b",", parse_jhu_deaths),
+    ]:
+        head, last = (tmp_path / name).read_bytes().rstrip(b"\n").rsplit(b"\n", 1)
+        cells = last.split(sep)
+        expect = parse(head + b"\n" + sep.join(cells[:-1] + [b"1"]) + b"\n")
+        assert scanned_rows == []
+        table = parse(head + b"\n" + sep.join(cells[:-1] + [b"+1"]) + b"\n")
+        assert _same_table(table, expect)
+        last_row = head.count(b"\n") + 2
+        n_cols = len(cells) - (1 if sep == b"\t" else 4)
+        rows = sorted(set(scanned_rows))
+        assert rows == list(range(rows[0], last_row + 1)) and rows[0] > 2
+        assert len(rows) <= 4 * ingest._BLOCK_CELLS // n_cols  # one block at most
+        assert scanned_rows == [row for row in rows for _ in range(n_cols)]
+        scanned_rows.clear()
 
 
 class TestConverterBoundaries:

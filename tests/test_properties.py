@@ -197,6 +197,12 @@ def _plain(cell):
     return cell.isascii() and cell.isdigit() and len(cell) <= 18
 
 
+def _assert_stops_at_a_declined_row(rows, n_cols, done):
+    """The converter read every row, or stopped before one it declines."""
+    plain = [len(row) == n_cols and all(map(_plain, row)) for row in rows]
+    assert all(plain[:done]) and (done == len(rows)) == all(plain)
+
+
 @PROPERTY
 @given(
     grid=_count_rows(),
@@ -209,19 +215,19 @@ def test_converter_reads_int_of_every_cell_or_declines(grid, sep, block):
     n_cols, rows = grid
     texts = [sep.join(row).encode("utf-8") for row in rows]
     with patch.object(ingest, "_BLOCK_CELLS", block):
-        counts = _digit_block(texts, len(rows), n_cols, sep)
-        sparse = _nonzero_of_blocks(texts, n_cols, sep)
-    plain = all(len(row) == n_cols and all(map(_plain, row)) for row in rows)
-    assert (counts is not None) == plain and (sparse is not None) == plain
-    if plain:
-        assert counts.tolist() == [[int(cell) for cell in row] for row in rows]
-        nonzero = [
-            (i * n_cols + j, int(cell))
-            for i, row in enumerate(rows)
-            for j, cell in enumerate(row)
-            if int(cell)
-        ]
-        assert list(zip(sparse[0].tolist(), sparse[1].tolist())) == nonzero
+        counts, done = _digit_block(texts, len(rows), n_cols, sep)
+        *sparse, sparse_done = _nonzero_of_blocks(texts, n_cols, sep)
+    assert sparse_done == done
+    _assert_stops_at_a_declined_row(rows, n_cols, done)
+    read = rows[:done]
+    assert counts[:done].tolist() == [[int(cell) for cell in row] for row in read]
+    nonzero = [
+        (i * n_cols + j, int(cell))
+        for i, row in enumerate(read)
+        for j, cell in enumerate(row)
+        if int(cell)
+    ]
+    assert list(zip(sparse[0].tolist(), sparse[1].tolist())) == nonzero
 
 
 ZEROS = [["0"] * 40] * 15
@@ -241,16 +247,16 @@ def test_converter_reads_int_of_mostly_zero_cells_or_declines(grid, sep, block):
     n_cols, rows = grid
     texts = [sep.join(row).encode("utf-8") for row in rows]
     with patch.object(ingest, "_BLOCK_CELLS", block):
-        counts = _digit_block(texts, len(rows), n_cols, sep)
-        sparse = _nonzero_of_blocks(texts, n_cols, sep)
-    plain = all(len(row) == n_cols and all(map(_plain, row)) for row in rows)
-    assert (counts is not None) == plain and (sparse is not None) == plain
-    if plain:
-        expect = np.array([[int(cell) for cell in row] for row in rows], dtype=np.int64)
-        assert np.array_equal(counts, expect)
-        cells = np.flatnonzero(expect)
-        assert np.array_equal(sparse[0], cells)
-        assert np.array_equal(sparse[1], expect.ravel()[cells])
+        counts, done = _digit_block(texts, len(rows), n_cols, sep)
+        *sparse, sparse_done = _nonzero_of_blocks(texts, n_cols, sep)
+    assert sparse_done == done
+    _assert_stops_at_a_declined_row(rows, n_cols, done)
+    read = [[int(cell) for cell in row] for row in rows[:done]]
+    expect = np.array(read, dtype=np.int64).reshape(done, n_cols)
+    assert np.array_equal(counts[:done], expect)
+    cells = np.flatnonzero(expect)
+    assert np.array_equal(sparse[0], cells)
+    assert np.array_equal(sparse[1], expect.ravel()[cells])
 
 
 INT64_MAX = 2**63 - 1
