@@ -15,7 +15,9 @@ per series gives the SSR (17 significant digits), the iterations, the
 converged and constraint flags, the route (``cutoff`` when an asymptote
 was found, ``power-law`` when the caller falls back, or the error raised)
 and the fit's wall time; a last line gives the totals, with ``at_cap``
-the number of fits that stopped at ``MAX_ITERATIONS``:
+the number of fits that stopped at ``MAX_ITERATIONS``, and last the
+total fit time. Every line ends in its one timed field, so without that
+field the output is deterministic:
 
     PYTHONPATH=src python benchmarks/noisy_fits.py --seed 0 --series 300
 """
@@ -86,7 +88,7 @@ def main(argv=None) -> None:
     counts = " ".join(f"{name}={n}" for name, n in sorted(routes.items()))
     print(
         f"total series={args.series} iterations={iterations} at_cap={at_cap}"
-        f" fit_ms={fit_s * 1e3:.1f} {counts}"
+        f" {counts} fit_ms={fit_s * 1e3:.1f}"
     )
 
 

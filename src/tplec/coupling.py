@@ -30,7 +30,7 @@ from .errors import (
     stage,
 )
 from .ingest import DeathsTable, aggregate_regions, truncate_series
-from .plec import FitDiagnostics, PlecModel, fit_plec, plec_eval
+from .plec import FitDiagnostics, PlecModel, fit_plec
 from .regression import PlFit, TplFit, fit_loglog, fit_pl_growth, predict_variance
 
 Z_95 = 1.96  # two-sided 95% normal quantile
@@ -121,7 +121,7 @@ def compute_asymptote(model: PlecModel) -> AsymptotePrediction:
             "(requires w > 0 and d < 0)"
         )
     x_max = -model.w / model.d
-    return AsymptotePrediction(x_max=x_max, y_max=plec_eval(model, x_max))
+    return AsymptotePrediction(x_max=x_max, y_max=model.predict(x_max))
 
 
 def confidence_band(
@@ -209,8 +209,9 @@ def couple(
     and no band, when it is None), then the cutoff curve to the points
     ``(t, v - baseline)`` with ``v > baseline``, and the
     baseline-inclusive maximal accrual value is banded. An integer
-    series is compared and subtracted in int64, exactly beyond 2**53.
-    When ``fit_cutoff`` finds no asymptote, the plain power law is
+    series is compared and subtracted in int64, exactly beyond 2**53. A
+    NaN or infinite value or baseline raises ``NonFiniteValue`` before
+    any fit, naming the first such day index. When ``fit_cutoff`` finds no asymptote, the plain power law is
     fitted instead and bands are attached at the day indices
     ``horizons``. ``n`` defaults to the number of fitted points;
     ``start_date`` is the date of t = 1 (None for an undated curve).
@@ -218,6 +219,14 @@ def couple(
     values = np.asarray(observed)
     if values.ndim != 1:
         raise InvalidArgument(f"observed must be a 1-d series, got shape {values.shape}")
+    # compared, not converted: an integer series stays exact beyond 2**53
+    if not -math.inf < baseline < math.inf:
+        raise NonFiniteValue(f"baseline must be finite, got {baseline}")
+    with np.errstate(invalid="ignore"):  # a NaN among Python ints warns
+        finite = (values > -math.inf) & (values < math.inf)
+    if not finite.all():
+        t = int(np.argmin(finite)) + 1
+        raise NonFiniteValue(f"observed value on day index {t} is not finite")
     # values at or below the baseline carry no log-scale information and
     # would poison the initial log-log estimate; day indices are preserved
     keep = values > baseline

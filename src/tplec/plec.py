@@ -41,6 +41,8 @@ class PlecModel:
     d: float
 
     def __post_init__(self):
+        for name in ("c", "w", "d"):
+            _finite(f"parameter {name}", lambda: float(getattr(self, name)))
         if not self.c > 0:
             raise NonPositiveValue(f"scale c must be > 0, got {self.c}")
         if self.d > 0:
@@ -65,16 +67,12 @@ class FitDiagnostics:
     constraint_active: bool
 
 
-def _eval_arrays(c: float, w: float, d: float, x: np.ndarray) -> np.ndarray:
-    return c * x**w * np.exp(d * x)
-
-
 def plec_eval(model: PlecModel, x):
     """Evaluate the curve at x > 0 (scalar or array)."""
     arr = np.asarray(x, dtype=np.float64)
     if np.any(arr <= 0.0):
         raise NonPositiveValue("evaluation points must be > 0")
-    out = _eval_arrays(model.c, model.w, model.d, arr)
+    out = model.c * arr**model.w * np.exp(model.d * arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -104,19 +102,21 @@ def _projected(y, w, d, ln_x, x) -> tuple[np.ndarray, float, np.ndarray, float]:
     return base, c, resid, float(resid @ resid)
 
 
-def _start(x, y, ln_x, ln_y) -> tuple[float, float]:
-    """The starting (w, d) of ``fit_plec``: the linearised fit when it is
-    finite and its projected SSR on ``y`` is lower, so never worse than the
-    power law. ``ln_y`` is the log of the unscaled y."""
+def _start(x, y, ln_x, ln_y):
+    """The starting (w, d) of ``fit_plec`` and its ``_projected`` result:
+    the linearised fit when it is finite and its projected SSR on ``y`` is
+    lower, so never worse than the power law. ``ln_y`` is the log of the
+    unscaled y."""
     design = np.column_stack([np.ones_like(ln_x), ln_x, x])
     _, w = np.linalg.lstsq(design[:, :2], ln_y, rcond=None)[0]
-    power_law = (float(w), min(-1.0 / (2.0 * float(x[-1])), D_CEILING))
+    candidates = [(float(w), min(-1.0 / (2.0 * float(x[-1])), D_CEILING))]
     _, w, d = np.linalg.lstsq(design, ln_y, rcond=None)[0]
     linearised = (float(w), min(float(d), D_CEILING))
-    if not all(map(math.isfinite, linearised)):
-        return power_law
-    ssr = [_projected(y, w, d, ln_x, x)[3] for w, d in (power_law, linearised)]
-    return linearised if ssr[1] < ssr[0] else power_law
+    if all(map(math.isfinite, linearised)):
+        candidates.append(linearised)
+    # min keeps the power law on a tie or a NaN SSR
+    starts = [(wd, _projected(y, *wd, ln_x, x)) for wd in candidates]
+    return min(starts, key=lambda start: start[1][3])
 
 
 def _solve(matrix: np.ndarray, rhs: np.ndarray) -> list[float] | None:
@@ -138,16 +138,20 @@ def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagn
     log-scale fits: the log-log OLS with d = -1/(2*x_max), and the OLS of
     ln y = ln c + w*ln x + d*x with d clamped to D_CEILING (used only when
     finite). Then iterates Levenberg-style steps on Kaufman's Jacobian, c
-    times the partials of base projected off base: the damping factor
-    shrinks after an accepted step and grows after a rejected one, and a
-    step taking d past D_CEILING is re-solved for w alone with d there.
-    Iteration stops when the relative drop in the sum of squared residuals
-    falls below RESIDUAL_TOLERANCE or MAX_ITERATIONS is reached. Failure
-    to converge is reported through the diagnostics, not raised. All of
-    this runs on y scaled by a power of two, its largest value in [0.5, 1),
-    so that the SSR of a tiny or huge y neither underflows nor overflows;
-    c and the SSR are scaled back, and a fit whose c or SSR is then not a
-    finite float raises ``SingularNormalEquations``.
+    times the partials of base projected off base; a step taking d past
+    D_CEILING is re-solved for w alone with d there. The damping factor
+    shrinks tenfold after an accepted step and climbs one ladder: a
+    singular solve and a step that does not lower the SSR each raise it
+    tenfold. Past _DAMPING_LIMIT, a last solve that was singular raises
+    ``SingularNormalEquations`` and a last step that did not lower the SSR
+    ends the fit as converged. Iteration also stops when the relative drop
+    in the sum of squared residuals falls below RESIDUAL_TOLERANCE or
+    MAX_ITERATIONS is reached. Failure to converge is reported through the
+    diagnostics, not raised. All of this runs on y scaled by a power of
+    two, its largest value in [0.5, 1), so that the SSR of a tiny or huge
+    y neither underflows nor overflows; c and the SSR are scaled back, and
+    a fit whose c or SSR is then not a finite float raises
+    ``SingularNormalEquations``.
     """
     x, y = _validated_xy(points, "points", 4)
     if np.any(np.diff(x) <= 0.0):
@@ -159,8 +163,7 @@ def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagn
     k = math.frexp(float(y.max()))[1]
     ln_y, y = np.log(y), np.ldexp(y, -k)
     sst = float(((y - y.mean()) ** 2).sum())
-    w, d = _start(x, y, ln_x, ln_y)
-    base, c, resid, ssr = _projected(y, w, d, ln_x, x)
+    (w, d), (base, c, resid, ssr) = _start(x, y, ln_x, ln_y)
     lam = INITIAL_DAMPING
     converged = ssr == 0.0
     iterations = 0
@@ -177,8 +180,8 @@ def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagn
         floor = top if top > 0 else 1.0
         scale = np.diag(np.where(diag > 0, diag, floor))
 
-        accepted = False
-        while True:
+        # the else branch runs when lam passes _DAMPING_LIMIT unaccepted
+        while lam <= _DAMPING_LIMIT:
             damped = normal + lam * scale
             step = _solve(damped, grad)
             if step is not None:
@@ -190,23 +193,17 @@ def fit_plec(points: Sequence[tuple[float, float]]) -> tuple[PlecModel, FitDiagn
                     step = _solve(damped[:1, :1], grad[:1])
                     if step is not None:
                         w_new, d_new = w + step[0], D_CEILING
-            if step is None:
-                lam *= 10.0
-                if lam > _DAMPING_LIMIT:
-                    raise SingularNormalEquations(
-                        "damped normal matrix stayed singular at maximum damping"
-                    )
-                continue
-
-            base_new, c_new, resid_new, ssr_new = _projected(y, w_new, d_new, ln_x, x)
-            if math.isfinite(ssr_new) and ssr_new < ssr:
-                accepted = True
-                break
+            if step is not None:
+                trial = _projected(y, w_new, d_new, ln_x, x)
+                base_new, c_new, resid_new, ssr_new = trial
+                if math.isfinite(ssr_new) and ssr_new < ssr:
+                    break
             lam *= 10.0
-            if lam > _DAMPING_LIMIT:
-                break
-
-        if not accepted:
+        else:
+            if step is None:
+                raise SingularNormalEquations(
+                    "damped normal matrix stayed singular at maximum damping"
+                )
             # no descent direction left at maximum damping: the residual
             # cannot be reduced further, which satisfies the relative
             # SSR-change criterion with a change of zero

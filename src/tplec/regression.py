@@ -152,11 +152,8 @@ def _t_two_sided_p(t: float, dof: float) -> float:
 
 
 def _ols_loglog(x: np.ndarray, y: np.ndarray):
-    """OLS of ln(y) on ln(x).
-
-    Returns (slope, intercept, r, r_squared, p_value). The slope p-value
-    is the conventional two-sided t-test on n - 2 degrees of freedom.
-    """
+    """OLS of ln(y) on ln(x): (slope, intercept, r_squared, ssr, sxx), with
+    ``ssr`` the residual and ``sxx`` the ln(x) sum of squares about the mean."""
     lx = np.log(x)
     ly = np.log(y)
     sxx = float(((lx - lx.mean()) ** 2).sum())
@@ -175,16 +172,7 @@ def _ols_loglog(x: np.ndarray, y: np.ndarray):
     else:
         # all y identical: a horizontal line fits exactly
         r_squared = 1.0 if ssr <= 1e-300 else 0.0
-    r = math.copysign(math.sqrt(r_squared), slope) if slope != 0.0 else 0.0
-
-    dof = lx.size - 2
-    slope_se_sq = ssr / dof / sxx if dof > 0 else 0.0
-    if slope_se_sq == 0.0:
-        p_value = 0.0 if slope != 0.0 else 1.0
-    else:
-        t_stat = slope / math.sqrt(slope_se_sq)
-        p_value = _t_two_sided_p(t_stat, dof)
-    return slope, intercept, r, r_squared, p_value
+    return slope, intercept, r_squared, ssr, sxx
 
 
 def _validated_xy(pairs, what: str, minimum: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +212,7 @@ def _validated_xy(pairs, what: str, minimum: int) -> tuple[np.ndarray, np.ndarra
 def fit_loglog(pairs: Sequence[tuple[float, float]]) -> TplFit:
     """Fit ln(V) = ln(a) + b*ln(M) to (mean, variance) pairs by OLS."""
     means, variances = _validated_xy(pairs, "variance-mean pairs", 3)
-    b, ln_a, _, r_squared, _ = _ols_loglog(means, variances)
+    b, ln_a, r_squared, *_ = _ols_loglog(means, variances)
     return TplFit(ln_a=ln_a, b=b, r_squared=r_squared, n_pairs=len(means))
 
 
@@ -240,5 +228,13 @@ def predict_variance(fit: TplFit, mean: float) -> float:
 def fit_pl_growth(series: Sequence[tuple[float, float]]) -> PlFit:
     """Fit ln(y) = ln(c) + z*ln(x) to a growth series by OLS."""
     x, y = _validated_xy(series, "series points", 3)
-    exponent, ln_c, r, _, p_value = _ols_loglog(x, y)
+    exponent, ln_c, r_squared, ssr, sxx = _ols_loglog(x, y)
+    r = math.copysign(math.sqrt(r_squared), exponent) if exponent != 0.0 else 0.0
+    # the conventional two-sided t-test of the slope on n - 2 >= 1 degrees of freedom
+    dof = len(x) - 2
+    slope_se_sq = ssr / dof / sxx
+    if slope_se_sq == 0.0:
+        p_value = 0.0 if exponent != 0.0 else 1.0
+    else:
+        p_value = _t_two_sided_p(exponent / math.sqrt(slope_se_sq), dof)
     return PlFit(ln_c=ln_c, exponent=exponent, r=r, p_value=p_value)

@@ -34,6 +34,7 @@ from tplec.errors import (
     DateOutOfRange,
     InvalidArgument,
     NoAsymptote,
+    NonFiniteValue,
     NonPositiveValue,
 )
 from tplec.regression import PlFit
@@ -294,6 +295,25 @@ class TestCouple:
         assert from_list.n == 30
         assert from_list.observed_series == tuple(observed)
         assert from_array == from_list
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_observed_value_names_its_day_before_any_fit(
+        self, value, monkeypatch
+    ):
+        def no_fit(points):
+            raise AssertionError("couple fitted a series with a non-finite value")
+
+        monkeypatch.setattr(coupling, "fit_loglog", no_fit)
+        monkeypatch.setattr(coupling, "fit_plec", no_fit)
+        observed = [float(5 * t**1.5) for t in range(1, 40)]
+        observed[6] = value
+        with pytest.raises(NonFiniteValue, match="day index 7 is not finite"):
+            couple(observed, _tpl_pairs(0.5, 1.2))
+
+    @pytest.mark.parametrize("baseline", [math.nan, math.inf, -math.inf])
+    def test_non_finite_baseline_is_rejected(self, baseline):
+        with pytest.raises(NonFiniteValue, match="baseline must be finite"):
+            couple([float(5 * t**1.5) for t in range(1, 40)], None, baseline=baseline)
 
     def test_observed_must_be_one_series(self):
         with pytest.raises(InvalidArgument, match="1-d series"):

@@ -17,6 +17,7 @@ from tplec import (
     PlFit,
     TplFit,
     accumulate,
+    compute_asymptote,
     confidence_band,
     day_index_to_date,
     fit_cutoff,
@@ -134,12 +135,29 @@ def test_non_finite_fit_input_is_rejected(fit, axis, value):
         lambda: PlFit(800.0, 1.0, 1.0, 0.0).predict(2.0),
         lambda: predict_variance(TplFit(1000.0, 1.0, 1.0, 3), 5.0),
         lambda: confidence_band(1e308, None, 1, variance=math.inf),
+        lambda: compute_asymptote(PlecModel(1.0, 200.0, -1e-3)),
+        lambda: PlecModel(math.inf, 1.0, -0.1),
     ],
-    ids=["plec_predict", "pl_predict", "predict_variance", "confidence_band"],
+    ids=[
+        "plec_predict",
+        "pl_predict",
+        "predict_variance",
+        "confidence_band",
+        "compute_asymptote",
+        "plec_model",
+    ],
 )
 def test_overflowing_value_raises_non_finite_value(call):
     with pytest.raises(NonFiniteValue, match="is not finite"):
         call()
+
+
+@pytest.mark.parametrize("value", BAD)
+@pytest.mark.parametrize("name", ["c", "w", "d"])
+def test_non_finite_cutoff_parameter_is_rejected(name, value):
+    params = {"c": 1.0, "w": 1.0, "d": -0.1, name: value}
+    with pytest.raises(NonFiniteValue, match=f"parameter {name} is not finite"):
+        PlecModel(**params)
 
 
 def test_negative_region_count_names_the_region():

@@ -11,6 +11,7 @@ import pytest
 from tplec import (
     PlecModel,
     fit_plec,
+    plec,
     plec_eval,
     plec_jacobian,
 )
@@ -148,6 +149,23 @@ def noisy_draw(seed, count):
 
 
 class TestFitPlec:
+    def test_the_kept_start_is_projected_once(self, monkeypatch):
+        at = []
+        projected = plec._projected
+
+        def spy(y, w, d, ln_x, x):
+            at.append((w, d))
+            return projected(y, w, d, ln_x, x)
+
+        monkeypatch.setattr(plec, "_projected", spy)
+        points = noisy_draw(0, 1)[0]
+        _, diag = fit_plec(points)
+        assert diag.iterations > 0
+        # the two start candidates, the power law's first, then trial steps
+        assert at[0][1] == -1.0 / (2.0 * points[-1][0])
+        assert at[1][1] != at[0][1]
+        assert at[2] not in at[:2]
+
     def test_noiseless_recovery(self):
         x = np.arange(1.0, 61.0)
         true = PlecModel(c=2.0, w=1.3, d=-0.01)

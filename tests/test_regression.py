@@ -11,6 +11,7 @@ from tplec import (
     fit_pl_growth,
     fit_plec,
     predict_variance,
+    regression,
 )
 from tplec.errors import DegenerateX, InvalidArgument, NonPositiveValue, TooFewPoints
 from tplec.regression import _t_two_sided_p
@@ -178,6 +179,21 @@ class TestFitPlGrowth:
     def test_perfect_fit_p_value_negligible(self):
         series = [(t, 3.0 * t**2) for t in range(1, 6)]
         assert fit_pl_growth(series).p_value < 1e-30
+
+
+def test_only_the_growth_fit_computes_a_p_value(monkeypatch):
+    calls = []
+
+    def spy(t, dof):
+        calls.append((t, dof))
+        return _t_two_sided_p(t, dof)
+
+    monkeypatch.setattr(regression, "_t_two_sided_p", spy)
+    pairs = list(zip(NOISY_MEANS, NOISY_VARIANCES))
+    fit_loglog(pairs)
+    assert calls == []
+    fit_pl_growth(pairs)
+    assert len(calls) == 1 and calls[0][1] == len(pairs) - 2
 
 
 class TestTwoSidedP:
