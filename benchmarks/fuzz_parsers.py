@@ -16,7 +16,9 @@ the exit status is 1 if there is any.
 The generator uses only the standard library, and each case draws from
 its own seeded ``random.Random``, so both processes draw the same cases.
 It covers CRLF and bare CR, a byte-order mark, quoted cells over several
-lines, open quotes, ragged and wide rows, blank lines, a corner cell or
+lines, open quotes, quoted leading cells of deaths lines (with a literal
+quote, text after a closing quote, or a NUL, a quote or an overlong cell
+among the date cells), ragged and wide rows, blank lines, a corner cell or
 none, repeated, blank and non-ASCII labels, lone surrogates, invalid
 UTF-8 bytes, counts of 1 to 19 digits with leading zeros ("00", "010"),
 cells ``int()`` reads or rejects, counts whose total overflows int64,
@@ -56,6 +58,14 @@ ODD_COUNTS = (
 )
 LEADING_ZEROS = ("00", "010", "007", "0" * 18, "0" * 19, "000123")
 NINETEEN = ("1" + "0" * 18, str(2**63 - 1), str(2**63), "9" * 19, "0" * 18 + "1")
+# a leading cell of a deaths line: quoted, holding a literal quote, text
+# after a closing quote, or a quote left open ("{}" is the cell)
+QUOTED_LEADING = (
+    '"{}"', '"{}, x"', '"{}""q"""', '""', ' "{}"', 'x"{}', '{}"', '"{}"b', '"{}',
+)
+# a date cell csv must read on a line with a quote: a NUL, a quote, or
+# one beyond csv's field limit of 131072 characters
+QUOTED_LINE_DATES = ("1\x00", "\x00", '"1,000"', '"7"', "1" * 131073)
 BAD_BYTES = (b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80")
 BLOCKS = (1 << 14, 1 << 15, 1 << 16)  # converter block sizes a large case spans
 
@@ -229,11 +239,28 @@ def deaths_text(rng: random.Random) -> str:
         rows[rng.randrange(len(rows))][4] = rng.choice(("1,000", "12"))  # quoted below
     _misshape(rng, rows, "0")
     lines = [",".join(header)] + _csv_lines(rng, rows)
+    _quote_leading_cells(rng, lines)
     if rows and rng.random() < 0.03:
         # an open quote in the last cell runs to the end of a file with no last ending
         lines[-1] = lines[-1].rsplit(",", 1)[0] + ',"' + rng.choice(ODD_COUNTS + ("7",))
         return _file(rng, lines).rstrip("\r\n")
     return _file(rng, lines)
+
+
+def _quote_leading_cells(rng: random.Random, lines: list[str]) -> None:
+    """In one file in five, give some lines without a quote a leading cell
+    of a ``QUOTED_LEADING`` shape, and a few of those an odd date cell."""
+    if rng.random() >= 0.2:
+        return
+    for i, line in enumerate(lines):
+        if '"' in line or rng.random() >= (0.05 if i == 0 else 0.3):
+            continue
+        cells = line.split(",")
+        j = rng.randrange(min(4, len(cells)))
+        cells[j] = rng.choice(QUOTED_LEADING).format(cells[j])
+        if len(cells) > 4 and rng.random() < 0.1:
+            cells[rng.randrange(4, len(cells))] = rng.choice(QUOTED_LINE_DATES)
+        lines[i] = ",".join(cells)
 
 
 def continents_text(rng: random.Random) -> str:

@@ -116,9 +116,11 @@ def cmd_ftr(args) -> int:
         horizons = [date_to_day_index(args.start, d) for d in args.horizon]
     else:
         horizons = [date_to_day_index(args.start, args.end) + k for k in (30, 60, 90)]
+    # the bytes are freed once parsed, so the later stages can reuse their memory
     deaths_text = _read_text(args.deaths, "parse_jhu_deaths")
     map_text = _read_text(args.continents, "parse_continent_map")
     table = stage("parse_jhu_deaths", parse_jhu_deaths, deaths_text)
+    del deaths_text
     continent_map = stage("parse_continent_map", parse_continent_map, map_text)
 
     results = list(

@@ -209,9 +209,11 @@ def couple(
     and no band, when it is None), then the cutoff curve to the points
     ``(t, v - baseline)`` with ``v > baseline``, and the
     baseline-inclusive maximal accrual value is banded. An integer
-    series is compared and subtracted in int64, exactly beyond 2**53. A
-    NaN or infinite value or baseline raises ``NonFiniteValue`` before
-    any fit, naming the first such day index. When ``fit_cutoff`` finds no asymptote, the plain power law is
+    series is compared and subtracted in its own integer type, exactly
+    beyond 2**53; an integer baseline outside that type's range raises
+    ``InvalidArgument``. A NaN or infinite value or baseline raises
+    ``NonFiniteValue`` before any fit, naming the first such day index.
+    When ``fit_cutoff`` finds no asymptote, the plain power law is
     fitted instead and bands are attached at the day indices
     ``horizons``. ``n`` defaults to the number of fitted points;
     ``start_date`` is the date of t = 1 (None for an undated curve).
@@ -222,6 +224,13 @@ def couple(
     # compared, not converted: an integer series stays exact beyond 2**53
     if not -math.inf < baseline < math.inf:
         raise NonFiniteValue(f"baseline must be finite, got {baseline}")
+    if values.dtype.kind in "iu" and isinstance(baseline, int):
+        bounds = np.iinfo(values.dtype)
+        if not bounds.min <= baseline <= bounds.max:
+            raise InvalidArgument(
+                f"baseline {baseline} lies outside the series' integer range "
+                f"({values.dtype}, {bounds.min}..{bounds.max})"
+            )
     with np.errstate(invalid="ignore"):  # a NaN among Python ints warns
         finite = (values > -math.inf) & (values < math.inf)
     if not finite.all():
@@ -276,27 +285,36 @@ def run_dar_pipeline(curve, n: int | None = None) -> CoupledPrediction:
     return couple(means, pairs, n)
 
 
+_VM_BLOCK = 8192  # member-days reduced at a time: 64 KiB of float64
+
+
 def _vm_pairs_for_unit(members: np.ndarray) -> np.ndarray:
     """Per-day (mean, variance) of cumulative counts across member countries.
 
     ``members`` is the members x days block of the window. Returns a
     (k, 2) float64 array of the days where both are > 0, empty for fewer
-    than two members. One transposed float64 copy holds each day's
-    members as a contiguous row, in member order, and is reduced with
-    the operations of numpy's ``mean`` and ``var(ddof=1)``, the day sums
-    formed once; so the pairs are the same to the last bit as those of
-    that day's column alone.
+    than two members. The days are reduced a block of at most
+    ``_VM_BLOCK`` member-days at a time (one day, if it has more
+    members), so that its temporaries stay under malloc's default 128
+    KiB mmap threshold. A block is transposed to float64 so that each
+    day's members are a contiguous row, in member order, and is reduced
+    with the operations of numpy's ``mean`` and ``var(ddof=1)``, the day
+    sums formed once; so the pairs are the same to the last bit as those
+    of that day's column alone.
     """
-    m = members.shape[0]
+    m, n_days = members.shape
     if m < 2:
         return np.empty((0, 2))
-    days = members.T.astype(np.float64, order="C")
-    means = days.sum(axis=1) / m
-    squares = days - means[:, None]
-    np.square(squares, out=squares)
-    variances = squares.sum(axis=1) / (m - 1)
-    keep = (means > 0.0) & (variances > 0.0)
-    return np.stack((means[keep], variances[keep]), axis=1)
+    pairs = np.empty((n_days, 2))
+    step = max(1, _VM_BLOCK // m)
+    for start in range(0, n_days, step):
+        days = members[:, start : start + step].T.astype(np.float64, order="C")
+        means = pairs[start : start + step, 0]
+        np.divide(days.sum(axis=1), m, out=means)
+        days -= means[:, None]
+        np.square(days, out=days)
+        np.divide(days.sum(axis=1), m - 1, out=pairs[start : start + step, 1])
+    return pairs[(pairs > 0.0).all(axis=1)]
 
 
 def run_ftr(

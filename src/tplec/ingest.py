@@ -8,11 +8,15 @@ one sample per row. Continent assignments come from a two-column CSV.
 Every file is read as its bytes, and a library caller's ``str`` as its
 UTF-8 bytes. One check where the input enters raises ``NotUtf8`` for
 bytes that are not UTF-8, and turns each CRLF and bare CR into LF. A
-deaths-file line with no quote is split at its first four commas only,
-so that its date cells reach the converter below, uncounted, as the one
-bytes string they already are. ``csv`` reads every other line, decoded,
-with the further lines a quoted cell spans, and the whole continent map;
-a record it cannot read raises ``MalformedCsv`` naming the row. Header
+deaths-file line is split at its first four commas only, so that its
+date cells reach the converter below, uncounted, as the one bytes
+string they already are. On a line with a quote, ``csv`` first reads
+the cells up to the last quote; when they are a complete record of at
+most four cells and a comma follows that quote, the commas are counted
+after them, unless the line holds a NUL or its rest is longer than
+``csv``'s field limit. ``csv`` reads every other line, decoded, with
+the further lines a quoted cell spans, and the whole continent map; a
+record it cannot read raises ``MalformedCsv`` naming the row. Header
 dates are read with ``int()``, as ``datetime``'s ``%m/%d/%y`` reads them.
 
 Both parsers hand their count rows to one converter, ``_digit_blocks``.
@@ -112,10 +116,11 @@ class DeathsTable:
         object.__setattr__(self, "counts", counts)
 
     @classmethod
-    def _of_sums(cls, regions, dates, counts: np.ndarray) -> "DeathsTable":
-        """The table of ``counts``, int64 sums of checked tables' rows, frozen in place.
+    def _of_checked(cls, regions, dates, counts: np.ndarray) -> "DeathsTable":
+        """The table of ``counts``, an int64 matrix its caller has checked, frozen in place.
 
-        Its shape matches and no count is negative, so nothing is scanned.
+        Its shape matches and no count is negative, so nothing is scanned:
+        a parsed file's counts, or sums of checked tables' rows.
         """
         table = cls.__new__(cls)
         counts.flags.writeable = False
@@ -175,33 +180,60 @@ def _split_lines(data: bytes) -> Iterator[bytes]:
         yield data[start:]
 
 
-def _csv_record(lines: Iterator[str], row: int) -> list[str] | None:
+def _csv_record(lines: Iterable[str], row: int, strict: bool = False) -> list[str] | None:
     """The next record ``csv`` reads from ``lines``, or None at their end.
 
     This is the one place the package calls ``csv.reader``. The reader
     takes only the lines its record spans, so the caller can go on
     reading ``lines``. A ``csv.Error`` becomes ``MalformedCsv`` naming
-    ``row``.
+    ``row``; ``strict`` makes a quote left open at the end of ``lines``,
+    or text after a closing quote, one too.
     """
     try:
-        return next(csv.reader(lines), None)
+        return next(csv.reader(lines, strict=strict), None)
     except csv.Error as exc:
         raise MalformedCsv(f"row {row}: {exc}") from None
+
+
+def _leading_cells(line: bytes, row: int) -> tuple[list[str], bytes] | None:
+    """A quoted line's cells up to its last quote, and the bytes after the
+    comma that follows it; None when ``csv`` must read the whole line.
+
+    That prefix is read by ``csv`` alone, strictly, so that a quote left
+    open or text after a closing quote declines it. It must be a complete
+    record of at most four cells, and the rest, which holds no quote, must
+    hold no NUL and be no longer than ``csv``'s field limit, so that
+    splitting it at its commas gives the cells ``csv`` would.
+    """
+    end = line.rfind(b'"') + 1
+    rest = line[end + 1 :]
+    if line[end : end + 1] != b"," or b"\0" in line or len(rest) > csv.field_size_limit():
+        return None
+    try:
+        cells = _csv_record([_utf8(line[:end])], row, strict=True)
+    except MalformedCsv:
+        return None
+    return (cells, rest) if len(cells) <= 4 else None
 
 
 def _jhu_records(data: bytes) -> Iterator[tuple[list[str], bytes | list[str]]]:
     """(leading cells, date cells) for each record of a JHU file's bytes.
 
-    A line with no quote and five or more cells is split at its first four
-    commas only: its date cells stay the comma-joined bytes ``_digit_block``
-    reads. ``csv`` reads every other line, decoded, with the further lines
-    a quoted cell spans, and gives its date cells as a list, so a quoted
-    "1,000" stays one cell; a blank line has no cells.
+    A line is split at its first four commas, counted after the leading
+    cells that ``_leading_cells`` reads when it has a quote: its date
+    cells stay the comma-joined bytes ``_digit_block`` reads. ``csv``
+    reads every other line, decoded, with the further lines a quoted cell
+    spans, and gives its date cells as a list, so a quoted "1,000" stays
+    one cell; a blank line has no cells.
     """
     ended = data.count(b"\n")  # lines 1..ended end in "\n"; a last one may not
     lines = enumerate(_split_lines(data), start=1)
     for row, (number, line) in enumerate(lines, start=1):
-        if b'"' in line or not line:
+        if b'"' in line:
+            split = _leading_cells(line, row)
+        else:
+            split = ([], line) if line else None
+        if split is None:
             # csv sees each line as the source ends it: '"' is not '"\n'
             texts = (
                 _utf8(raw) + "\n" if n <= ended else _utf8(raw)
@@ -210,9 +242,10 @@ def _jhu_records(data: bytes) -> Iterator[tuple[list[str], bytes | list[str]]]:
             cells = _csv_record(texts, row)
             yield cells[:4], cells[4:]
         else:
-            cells = line.split(b",", 4)
-            dates = cells.pop() if len(cells) == 5 else []
-            yield [_utf8(cell) for cell in cells], dates
+            leading, rest = split
+            cells = rest.split(b",", 4 - len(leading))
+            dates = cells.pop() if len(leading) + len(cells) == 5 else []
+            yield leading + [_utf8(cell) for cell in cells], dates
 
 
 def _cells(record: tuple[list[str], bytes | list[str]]) -> list[str]:
@@ -465,7 +498,6 @@ def parse_jhu_deaths(text: str | bytes) -> DeathsTable:
     cells = [r[4:] for r in rest[: n_ok - done]]  # a quoted "1,000" is one cell
     counts[done:n_ok] = _scan_counts(cells, header[4:], first_row=done + 2)
     body, counts = body[:n_ok], counts[:n_ok]
-    counts.flags.writeable = False
     drops = counts[:, 1:] < counts[:, :-1]
     for i in np.flatnonzero(drops.any(axis=1)):
         warnings.warn(
@@ -477,7 +509,8 @@ def parse_jhu_deaths(text: str | bytes) -> DeathsTable:
         raise RaggedRow(
             f"row {n_ok + 2} has {len(rest[n_ok - done])} fields, header has {width}"
         )
-    return DeathsTable(tuple(cells[1].strip() for cells, _ in body), dates, counts)
+    regions = tuple(cells[1].strip() for cells, _ in body)
+    return DeathsTable._of_checked(regions, dates, counts)
 
 
 def serialize_jhu_deaths(table: DeathsTable) -> str:
@@ -544,7 +577,7 @@ def _group_rows(
     for total, rows in zip(counts, groups):
         if len(rows) > 1:
             np.sum(src[rows], axis=0, out=total)
-    return DeathsTable._of_sums(names, table.dates, counts), groups
+    return DeathsTable._of_checked(names, table.dates, counts), groups
 
 
 def aggregate_regions(
@@ -574,7 +607,7 @@ def aggregate_regions(
     continents, members = _group_rows(countries, keys)
     world, _ = _group_rows(continents, ["World"] * len(continents))
     members += [slice(None)] * len(world)  # World's members: every country
-    units = DeathsTable._of_sums(
+    units = DeathsTable._of_checked(
         continents.regions + world.regions,
         table.dates,
         np.concatenate([continents.counts, world.counts]),

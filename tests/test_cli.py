@@ -25,7 +25,7 @@ from tplec import (
     parse_jhu_deaths,
 )
 from tplec.cli import main
-from tplec.coupling import _vm_pairs_for_unit
+from tplec.coupling import _VM_BLOCK, _vm_pairs_for_unit
 from tplec.coupling import run_ftr as run_ftr_units
 from tplec.reporting import (
     CURVE_COLUMNS,
@@ -814,6 +814,24 @@ def test_vm_pairs_equal_per_column_loop_exactly(n_members):
         assert got.tobytes() == want.tobytes()  # the same to the last bit
         if n_members == 1:
             assert got.shape == (0, 2)
+
+
+@pytest.mark.parametrize("n_members", [1, 2, 3, 8193])
+def test_blocked_vm_pairs_equal_each_day_alone(n_members):
+    """Each block of days gives the pairs of each day's column alone, to the
+    last bit, for a day count that is not a multiple of the block."""
+    step = max(1, _VM_BLOCK // n_members)
+    days = 2 * step + 3 if step > 1 else 5
+    rng = np.random.default_rng(n_members)
+    members = rng.integers(0, 10**9, (n_members, days))
+    if n_members > 1:
+        members[:, 1] = 0  # a day with zero mean is dropped
+        members[:, 2] = 7  # and one with zero variance
+    got = _vm_pairs_for_unit(members)
+    want = np.array(_per_column_vm_pairs(members, 0, days - 1)).reshape(-1, 2)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert len(want) == (days - 2 if n_members > 1 else 0)
 
 
 def _with_last_cell(path, value):

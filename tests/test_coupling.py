@@ -315,6 +315,24 @@ class TestCouple:
         with pytest.raises(NonFiniteValue, match="baseline must be finite"):
             couple([float(5 * t**1.5) for t in range(1, 40)], None, baseline=baseline)
 
+    @pytest.mark.parametrize(
+        "observed, baseline, dtype",
+        [
+            (list(range(1, 40)), 2**63, "int64"),
+            (list(range(1, 40)), -(2**63) - 1, "int64"),
+            (np.arange(1, 40, dtype=np.uint64), -1, "uint64"),
+        ],
+        ids=["int64_above", "int64_below", "uint64_below"],
+    )
+    def test_integer_baseline_outside_the_series_range_is_rejected(
+        self, observed, baseline, dtype
+    ):
+        with pytest.raises(InvalidArgument) as err:
+            couple(observed, None, baseline=baseline)
+        assert str(err.value).startswith(
+            f"baseline {baseline} lies outside the series' integer range ({dtype}, "
+        )
+
     def test_observed_must_be_one_series(self):
         with pytest.raises(InvalidArgument, match="1-d series"):
             couple([[1, 2, 3, 4, 5]], None)

@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import sys
+import warnings
 from datetime import date
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from tplec.errors import (
     DateOutOfRange,
     DuplicateCountry,
     DuplicateSampleId,
+    MalformedCsv,
     MalformedHeader,
     NotUtf8,
     RaggedRow,
@@ -567,6 +569,130 @@ def test_decrease_warnings_keep_row_order_and_text():
         "cumulative counts for 'B' decrease at 2021-03-02 (source correction retained as-is)",
         "cumulative counts for 'C' decrease at 2021-03-03 (source correction retained as-is)",
     ]
+
+
+JHU_HEAD = "Province/State,Country/Region,Lat,Long,3/1/21,3/2/21\n"
+DECREASE = "cumulative counts for {!r} decrease at 2021-03-02 (source correction retained as-is)"
+OVER_FIELD_LIMIT = "1" * (csv.field_size_limit() + 1)
+
+# (rows after the header, the table's regions and counts or the first error,
+# the warnings, whether csv reads the whole record), as the parser gave
+# them before a quoted line's leading cells were read on their own
+QUOTED_LINES = {
+    "quoted_province": ('"Prov, X",Chad,1.5,2.5,1,2\n', (["Chad"], [[1, 2]]), [], False),
+    "quoted_country": (
+        ',"Korea, South",1,2,5,3\n,Chad,1,2,1,2\n',
+        (["Korea, South", "Chad"], [[5, 3], [1, 2]]),
+        [DECREASE.format("Korea, South")],
+        False,
+    ),
+    "quoted_lat": (',Chad,"1.5",2,1,2\n', (["Chad"], [[1, 2]]), [], False),
+    "four_quoted_cells": ('"a","b","c","d",7,8\n', (["b"], [[7, 8]]), [], False),
+    "doubled_quote": (',"say ""hi""",1,2,4,4\n', (['say "hi"'], [[4, 4]]), [], False),
+    "quoted_short_row": (',"K, S",1\n', (RaggedRow, "row 2 has 3 fields, header has 6"), [], False),
+    "quoted_ragged_row": (
+        ',"K, S",1,2,1,2,3\n', (RaggedRow, "row 2 has 7 fields, header has 6"), [], False
+    ),
+    "quoted_country_bad_cell": (
+        ',"K, S",1,2,x,2\n',
+        (UnparseableCount, "row 2, column 3/1/21: 'x' is not an integer"),
+        [],
+        False,
+    ),
+    "literal_quote_in_unquoted_cell": ('x"y,Chad,1,2,1,2\n', (["Chad"], [[1, 2]]), [], True),
+    "literal_quote_ending_unquoted_cell": ('x",Chad,1,2,1,2\n', (["Chad"], [[1, 2]]), [], False),
+    "text_after_closing_quote": ('"a"b,Chad,1,2,1,2\n', (["Chad"], [[1, 2]]), [], True),
+    "open_quote_onto_next_line": (
+        ',"Two\nLines",1,2,3,4\n,Chad,1,2,1,2\n',
+        (["Two\nLines", "Chad"], [[3, 4], [1, 2]]),
+        [],
+        True,
+    ),
+    "quote_opened_before_a_comma": (
+        '",Chad,1,2,1,2\n,Peru,1,2,1,2\n',
+        (RaggedRow, "row 2 has 1 fields, header has 6"),
+        [],
+        True,
+    ),
+    "open_quote_to_the_end": (
+        ',"Chad,1,2,1,2\n,Peru,1,2,1,2\n',
+        (RaggedRow, "row 2 has 2 fields, header has 6"),
+        [],
+        True,
+    ),
+    "quoted_date_cell": (
+        ',Chad,1,2,"1,000",2\n',
+        (UnparseableCount, "row 2, column 3/1/21: '1,000' is not an integer"),
+        [],
+        True,
+    ),
+    "quoted_country_and_date_cell": (
+        ',"K, S",1,2,"1,000",2\n',
+        (UnparseableCount, "row 2, column 3/1/21: '1,000' is not an integer"),
+        [],
+        True,
+    ),
+    "nul_among_date_cells": (
+        ',"K, S",1,2,1\x00,2\n',
+        (UnparseableCount, "row 2, column 3/1/21: '1\\x00' is not an integer"),
+        [],
+        True,
+    ),
+    "date_cell_over_field_limit": (
+        f',"K, S",1,2,{OVER_FIELD_LIMIT},2\n',
+        (MalformedCsv, "row 2: field larger than field limit (131072)"),
+        [],
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "rows, expect, said, whole", QUOTED_LINES.values(), ids=QUOTED_LINES.keys()
+)
+def test_quoted_lines_read_as_before(rows, expect, said, whole, monkeypatch):
+    """csv reads a quoted line's leading cells alone when they end at its last
+    quote, and the whole record otherwise; either way the table, the
+    warnings and the first error are the same."""
+    records = []
+    read = ingest._csv_record
+
+    def spy(lines, row, strict=False):
+        records.append((row, strict))
+        return read(lines, row, strict)
+
+    monkeypatch.setattr(ingest, "_csv_record", spy)
+    text = JHU_HEAD + rows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if isinstance(expect[0], list):
+            table = parse_jhu_deaths(text)
+            assert [list(table.regions), table.counts.tolist()] == list(expect)
+        else:
+            with pytest.raises(expect[0]) as err:
+                parse_jhu_deaths(text)
+            assert str(err.value) == expect[1]
+    assert [str(w.message) for w in caught] == said
+    assert ((2, False) in records) == whole
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '"a, b",c,1.5,2,0,10',
+        ',"a, b",1.5,2,0,10',
+        '"a","b","c","d",0,10',
+        '"a","b","c","d"',
+        ',"a"',
+        '"",,,,',
+        'x",y,1,2,3',
+        ',"é, ü",1,2,30,4',
+    ],
+)
+def test_leading_cells_and_date_cells_are_the_csv_record(line):
+    (record,) = ingest._jhu_records(line.encode())
+    assert ingest._cells(record) == next(csv.reader([line]))
+    assert isinstance(record[1], bytes) == (len(ingest._cells(record)) > 4)
 
 
 def test_deaths_table_is_read_only_int64():
