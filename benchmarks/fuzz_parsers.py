@@ -23,7 +23,9 @@ none, repeated, blank and non-ASCII labels, lone surrogates, invalid
 UTF-8 bytes, counts of 1 to 19 digits with leading zeros ("00", "010"),
 cells ``int()`` reads or rejects, counts whose total overflows int64,
 and tables of mostly "0" cells, some large enough to span several
-converter blocks with a bad cell on a block boundary.
+converter blocks with a bad cell on a block boundary. Half of those
+large deaths files have a record that csv reads whole (a province over
+two lines or a quoted date cell) in the converter's first block.
 """
 
 from __future__ import annotations
@@ -164,15 +166,16 @@ def _misshape(rng: random.Random, rows: list[list[str]], extra: str) -> None:
         rows[rng.randrange(i + 1, len(rows))].append(extra)
 
 
-def _csv_lines(rng: random.Random, rows: list[list[str]]) -> list[str]:
-    """Rows as CSV lines: a cell that needs quotes mostly has them, a few
-    others too, and in one file in fifty a quote opens at a comma and runs on."""
+def _csv_lines(rng: random.Random, rows: list[list[str]], needless=0.05) -> list[str]:
+    """Rows as CSV lines: a cell that needs quotes mostly has them, a share
+    ``needless`` of others too, and in one file in fifty a quote opens at a
+    comma and runs on."""
     lines = []
     for row in rows:
         cells = []
         for cell in row:
             r = rng.random()
-            if any(c in cell for c in ',"\n\r') and r < 0.95 or r < 0.05:
+            if any(c in cell for c in ',"\n\r') and r < 0.95 or r < needless:
                 cell = '"' + cell.replace('"', '""') + '"'
             cells.append(cell)
         lines.append(",".join(cells))
@@ -238,13 +241,33 @@ def deaths_text(rng: random.Random) -> str:
     if rows and n_dates and rng.random() < 0.05:
         rows[rng.randrange(len(rows))][4] = rng.choice(("1,000", "12"))  # quoted below
     _misshape(rng, rows, "0")
-    lines = [",".join(header)] + _csv_lines(rng, rows)
+    # a large file's cells are quoted only where they must be, so that its
+    # blocks reach the converter, but half of them have one record that csv
+    # reads whole in the first block, which sends it to the per-cell reader
+    lines = [",".join(header)] + _csv_lines(rng, rows, 0.0 if spots else 0.05)
+    if spots and rng.random() < 0.5:
+        _whole_csv_record(rng, lines, min(len(rows), max(1, BLOCKS[0] // n_dates)))
     _quote_leading_cells(rng, lines)
     if rows and rng.random() < 0.03:
         # an open quote in the last cell runs to the end of a file with no last ending
         lines[-1] = lines[-1].rsplit(",", 1)[0] + ',"' + rng.choice(ODD_COUNTS + ("7",))
         return _file(rng, lines).rstrip("\r\n")
     return _file(rng, lines)
+
+
+def _whole_csv_record(rng: random.Random, lines: list[str], first: int) -> None:
+    """Make one of the ``first`` lines after the header, if it has no quote,
+    one that csv reads whole: a province over two lines, or a quoted date cell."""
+    i = 1 + rng.randrange(first)
+    cells = lines[i].split(",")
+    if '"' in lines[i] or len(cells) < 5:
+        return
+    if rng.random() < 0.5:
+        cells[0] = '"Two\nLines"'
+    else:
+        j = rng.randrange(4, len(cells))
+        cells[j] = f'"{cells[j]}"'
+    lines[i] = ",".join(cells)
 
 
 def _quote_leading_cells(rng: random.Random, lines: list[str]) -> None:

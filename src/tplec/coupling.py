@@ -210,7 +210,8 @@ def couple(
     ``(t, v - baseline)`` with ``v > baseline``, and the
     baseline-inclusive maximal accrual value is banded. An integer
     series is compared and subtracted in its own integer type, exactly
-    beyond 2**53; an integer baseline outside that type's range raises
+    beyond 2**53; an integer baseline outside that type's range, or so
+    far below the series that a difference would leave it, raises
     ``InvalidArgument``. A NaN or infinite value or baseline raises
     ``NonFiniteValue`` before any fit, naming the first such day index.
     When ``fit_cutoff`` finds no asymptote, the plain power law is
@@ -224,12 +225,17 @@ def couple(
     # compared, not converted: an integer series stays exact beyond 2**53
     if not -math.inf < baseline < math.inf:
         raise NonFiniteValue(f"baseline must be finite, got {baseline}")
-    if values.dtype.kind in "iu" and isinstance(baseline, int):
-        bounds = np.iinfo(values.dtype)
+    if values.dtype.kind in "iu" and isinstance(baseline, (int, np.integer)):
+        bounds, baseline = np.iinfo(values.dtype), int(baseline)
         if not bounds.min <= baseline <= bounds.max:
             raise InvalidArgument(
                 f"baseline {baseline} lies outside the series' integer range "
                 f"({values.dtype}, {bounds.min}..{bounds.max})"
+            )
+        if values.size and int(values.max()) - baseline > bounds.max:
+            raise InvalidArgument(
+                f"baseline {baseline} is so far below the series that its largest "
+                f"difference exceeds the {values.dtype} maximum {bounds.max}"
             )
     with np.errstate(invalid="ignore"):  # a NaN among Python ints warns
         finite = (values > -math.inf) & (values < math.inf)

@@ -7,28 +7,31 @@ one sample per row. Continent assignments come from a two-column CSV.
 
 Every file is read as its bytes, and a library caller's ``str`` as its
 UTF-8 bytes. One check where the input enters raises ``NotUtf8`` for
-bytes that are not UTF-8, and turns each CRLF and bare CR into LF. A
-deaths-file line is split at its first four commas only, so that its
-date cells reach the converter below, uncounted, as the one bytes
-string they already are. On a line with a quote, ``csv`` first reads
-the cells up to the last quote; when they are a complete record of at
-most four cells and a comma follows that quote, the commas are counted
-after them, unless the line holds a NUL or its rest is longer than
-``csv``'s field limit. ``csv`` reads every other line, decoded, with
-the further lines a quoted cell spans, and the whole continent map; a
-record it cannot read raises ``MalformedCsv`` naming the row. Header
-dates are read with ``int()``, as ``datetime``'s ``%m/%d/%y`` reads them.
+bytes that are not UTF-8, and turns each CRLF and bare CR into LF.
+Count-file lines are read as the source ends them. A deaths-file line
+is split at its first four commas only, so that its date cells reach
+the converter below, uncounted, as the one bytes string they already
+are. On a line with a quote, ``csv`` first reads the cells up to the
+last quote; when they are a complete record of at most four cells and
+a comma follows that quote, the commas are counted after them, unless
+the line holds a NUL or its rest is longer than ``csv``'s field limit.
+``csv`` reads every other line as it is, with the further lines a
+quoted cell spans, and the whole continent map; a record it cannot
+read raises ``MalformedCsv`` naming the row. A record it reads goes,
+with its block, to the per-cell reader below, at that reader's cost.
+Header dates are read with ``int()``, as ``datetime``'s ``%m/%d/%y``
+reads them.
 
 Both parsers hand their count rows to one converter, ``_digit_blocks``.
 It takes a block of rows at a time if they are ASCII, if each row has
-the expected number of separators and ends in its newline, and if every
-cell is 1 to 18 digits, so that no count overflows int64. A block of
-nearly all one-digit cells, such as an abundance table's "0" cells, is
-read two bytes per cell; any other block by its cells' terminators, with
-one whole-array update per digit place. A deaths file keeps every cell,
-in a dense matrix; an abundance table keeps only each block's nonzero
-cells, and its layout is taken from its first row's width alone. A row
-the converter reads thus has the expected width. It stops at the first
+the expected number of separators, and if every cell is 1 to 18 digits,
+so that no count overflows int64. A block of nearly all one-digit
+cells, such as an abundance table's "0" cells, is read two bytes per
+cell; any other block by its cells' terminators, with one whole-array
+update per digit place. A deaths file keeps every cell, in a dense
+matrix; an abundance table keeps only each block's nonzero cells, and
+its layout is taken from its first row's width alone. A row the
+converter reads thus has the expected width. It stops at the first
 block it declines, and the parser keeps the rows before that block and
 reads every row from there on cell by cell: it counts the row's fields
 and parses each cell with ``int()``, which also takes a sign, spaces or
@@ -170,16 +173,6 @@ def decode_utf8(text: str | bytes) -> str:
     return _utf8(_input_bytes(text))
 
 
-def _split_lines(data: bytes) -> Iterator[bytes]:
-    """The lines of ``data.split(b"\\n")``, one at a time, without a final empty one."""
-    start = 0
-    while (end := data.find(b"\n", start)) >= 0:
-        yield data[start:end]
-        start = end + 1
-    if start < len(data):
-        yield data[start:]
-
-
 def _csv_record(lines: Iterable[str], row: int, strict: bool = False) -> list[str] | None:
     """The next record ``csv`` reads from ``lines``, or None at their end.
 
@@ -216,41 +209,39 @@ def _leading_cells(line: bytes, row: int) -> tuple[list[str], bytes] | None:
     return (cells, rest) if len(cells) <= 4 else None
 
 
-def _jhu_records(data: bytes) -> Iterator[tuple[list[str], bytes | list[str]]]:
-    """(leading cells, date cells) for each record of a JHU file's bytes.
+def _jhu_records(data: bytes) -> Iterator[tuple[list[str], bytes | None]]:
+    """(cells, date cells) for each record of a JHU file's bytes.
 
-    A line is split at its first four commas, counted after the leading
-    cells that ``_leading_cells`` reads when it has a quote: its date
-    cells stay the comma-joined bytes ``_digit_block`` reads. ``csv``
-    reads every other line, decoded, with the further lines a quoted cell
-    spans, and gives its date cells as a list, so a quoted "1,000" stays
-    one cell; a blank line has no cells.
+    Each line, as the source ends it, is split at its first four commas,
+    counted after the leading cells that ``_leading_cells`` reads when it
+    has a quote: its date cells stay the comma-joined bytes, with the
+    line's ending, that ``_digit_block`` reads. ``csv`` reads every other
+    line as it is, with the further lines a quoted cell spans. A record
+    it reads, or a line of fewer than five cells, has all its cells in
+    the list and None for its date cells; a blank line has no cells.
     """
-    ended = data.count(b"\n")  # lines 1..ended end in "\n"; a last one may not
-    lines = enumerate(_split_lines(data), start=1)
-    for row, (number, line) in enumerate(lines, start=1):
+    lines = io.BytesIO(data)
+    for row, line in enumerate(lines, start=1):
         if b'"' in line:
             split = _leading_cells(line, row)
         else:
-            split = ([], line) if line else None
+            split = ([], line) if line != b"\n" else None
         if split is None:
-            # csv sees each line as the source ends it: '"' is not '"\n'
-            texts = (
-                _utf8(raw) + "\n" if n <= ended else _utf8(raw)
-                for n, raw in itertools.chain([(number, line)], lines)
-            )
-            cells = _csv_record(texts, row)
-            yield cells[:4], cells[4:]
+            texts = (_utf8(raw) for raw in itertools.chain([line], lines))
+            yield _csv_record(texts, row), None
+            continue
+        leading, rest = split
+        cells = rest.split(b",", 4 - len(leading))
+        if len(leading) + len(cells) == 5:
+            dates = cells.pop()
         else:
-            leading, rest = split
-            cells = rest.split(b",", 4 - len(leading))
-            dates = cells.pop() if len(leading) + len(cells) == 5 else []
-            yield leading + [_utf8(cell) for cell in cells], dates
+            dates, cells[-1] = None, cells[-1].rstrip(b"\n")
+        yield leading + [_utf8(cell) for cell in cells], dates
 
 
-def _cells(record: tuple[list[str], bytes | list[str]]) -> list[str]:
-    leading, dates = record
-    return leading + (_utf8(dates).split(",") if isinstance(dates, bytes) else dates)
+def _cells(record: tuple[list[str], bytes | None]) -> list[str]:
+    cells, dates = record
+    return cells if dates is None else cells + _utf8(dates).rstrip("\n").split(",")
 
 
 _MONTHS = {f"{m:{w}}": m for m in range(1, 13) for w in ("", "02")}
@@ -310,9 +301,10 @@ def _scan_counts(block, columns, first_row: int) -> np.ndarray:
 def _digit_blocks(rows: Iterable[bytes], n_cols: int, sep: str) -> Iterator[np.ndarray]:
     """Each block of ``rows``' cells as a flat int64 array, in row-major order.
 
-    Each row is the bytes of ``n_cols`` cells joined by ``sep``. Stops at
-    the first block that holds a cell other than 1 to ``_MAX_DIGITS``
-    ASCII digits or a row with the wrong number of cells, having taken
+    Each row is the bytes of ``n_cols`` cells joined by ``sep``, with or
+    without the "\\n" that ends its line. Stops at the first block that
+    holds a cell other than 1 to ``_MAX_DIGITS`` ASCII digits or a row
+    with the wrong number of cells, an empty row included, having taken
     that block's rows from ``rows``. So every block it yields proves its
     rows' width, and the cells it yields are those of the rows before the
     block it declined, or of every row.
@@ -336,9 +328,9 @@ def _digit_blocks(rows: Iterable[bytes], n_cols: int, sep: str) -> Iterator[np.n
     zero[-1] = ord("0") | ord("\n") << 8
     while chunk := list(itertools.islice(rows, per_block)):
         k = len(chunk)
-        chunk.append(b"")  # every row, the last included, ends in "\n"
+        ended = [row if row.endswith(b"\n") else row + b"\n" for row in chunk]
         # a byte above 127 is no digit, so a row that is not ASCII declines
-        raw = np.frombuffer(b"\n".join(chunk), dtype=np.uint8)
+        raw = np.frombuffer(b"".join(ended), dtype=np.uint8)
         if _SPARSE_SHARE * (raw.size - 2 * k * n_cols) <= k * n_cols:
             values = _two_byte_cells(raw, zero, k)
             if values is None:
@@ -482,15 +474,10 @@ def parse_jhu_deaths(text: str | bytes) -> DeathsTable:
             raise MalformedHeader(f"date axis is not daily between {a} and {b}")
 
     body, width = records[1:], len(header)
-    # a csv record of another width goes to the converter as an empty row,
-    # which it declines: joined, a quoted "1,000" would be two cells
-    joined = (
-        d if isinstance(d, bytes)
-        else _input_bytes(",".join(d)) if len(c) + len(d) == width
-        else b""
-        for c, d in body
-    )
-    counts, done = _digit_block(joined, len(body), width - 4, ",")
+    # a record with no date bytes goes to the converter as an empty row,
+    # which it declines, so its block is read cell by cell
+    rows = (b"" if dates is None else dates for _, dates in body)
+    counts, done = _digit_block(rows, len(body), width - 4, ",")
     # the rows from the declined block on are read cell by cell, up to the
     # first ragged one, and warned about before it is raised
     rest = [_cells(r) for r in body[done:]]
@@ -664,11 +651,11 @@ def parse_abundance_table(text: str | bytes) -> AbundanceTable:
     (see ``AbundanceTable``), and the rows are read one block at a time.
     """
     data = _input_bytes(text)
-    lines = _split_lines(data)
+    lines = io.BytesIO(data)
     head, first = next(lines, None), next(lines, None)
-    if head is None or (head == b"" and first is None):
+    if head is None or (head == b"\n" and first is None):
         raise MalformedHeader("empty input")
-    header = _utf8(head).split("\t")
+    header = _utf8(head).rstrip("\n").split("\t")
     if first is None:
         raise MalformedHeader("no sample rows present")
 
@@ -689,8 +676,8 @@ def parse_abundance_table(text: str | bytes) -> AbundanceTable:
     # one, is read cell by cell; if not, it spent ``lines``. The first
     # ragged row, repeated sample id or bad cell, in row order, is raised.
     if done < len(sample_ids):
-        lines = itertools.islice(_split_lines(data), done + 1, None)
-    rest = [_utf8(line).split("\t") for line in lines]
+        lines = itertools.islice(io.BytesIO(data), done + 1, None)
+    rest = [_utf8(line).rstrip("\n").split("\t") for line in lines]
     width = len(taxa) + 1
     n_ok = done + next((i for i, r in enumerate(rest) if len(r) != width), len(rest))
     del sample_ids[done:]

@@ -33,7 +33,7 @@ import numpy as np
 from .coupling import CoupledPrediction, confidence_band, day_index_to_date
 from .errors import InvalidArgument
 from .plec import PlecModel, plec_eval
-from .regression import PlFit, TplFit
+from .regression import PlFit, TplFit, _finite
 
 REPORT_COLUMNS = [
     "unit",
@@ -98,7 +98,8 @@ def report_row(unit: str, result: CoupledPrediction) -> dict:
     row["fallback_used"] = result.fallback_used
     if result.fallback_used:
         row["w"] = result.model.exponent
-        row["c"] = math.exp(result.model.ln_c)
+        ln_c = result.model.ln_c
+        row["c"] = _finite(f"c = exp({ln_c}) of unit {unit!r}", lambda: math.exp(ln_c))
         row["r_squared"] = result.model.r ** 2
         return row
     model = result.model

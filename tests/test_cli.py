@@ -1013,6 +1013,28 @@ def test_aggregation_overflow_exits_2_with_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:cumulative counts")
+def test_fallback_coefficient_overflow_exits_2_with_one_line(tmp_path, capsys):
+    # a total of 0 for 600 days and then a steep fall: the unit falls back to
+    # a power law whose intercept ln_c, about 34068, is beyond exp's range
+    start = date(2020, 1, 22)
+    rows = {"A": [0] * 600 + [10**15, 10**9, 1000, 5, 1]}
+    rows |= {"B": [0] * 605, "C": [0] * 605}
+    deaths = tmp_path / "deaths.csv"
+    continents = tmp_path / "continents.csv"
+    deaths.write_text(build_deaths_csv(start, rows))
+    continents.write_text("country,continent\nA,K\nB,K\nC,K\n")
+    out = tmp_path / "r.csv"
+    argv = ["ftr", "--deaths", str(deaths), "--continents", str(continents)]
+    argv += ["--start", "2020-01-22", "--end", "2021-09-17"]
+    argv += ["--horizon", str(start + timedelta(days=608)), "--out", str(out)]
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ftr: NonFiniteValue: c = exp(34068.")
+    assert line.endswith(") of unit 'K' is not finite: inf")
+    assert sorted(tmp_path.iterdir()) == [continents, deaths]  # no report
+
+
 def test_continent_named_world_exits_2_with_one_line(ftr_paths, tmp_path, capsys):
     _, continents, _ = ftr_paths
     continents.write_text(continents.read_text().replace(",Gammia", ",World"))

@@ -239,6 +239,16 @@ class TestFtrPipeline:
             1_000 + result.model.predict(50), rel=1e-12
         )
 
+    def test_fallback_coefficient_beyond_exp_range_raises_non_finite(self):
+        days = 40
+        series = [1_000 + round(5.0 * t**1.8) for t in range(1, days + 1)]
+        result = couple(series, None, baseline=1_000)
+        assert result.fallback_used
+        huge = replace(result, model=replace(result.model, ln_c=800.0))
+        with pytest.raises(NonFiniteValue) as err:
+            reporting.report_row("K", huge)
+        assert str(err.value) == "c = exp(800.0) of unit 'K' is not finite: inf"
+
     def test_fallback_exclusivity(self):
         model = PlecModel(c=400.0, w=1.3, d=-0.015)
         series = _series_from_curve(model, baseline=0, days=62)
@@ -332,6 +342,33 @@ class TestCouple:
         assert str(err.value).startswith(
             f"baseline {baseline} lies outside the series' integer range ({dtype}, "
         )
+
+    @pytest.mark.parametrize(
+        "observed, baseline",
+        [
+            (list(range(1, 40)), -(2**63)),
+            (np.arange(1, 40) + 2**62, -(2**62)),
+            (np.arange(1, 40) + 2**62, np.int64(-(2**62))),
+        ],
+        ids=["int64_min", "near_2_62", "numpy_baseline"],
+    )
+    def test_baseline_whose_difference_leaves_the_integer_range_is_rejected(
+        self, observed, baseline
+    ):
+        # v - baseline would wrap in int64 and fail later as a log of a
+        # nonpositive value, naming neither the baseline nor the overflow
+        with pytest.raises(InvalidArgument) as err:
+            couple(observed, None, baseline=baseline)
+        assert str(err.value) == (
+            f"baseline {baseline} is so far below the series that its largest "
+            "difference exceeds the int64 maximum 9223372036854775807"
+        )
+
+    def test_baseline_whose_largest_difference_is_the_integer_maximum_is_kept(self):
+        top = 2**63 - 1
+        result = couple(list(range(1, 40)), None, baseline=39 - top)
+        assert result.fallback_used
+        assert result.baseline == float(39 - top)
 
     def test_observed_must_be_one_series(self):
         with pytest.raises(InvalidArgument, match="1-d series"):

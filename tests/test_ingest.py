@@ -994,6 +994,35 @@ def test_benchmark_workloads_take_their_routes(two_byte_blocks, tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:cumulative counts")
+def test_benchmark_deaths_lines_are_split_without_a_whole_csv_read(
+    scanned_rows, tmp_path, monkeypatch
+):
+    # csv reads only the leading cells of each of the ftr-jhu deaths file's
+    # quoted lines, strictly, and no record whole, so that every block
+    # reaches the converter and no cell is read on its own
+    led, reads = [], []
+    leading_cells, csv_record = ingest._leading_cells, ingest._csv_record
+
+    def leading_spy(line, row):
+        led.append(line)
+        return leading_cells(line, row)
+
+    def csv_spy(lines, row, strict=False):
+        reads.append(strict)
+        return csv_record(lines, row, strict)
+
+    monkeypatch.setattr(ingest, "_leading_cells", leading_spy)
+    monkeypatch.setattr(ingest, "_csv_record", csv_spy)
+    workloads.prepare_ftr(7, tmp_path)
+    data = (tmp_path / "deaths.csv").read_bytes()
+    parse_jhu_deaths(data)
+    quoted = [line for line in data.splitlines() if b'"' in line]
+    assert len(quoted) == 15 and [line.rstrip(b"\n") for line in led] == quoted
+    assert reads == [True] * 15
+    assert scanned_rows == []
+
+
+@pytest.mark.filterwarnings("ignore:cumulative counts")
 def test_one_signed_cell_in_a_benchmark_input_is_read_with_its_block(
     scanned_rows, tmp_path
 ):
@@ -1092,6 +1121,29 @@ class TestRecordReader:
         table = parse_jhu_deaths(text)
         assert table.regions == ("A", "B")
         assert table.counts.tolist() == [[1, 2], [3, 4]]
+
+    @pytest.mark.parametrize(
+        "last, expect",
+        [
+            (',B,0,0,3,"4', [[1, 2], [3, 4]]),
+            (',B,0,0,3,"4\n', [[1, 2], [3, 4]]),
+            (',B,0,0,3,"x', "row 3, column 3/2/21: 'x' is not an integer"),
+            (',B,0,0,3,"x\n', "row 3, column 3/2/21: 'x\\n' is not an integer"),
+        ],
+        ids=["count_unended", "count_ended", "bad_cell_unended", "bad_cell_ended"],
+    )
+    def test_quote_left_open_on_the_last_line_reads_the_line_as_it_ends(
+        self, last, expect
+    ):
+        # csv reads the last line as the file ends it: an open quote takes
+        # the line's "\n" into its cell when the line has one, and none else
+        text = self.HEAD + ",A,0,0,1,2\n" + last
+        if isinstance(expect, list):
+            assert parse_jhu_deaths(text).counts.tolist() == expect
+        else:
+            with pytest.raises(UnparseableCount) as err:
+                parse_jhu_deaths(text)
+            assert str(err.value) == expect
 
     def test_bare_carriage_return_names_its_row(self):
         # a bare CR ends a line, as Path.read_text reads it
