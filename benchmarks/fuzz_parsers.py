@@ -23,9 +23,11 @@ none, repeated, blank and non-ASCII labels, lone surrogates, invalid
 UTF-8 bytes, counts of 1 to 19 digits with leading zeros ("00", "010"),
 cells ``int()`` reads or rejects, counts whose total overflows int64,
 and tables of mostly "0" cells, some large enough to span several
-converter blocks with a bad cell on a block boundary. Half of those
-large deaths files have a record that csv reads whole (a province over
-two lines or a quoted date cell) in the converter's first block.
+converter blocks with a bad cell on a block boundary. So do deaths files
+of mostly 3 to 7 digit counts, some of 8 to 18, with 0 to 50% "0"
+cells, whose blocks the converter reads by their terminators. Half of
+those large deaths files have a record that csv reads whole (a province
+over two lines or a quoted date cell) in the converter's first block.
 """
 
 from __future__ import annotations
@@ -113,21 +115,32 @@ def _counts(rng: random.Random, n: int, zero_share: float, count) -> list[str]:
     return cells
 
 
-def _layout(rng: random.Random) -> tuple:
+def _wide_count(rng: random.Random) -> str:
+    """A count as a deaths file holds them: mostly 3 to 7 digits, some 8 to 18."""
+    width = rng.randint(3, 7) if rng.random() < 0.95 else rng.randint(8, 18)
+    return str(rng.randrange(10 ** (width - 1), 10**width))
+
+
+def _layout(rng: random.Random, wide: bool) -> tuple:
     """Rows, columns, cells on a block boundary, share of "0" cells, count drawer.
 
     Most cases are small, with counts of every kind. One in eight is a
     mostly-"0" table of up to 200 columns, and one in fifty is large
     enough to span converter blocks, with odd cells put on a boundary.
+    With ``wide``, three in a hundred more are large tables of wide counts
+    with 0 to 50% "0" cells, whose blocks are read by their terminators.
     """
     r = rng.random()
-    if r < 0.02:
-        block = rng.choice(BLOCKS)
+    if r < 0.02 or wide and r < 0.05:
+        sparse = r < 0.02
+        block = rng.choice(BLOCKS) if sparse else BLOCKS[0]
         n_cols = rng.randint(200, 3000)
         per_block = max(1, block // n_cols)
         n_rows = per_block + rng.randint(1, 3)
         spots = [(per_block - 1, n_cols - 1), (per_block, 0), (per_block - 1, 0)]
-        return n_rows, n_cols, spots, rng.choice((0.9, 0.97, 0.99)), _low_count
+        if sparse:
+            return n_rows, n_cols, spots, rng.choice((0.9, 0.97, 0.99)), _low_count
+        return n_rows, n_cols, spots, rng.choice((0.0, 0.25, 0.5)), _wide_count
     if r < 0.15:
         n_rows, n_cols = rng.randint(2, 20), rng.randint(16, 200)
         return n_rows, n_cols, [], rng.choice((0.9, 0.97, 0.99)), _low_count
@@ -210,7 +223,7 @@ def _date_cell(rng: random.Random, d: date) -> str:
 
 def deaths_text(rng: random.Random) -> str:
     fixed = ["Province/State", "Country/Region", "Lat", "Long"]
-    n_rows, n_dates, spots, zero_share, count = _layout(rng)
+    n_rows, n_dates, spots, zero_share, count = _layout(rng, wide=True)
     start = date(2020, 1, 22) + timedelta(days=rng.randrange(2000))
     dates = [start + timedelta(days=i) for i in range(n_dates)]
     header = fixed + [_date_cell(rng, d) for d in dates]
@@ -302,7 +315,7 @@ def continents_text(rng: random.Random) -> str:
 
 
 def abundance_text(rng: random.Random) -> str:
-    n_rows, n_taxa, spots, zero_share, count = _layout(rng)
+    n_rows, n_taxa, spots, zero_share, count = _layout(rng, wide=False)
     taxa = [f"t{j}" for j in range(n_taxa)]
     if taxa and rng.random() < 0.1:
         taxa[rng.randrange(n_taxa)] = rng.choice(("", " ", "t0", _label(rng)))
@@ -422,26 +435,24 @@ def main(argv=None) -> int:
         return 0
     if not args.against:
         parser.error("--against is required")
-    with tempfile.TemporaryDirectory(prefix="fuzz_parsers-") as tmp:
-        tree = Path(tmp) / "against"
-        git = ["git", "-C", str(ROOT), "worktree"]
-        add = ["add", "--detach", "--quiet", str(tree), args.against]
-        subprocess.run(git + add, check=True)
-        try:
-            outs, workers = [], []
-            for src in (ROOT / "src", tree / "src"):
-                outs.append(Path(tmp) / f"{len(outs)}.jsonl")
-                command = [
-                    sys.executable, __file__, "--worker", str(src), "--seed",
-                    str(args.seed), "--cases", str(args.cases), "--out", str(outs[-1]),
-                ]
-                env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-                workers.append(subprocess.Popen(command, env=env))
-            if any([w.wait() for w in workers]):
-                raise SystemExit("a worker failed")
-            mine, theirs = (out.read_text().splitlines() for out in outs)
-        finally:
-            subprocess.run(git + ["remove", "--force", str(tree)], check=True)
+    from worktree import checkout  # in this script's directory
+
+    with (
+        tempfile.TemporaryDirectory(prefix="fuzz_parsers-") as tmp,
+        checkout(args.against, Path(tmp)) as tree,
+    ):
+        outs, workers = [], []
+        for src in (ROOT / "src", tree / "src"):
+            outs.append(Path(tmp) / f"{len(outs)}.jsonl")
+            command = [
+                sys.executable, __file__, "--worker", str(src), "--seed",
+                str(args.seed), "--cases", str(args.cases), "--out", str(outs[-1]),
+            ]
+            env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+            workers.append(subprocess.Popen(command, env=env))
+        if any([w.wait() for w in workers]):
+            raise SystemExit("a worker failed")
+        mine, theirs = (out.read_text().splitlines() for out in outs)
     shown: list[str] = []
     total = 0
     for k, kind in enumerate(PARSERS):

@@ -44,6 +44,12 @@ of the output and shares the read-only set-up, so memory is
 O(nnz x workers) and every row is bit-identical however the replicates
 are split. The final step is evaluated directly from the fully pooled
 count vector, so every replicate ends on the bit-identical value.
+
+A Hill sum that overflows float64, as ``x**q`` does for large counts at
+a large q, raises ``NonFiniteValue`` naming q instead of giving inf or
+NaN. ``hill_direct`` checks its sums and each worker the rows it
+writes, each under its own ``np.errstate``, which numpy keeps per
+thread, so no RuntimeWarning is printed on the way.
 """
 
 from __future__ import annotations
@@ -53,18 +59,32 @@ import threading
 
 import numpy as np
 
+from .errors import NonFiniteValue
+
+
+def _overflow(q: float) -> str:
+    return f"at q = {q:g} the Hill number's power sums overflow float64"
+
 
 def hill_direct(pooled: np.ndarray, q: float) -> float:
-    """q-order Hill number of one pooled count vector (caller validates)."""
+    """q-order Hill number of one pooled count vector (caller validates).
+
+    Raises ``NonFiniteValue`` naming q when a sum it forms is not finite.
+    """
     c = pooled[pooled > 0].astype(np.float64)
-    n = c.sum()
     if q == 0.0:
         return float(c.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = c.sum()
+        if q == 1.0:
+            s, scale = float((c * np.log(c)).sum()), n
+        else:
+            s, scale = float((c**q).sum()), n**q
+    if not (np.isfinite(s) and np.isfinite(scale)):
+        raise NonFiniteValue(_overflow(q))
     if q == 1.0:
-        s1 = float((c * np.log(c)).sum())
-        return float(np.exp(np.log(n) - s1 / n))
-    sq = float((c**q).sum())
-    return float((sq / n**q) ** (1.0 / (1.0 - q)))
+        return float(np.exp(np.log(n) - s / n))
+    return float((s / scale) ** (1.0 / (1.0 - q)))
 
 
 def _bits(n: int) -> int:
@@ -173,38 +193,45 @@ def accumulation_curves(
         ints = np.empty(samples.size, dtype=np.int64)  # slots, running sums, steps
         total = np.empty(samples.size, dtype=np.float64)  # then each entry's gain
         f = np.empty_like(total)
-        for r in rows:
-            perm = perms[r]
-            inv[perm] = step_keys
-            np.take(inv, samples, out=keys, mode="wrap")
-            keys |= base
-            keys.sort()  # the keys are unique, so any sort gives the (taxon, step) order
-            slots = ints
-            np.bitwise_and(keys, (1 << lbits) - 1, out=slots)
-            slots += seg_start
-            gathered = total.view(np.int64)
-            np.take(values, slots, out=gathered, mode="wrap")
-            running = ints
-            np.cumsum(gathered, out=running)
-            np.subtract(running, offset, out=total)  # exact in int64, then rounded
-            if q == 1.0:
-                np.log(total, out=f)
-                f *= total
-            else:
-                np.power(total, q, out=f)
-            # each entry's change to its taxon's f; a segment starts from f(0) = 0
-            gain = total
-            np.subtract(f[1:], f[:-1], out=gain[1:])
-            gain[col_start] = f[col_start]
-            steps = ints
-            np.right_shift(keys, lbits, out=steps)
-            steps &= (1 << sbits) - 1
-            acc = np.cumsum(np.bincount(steps, weights=gain, minlength=n_steps)[:last])
-            n_k = np.cumsum(sample_totals[perm[:last]]).astype(np.float64)
-            if q == 1.0:
-                out[r, :last] = np.exp(np.log(n_k) - acc / n_k)
-            else:
-                out[r, :last] = (acc / n_k**q) ** (1.0 / (1.0 - q))
+        # numpy's error state is per thread, so each worker sets its own
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for r in rows:
+                perm = perms[r]
+                inv[perm] = step_keys
+                np.take(inv, samples, out=keys, mode="wrap")
+                keys |= base
+                # the keys are unique, so any sort gives the (taxon, step) order
+                keys.sort()
+                slots = ints
+                np.bitwise_and(keys, (1 << lbits) - 1, out=slots)
+                slots += seg_start
+                gathered = total.view(np.int64)
+                np.take(values, slots, out=gathered, mode="wrap")
+                running = ints
+                np.cumsum(gathered, out=running)
+                np.subtract(running, offset, out=total)  # exact in int64, then rounded
+                if q == 1.0:
+                    np.log(total, out=f)
+                    f *= total
+                else:
+                    np.power(total, q, out=f)
+                # each entry's change to its taxon's f; a segment starts from f(0) = 0
+                gain = total
+                np.subtract(f[1:], f[:-1], out=gain[1:])
+                gain[col_start] = f[col_start]
+                steps = ints
+                np.right_shift(keys, lbits, out=steps)
+                steps &= (1 << sbits) - 1
+                gains = np.bincount(steps, weights=gain, minlength=n_steps)
+                acc = np.cumsum(gains[:last])
+                n_k = np.cumsum(sample_totals[perm[:last]]).astype(np.float64)
+                row = out[r, :last]
+                if q == 1.0:
+                    row[:] = np.exp(np.log(n_k) - acc / n_k)
+                else:
+                    row[:] = (acc / n_k**q) ** (1.0 / (1.0 - q))
+                if not np.isfinite(row).all():
+                    raise NonFiniteValue(_overflow(q))
 
     _split(hill, n_rep)
     return out

@@ -27,10 +27,14 @@ It takes a block of rows at a time if they are ASCII, if each row has
 the expected number of separators, and if every cell is 1 to 18 digits,
 so that no count overflows int64. A block of nearly all one-digit
 cells, such as an abundance table's "0" cells, is read two bytes per
-cell; any other block by its cells' terminators, with one whole-array
-update per digit place. A deaths file keeps every cell, in a dense
-matrix; an abundance table keeps only each block's nonzero cells, and
-its layout is taken from its first row's width alone. A row the
+cell, and the few digits before a cell's last one are added with one
+whole-array update per digit place. Any other block, such as a deaths
+file's, is read by its cells' terminators: each cell is the eight bytes
+that end at its last digit, read as one little-endian word, masked to
+its own digits and summed by three multiply-shift steps; a cell of 9 to
+18 digits adds a second or third word. A deaths file keeps every cell,
+in a dense matrix; an abundance table keeps only each block's nonzero
+cells, and its layout is taken from its first row's width alone. A row the
 converter reads thus has the expected width. It stops at the first
 block it declines, and the parser keeps the rows before that block and
 reads every row from there on cell by cell: it counts the row's fields
@@ -76,6 +80,13 @@ _BLOCK_CELLS = 1 << 14  # cells per converter pass: its scratch arrays stay smal
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1, so no overflow check is needed
 _SPARSE_SHARE = 8  # a two-byte block has at most one continuation digit per 8 cells
 _TWO_BYTE_WIDENING = 4  # a two-byte block's scratch is O(bytes), so the next is wider
+# the mask of a cell of each width on the eight bytes that end at its last
+# digit, read little-endian: 0x0F on each of its digits, which turns a digit
+# into its value, and 0 on the bytes before them
+_WORD_MASKS = np.array(
+    [0x0F0F0F0F0F0F0F0F & -(1 << 8 * max(8 - w, 0)) for w in range(_MAX_DIGITS + 1)],
+    dtype=np.uint64,
+)
 
 
 class DeathsRow(NamedTuple):
@@ -312,8 +323,9 @@ def _digit_blocks(rows: Iterable[bytes], n_cols: int, sep: str) -> Iterator[np.n
     Each block takes one route, by its byte count. A block of at most
     ``2 + 1/_SPARSE_SHARE`` bytes per cell, so that nearly every cell is
     one digit and its terminator, is read by ``_two_byte_cells``. Any
-    other is read by finding each cell's terminator, with one whole-array
-    update per digit place. Both routes take and decline the same blocks.
+    other is read by finding each cell's terminator, and ``_word_cells``
+    reads each cell from the eight bytes that end at its last digit.
+    Both routes take and decline the same blocks.
     Rows are taken a block of about ``_BLOCK_CELLS`` cells at a time, or
     ``_TWO_BYTE_WIDENING`` times that after a two-byte block, whose
     scratch is O(bytes) where the other route's is O(8 bytes per cell);
@@ -328,9 +340,13 @@ def _digit_blocks(rows: Iterable[bytes], n_cols: int, sep: str) -> Iterator[np.n
     zero[-1] = ord("0") | ord("\n") << 8
     while chunk := list(itertools.islice(rows, per_block)):
         k = len(chunk)
-        ended = [row if row.endswith(b"\n") else row + b"\n" for row in chunk]
+        # 8 pad bytes, where the word of the block's first cell starts, then
+        # the rows; ``raw`` starts after the pad, 8-byte aligned as ``block`` is
+        ended = [bytes(8)]
+        ended += (row if row.endswith(b"\n") else row + b"\n" for row in chunk)
+        block = b"".join(ended)
         # a byte above 127 is no digit, so a row that is not ASCII declines
-        raw = np.frombuffer(b"".join(ended), dtype=np.uint8)
+        raw = np.frombuffer(block, dtype=np.uint8, offset=8)
         if _SPARSE_SHARE * (raw.size - 2 * k * n_cols) <= k * n_cols:
             values = _two_byte_cells(raw, zero, k)
             if values is None:
@@ -338,12 +354,11 @@ def _digit_blocks(rows: Iterable[bytes], n_cols: int, sep: str) -> Iterator[np.n
             per_block = wide
             yield values
             continue
-        # The other route reads the block here, so that its scratch lives
-        # until the next block's replaces it. Freed as a function returned,
-        # it took about 1200 more page faults in a cold ftr-jhu parse.
+        # The other route finds the block's cells here, so that this scratch
+        # lives until the next block's replaces it. Freed as a function
+        # returned, it took about 1200 more page faults in a cold ftr-jhu parse.
         per_block = narrow
-        digits = raw - ord("0")  # wraps: every other byte lands above 9
-        ends = np.flatnonzero(digits > 9)
+        ends = np.flatnonzero(raw - ord("0") > 9)  # wraps: a non-digit lands above 9
         if ends.size != k * n_cols:
             return
         terminators = raw[ends].reshape(k, n_cols)
@@ -356,15 +371,7 @@ def _digit_blocks(rows: Iterable[bytes], n_cols: int, sep: str) -> Iterator[np.n
         widths[1:] -= ends[:-1] + 1
         if widths.min() < 1 or widths.max() > _MAX_DIGITS:
             return
-        values = digits[ends - 1].astype(np.int64)  # all a one-digit cell needs
-        longer = widths > 1  # most cells of a sparse table are "0"
-        # where most cells are longer, picking them out costs more than it saves
-        dense = 2 * np.count_nonzero(longer) > longer.size
-        multi = slice(None) if dense else np.flatnonzero(longer)
-        last, width = ends[multi] - 1, widths[multi]
-        if width.size:
-            _add_leading_digits(values, multi, digits, last, width)
-        yield values
+        yield _word_cells(block, ends, widths)
 
 
 def _two_byte_cells(raw: np.ndarray, zero: np.ndarray, k: int) -> np.ndarray | None:
@@ -414,6 +421,45 @@ def _add_leading_digits(values, cells, digits, last, width) -> None:
         acc += digits[last - j] * (width > j)
         acc *= 10
     values[cells] += acc
+
+
+def _word_cells(block: bytes, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Each cell's value, read from the eight bytes that end at its last digit.
+
+    ``block`` is 8 pad bytes and then a block's bytes, in which each cell
+    has ``widths`` digits (1 to ``_MAX_DIGITS``) and its terminator at
+    ``ends``, counted after the pad; so the eight bytes that end at the
+    cell's last digit start at ``ends`` in ``block``. They are taken as
+    one little-endian uint64, whose top byte is that last digit.
+    """
+    words = np.ndarray((len(block) - 7,), dtype="<u8", buffer=block, strides=(1,))
+    values = _eight_digits(np.take(words, ends), np.take(_WORD_MASKS, widths))
+    # a cell of 9 to 18 digits adds the word 8 bytes before, times 10**8,
+    # and one of 17 or 18 the word 16 bytes before, times 10**16
+    for place in (8, 16):
+        wider = np.flatnonzero(widths > place)
+        if not wider.size:
+            break
+        word = np.take(words, ends[wider] - place)
+        word = _eight_digits(word, _WORD_MASKS[widths[wider] - place])
+        values[wider] += word * 10**place
+    return values.view(np.int64)
+
+
+def _eight_digits(word: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``word``, masked by its cell's ``_WORD_MASKS`` entry, as the number its
+    digits make, in place: three multiply-shift steps join the digits into
+    pairs, fours and eights."""
+    word &= mask
+    word *= 10 << 8 | 1
+    word >>= 8
+    word &= 0x00FF00FF00FF00FF
+    word *= 100 << 16 | 1
+    word >>= 16
+    word &= 0x0000FFFF0000FFFF
+    word *= 10000 << 32 | 1
+    word >>= 32
+    return word
 
 
 def _digit_block(

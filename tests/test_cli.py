@@ -623,6 +623,20 @@ def test_helper_thread_memory_error_exits_2_with_one_line(
     assert not out.exists()
 
 
+def test_overflowing_hill_order_exits_2_with_one_line(
+    dar_paths, tmp_path, capsys, recwarn
+):
+    # at q = 100 a pooled count's power overflows float64
+    out = tmp_path / "o.csv"
+    assert run_dar(dar_paths[0], out, extra=("--q", "100")) == 2
+    assert capsys.readouterr().err == (
+        "error: resample_accumulation: NonFiniteValue: "
+        "at q = 100 the Hill number's power sums overflow float64\n"
+    )
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 def _run_python(code):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     done = subprocess.run(

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from tplec import (
     parse_abundance_table,
     resample_accumulation,
 )
-from tplec.errors import CountOverflow, EmptyCommunity, InvalidPermutation, NegativeCount
+from tplec.errors import (
+    CountOverflow,
+    EmptyCommunity,
+    InvalidPermutation,
+    NegativeCount,
+    NonFiniteValue,
+)
 
 # small community with overlapping taxa; used for the exhaustive
 # permutation oracle below
@@ -29,6 +36,9 @@ THREE_SAMPLES = AbundanceTable(
         ]
     ),
 )
+
+# a count of 1000, whose 120th power overflows float64
+LARGE_COUNT = AbundanceTable(("s1", "s2"), ("t1", "t2"), [[1000, 1], [5, 0]])
 
 
 def pooled_hill_oracle(count_vectors, q: float) -> float:
@@ -105,6 +115,21 @@ class TestHillNumber:
         doubled = [2 * v for v in counts]
         assert hill_number(counts, 0) == hill_number(doubled, 0)
 
+    @pytest.mark.parametrize(
+        "counts, q",
+        [
+            ([1000, 1, 5], 120.0),  # 1000**120 overflows
+            ([1] * 1000, 110.0),  # each 1**q is 1, but the total's 1000**110 is not
+            ([1e308, 1.0], 1.0),  # 1e308 * ln(1e308) overflows
+            ([1e308, 1e308], 0.5),  # so does the total
+        ],
+    )
+    def test_overflowing_order_raises_naming_q(self, counts, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(NonFiniteValue, match=f"at q = {q:g} "):
+                hill_number(counts, q)
+
 
 class TestAccumulate:
     def test_single_sample(self):
@@ -149,6 +174,12 @@ class TestAccumulate:
     def test_string_order_raises_invalid_permutation(self, order):
         with pytest.raises(InvalidPermutation):
             accumulate(THREE_SAMPLES, order, q=0)
+
+    def test_overflowing_order_raises_naming_q(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="at q = 120 "):
+                accumulate(LARGE_COUNT, [1, 0], q=120.0)
 
 
 class TestResampleAccumulation:
@@ -205,6 +236,13 @@ class TestResampleAccumulation:
     def test_replicate_floor(self):
         with pytest.raises(ValueError):
             resample_accumulation(THREE_SAMPLES, replicates=1, q=0, seed=0)
+
+    def test_overflowing_order_raises_naming_q(self):
+        # the means were inf, with RuntimeWarnings from the kernel's workers
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="at q = 120 "):
+                resample_accumulation(LARGE_COUNT, replicates=10, q=120.0, seed=0)
 
 
 class TestAbundanceTable:

@@ -915,6 +915,65 @@ def two_byte_blocks(monkeypatch):
 
 
 @pytest.fixture
+def word_blocks(monkeypatch):
+    """The cell count of each block the converter reads a word per cell."""
+    cells = []
+    read = ingest._word_cells
+
+    def spy(block, ends, widths):
+        cells.append(ends.size)
+        return read(block, ends, widths)
+
+    monkeypatch.setattr(ingest, "_word_cells", spy)
+    return cells
+
+
+def _word_read(rows, n_cols):
+    counts, done = _digit_block([row.encode() for row in rows], len(rows), n_cols, ",")
+    assert done == len(rows)
+    return counts.tolist()
+
+
+def test_word_reader_matches_int_at_every_width_and_offset(word_blocks):
+    # a cell of each width after a first cell of 2 to 9 digits, so that its
+    # last digit falls on each of the 8 byte offsets of a word; the digits
+    # before the cell are the first cell's, which its mask must clear
+    for width in range(1, 19):
+        cell = "".join(str((width + i) % 10) for i in range(width))
+        for lead in range(2, 10):
+            first = "9" * lead
+            assert _word_read([f"{first},{cell}"], 2) == [[int(first), int(cell)]]
+    assert word_blocks == [2] * 18 * 8
+
+
+def test_word_reader_first_cell_reaches_into_the_pad(word_blocks):
+    # the word of a block's first cell, of fewer than 8 digits, starts in
+    # the pad before the block
+    for width in range(1, 19):
+        cell = "987654321987654321"[:width]
+        assert _word_read([f"{cell},55", "1,2"], 2) == [[int(cell), 55], [1, 2]]
+    assert word_blocks == [4] * 18
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        ["00000000", "000000001", "0", "01", "000000000000000001"],
+        ["12345678", "99999999", "10000000", "123456789", "100000000", "999999999"],
+        ["1234567890123456", "9999999999999999", "12345678901234567"],
+        ["10000000000000000", "123456789012345678", "999999999999999999"],
+        ["100000000000000000", "000000000000000000", "090000000900000009"],
+    ],
+)
+def test_word_reader_leading_zeros_and_word_boundaries(cells, word_blocks):
+    expect = [int(cell) for cell in cells]
+    assert _word_read([",".join(cells), ",".join(reversed(cells))], len(cells)) == [
+        expect, expect[::-1]
+    ]
+    assert word_blocks == [2 * len(cells)]
+
+
+@pytest.fixture
 def scanned_rows(monkeypatch):
     """The row number of each cell the per-cell scanner reads, in order."""
     rows = []
@@ -980,17 +1039,32 @@ _SPEC.loader.exec_module(workloads)
 
 
 @pytest.mark.filterwarnings("ignore:cumulative counts")
-def test_benchmark_workloads_take_their_routes(two_byte_blocks, tmp_path):
+def test_benchmark_workloads_take_their_routes(
+    two_byte_blocks, word_blocks, tmp_path, monkeypatch
+):
     # the dar-shannon table's cells are 95% "0", and every block of it is
     # read two bytes per cell; nearly every cell of the ftr-jhu deaths file
-    # is a count of two or more digits, and no block of it is
+    # is a count of two or more digits, and every block of it is read a
+    # word per cell. Leading digits are added place by place on the
+    # two-byte route alone.
+    adders = []
+    add = ingest._add_leading_digits
+
+    def add_spy(*args):
+        adders.append(sys._getframe(1).f_code.co_name)
+        return add(*args)
+
+    monkeypatch.setattr(ingest, "_add_leading_digits", add_spy)
     workloads.prepare_dar_shannon(7, tmp_path)
     table = parse_abundance_table((tmp_path / "shannon.tsv").read_bytes())
     assert sum(two_byte_blocks) == len(table.sample_ids) * len(table.taxon_ids)
+    assert word_blocks == [] and adders and set(adders) == {"_two_byte_cells"}
     two_byte_blocks.clear()
+    adders.clear()
     workloads.prepare_ftr(7, tmp_path)
-    parse_jhu_deaths((tmp_path / "deaths.csv").read_bytes())
-    assert two_byte_blocks == []
+    deaths = parse_jhu_deaths((tmp_path / "deaths.csv").read_bytes())
+    assert two_byte_blocks == [] and adders == []
+    assert len(word_blocks) > 1 and sum(word_blocks) == deaths.counts.size
 
 
 @pytest.mark.filterwarnings("ignore:cumulative counts")

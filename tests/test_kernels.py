@@ -2,6 +2,7 @@
 
 import math
 import threading
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from tplec import AbundanceTable, _kernels, accumulate, resample_accumulation
+from tplec.errors import NonFiniteValue
 
 from conftest import build_saturating_table, fail_in_helpers, set_workers
 
@@ -336,6 +338,19 @@ def test_helper_error_reaches_the_caller(monkeypatch, q):
     with pytest.raises(MemoryError, match="helper ran out"):
         resample_accumulation(table, 4, q, seed=3)
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_worker_checks_its_rows_without_warnings(monkeypatch, workers):
+    # with the pooled check passed over, every worker meets the overflow
+    # itself, under its own thread's numpy error state
+    table, _ = build_saturating_table()
+    set_workers(monkeypatch, workers)
+    monkeypatch.setattr(_kernels, "hill_direct", lambda pooled, q: 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="at q = 100 "):
+            resample_accumulation(table, 10, 100.0, seed=0)
 
 
 def mao_tau(counts):
