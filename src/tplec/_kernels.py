@@ -33,9 +33,10 @@ totals, offsets) is formed in int64 and is at most the table's total,
 which ``AbundanceTable`` bounds by the int64 maximum; a float sum would
 be exact only below 2**53.
 
-At q = 0 no sort is needed: a taxon enters the curve at its first
-step, the minimum step over its segment (``np.minimum.reduceat``),
-and one ``bincount`` + ``cumsum`` of those steps gives the curve.
+Every q runs one worker. At q = 0 it sorts nothing and stops after the
+step keys of pass 1: a taxon enters the curve at its first step, its
+segment's smallest step key (``np.minimum.reduceat``) shifted past the
+slot bits, and one ``bincount`` + ``cumsum`` of those steps is the curve.
 
 No replicate reads another's result and numpy releases the GIL in
 every pass, so the replicates are split over one thread per CPU this
@@ -47,8 +48,8 @@ count vector, so every replicate ends on the bit-identical value.
 
 A Hill sum that overflows float64, as ``x**q`` does for large counts at
 a large q, raises ``NonFiniteValue`` naming q instead of giving inf or
-NaN. ``hill_direct`` checks its sums and each worker the rows it
-writes, each under its own ``np.errstate``, which numpy keeps per
+NaN. ``hill_direct`` checks its sums and its result, each worker the
+rows it writes, each under its own ``np.errstate``, which numpy keeps per
 thread, so no RuntimeWarning is printed on the way.
 """
 
@@ -66,6 +67,13 @@ def _overflow(q: float) -> str:
     return f"at q = {q:g} the Hill number's power sums overflow float64"
 
 
+def _hill(s, n, q: float):
+    """Hill number at q > 0 of a pool of total n whose sum of x ln x (q = 1) or x**q is s."""
+    if q == 1.0:
+        return np.exp(np.log(n) - s / n)
+    return (s / n**q) ** (1.0 / (1.0 - q))
+
+
 def hill_direct(pooled: np.ndarray, q: float) -> float:
     """q-order Hill number of one pooled count vector (caller validates).
 
@@ -74,17 +82,13 @@ def hill_direct(pooled: np.ndarray, q: float) -> float:
     c = pooled[pooled > 0].astype(np.float64)
     if q == 0.0:
         return float(c.size)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         n = c.sum()
-        if q == 1.0:
-            s, scale = float((c * np.log(c)).sum()), n
-        else:
-            s, scale = float((c**q).sum()), n**q
-    if not (np.isfinite(s) and np.isfinite(scale)):
+        s = float((c * np.log(c)).sum()) if q == 1.0 else float((c**q).sum())
+        h = _hill(s, n, q)
+    if not (np.isfinite(s) and np.isfinite(n) and np.isfinite(h)):
         raise NonFiniteValue(_overflow(q))
-    if q == 1.0:
-        return float(np.exp(np.log(n) - s / n))
-    return float((s / scale) ** (1.0 / (1.0 - q)))
+    return float(h)
 
 
 def _bits(n: int) -> int:
@@ -156,20 +160,6 @@ def accumulation_curves(
     pooled = np.add.reduceat(values, col_start) if values.size else values
     out[:, last] = hill_direct(pooled, q)
 
-    if q == 0.0:
-        step_ids = np.arange(n_steps, dtype=np.min_scalar_type(max(last, 0)))
-
-        def richness(rows):
-            inv = np.empty_like(step_ids)
-            for r in rows:
-                inv[perms[r]] = step_ids
-                firsts = np.minimum.reduceat(inv[samples], col_start)
-                gained = np.bincount(firsts, minlength=n_steps)
-                out[r, :last] = np.cumsum(gained[:last])
-
-        _split(richness, n_rep)
-        return out
-
     # key = segment | step | slot, with slot the index within the segment
     lbits = _bits(col_len.max(initial=1))
     sbits = _bits(n_steps)
@@ -184,7 +174,7 @@ def accumulation_curves(
     offset = np.repeat(np.cumsum(pooled) - pooled, col_len)
     step_keys = np.arange(n_steps, dtype=key_type) << lbits
 
-    def hill(rows):
+    def work(rows):
         # per-worker buffers, reused: each pass writes into one of them. A
         # take in any mode but "raise" writes its out array directly, and an
         # int64 (intp) index is taken without a cast; every index is in range.
@@ -199,6 +189,12 @@ def accumulation_curves(
                 perm = perms[r]
                 inv[perm] = step_keys
                 np.take(inv, samples, out=keys, mode="wrap")
+                if q == 0.0:
+                    # a taxon enters the curve at its first step, the
+                    # smallest step key over its segment
+                    firsts = np.minimum.reduceat(keys, col_start) >> lbits
+                    out[r, :last] = np.cumsum(np.bincount(firsts, minlength=n_steps)[:last])
+                    continue
                 keys |= base
                 # the keys are unique, so any sort gives the (taxon, step) order
                 keys.sort()
@@ -225,13 +221,9 @@ def accumulation_curves(
                 gains = np.bincount(steps, weights=gain, minlength=n_steps)
                 acc = np.cumsum(gains[:last])
                 n_k = np.cumsum(sample_totals[perm[:last]]).astype(np.float64)
-                row = out[r, :last]
-                if q == 1.0:
-                    row[:] = np.exp(np.log(n_k) - acc / n_k)
-                else:
-                    row[:] = (acc / n_k**q) ** (1.0 / (1.0 - q))
-                if not np.isfinite(row).all():
+                out[r, :last] = _hill(acc, n_k, q)
+                if not np.isfinite(out[r, :last]).all():
                     raise NonFiniteValue(_overflow(q))
 
-    _split(hill, n_rep)
+    _split(work, n_rep)
     return out

@@ -216,12 +216,17 @@ def couple(
     ``NonFiniteValue`` before any fit, naming the first such day index.
     When ``fit_cutoff`` finds no asymptote, the plain power law is
     fitted instead and bands are attached at the day indices
-    ``horizons``. ``n`` defaults to the number of fitted points;
+    ``horizons``. ``n`` is an integer >= 1, or None for the number of
+    fitted points; any other ``n`` raises ``InvalidArgument`` before any fit.
     ``start_date`` is the date of t = 1 (None for an undated curve).
     """
     values = np.asarray(observed)
     if values.ndim != 1:
         raise InvalidArgument(f"observed must be a 1-d series, got shape {values.shape}")
+    if n is not None and (
+        isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1
+    ):
+        raise InvalidArgument(f"n must be an integer >= 1, got {n!r}")
     # compared, not converted: an integer series stays exact beyond 2**53
     if not -math.inf < baseline < math.inf:
         raise NonFiniteValue(f"baseline must be finite, got {baseline}")

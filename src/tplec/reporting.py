@@ -253,8 +253,8 @@ def result_from_payload(payload: dict) -> CoupledPrediction:
     observed series that ``unit_payload`` wrote; the result has no
     asymptote, band or diagnostics. A missing field raises ``KeyError``
     and a malformed one ``TypeError`` or ``ValueError`` (a non-finite
-    number, an unknown model kind or a non-integer n raise
-    ``InvalidArgument``), except a cutoff scale c <= 0, which raises
+    number, an unknown model kind or an n that is not an integer >= 1
+    raise ``InvalidArgument``), except a cutoff scale c <= 0, which raises
     ``NonPositiveValue``.
     """
     info = payload["model"]
@@ -271,10 +271,10 @@ def result_from_payload(payload: dict) -> CoupledPrediction:
         for key in ("ln_a", "b"):
             finite_number(key, tpl[key])
         tpl = TplFit(**tpl)
-    baseline = finite_number("baseline", float(payload["baseline"]))
+    baseline = float(finite_number("baseline", payload["baseline"]))
     n = payload["n"]
-    if type(n) is not int:
-        raise InvalidArgument(f"the record has n = {n!r}, not an integer")
+    if type(n) is not int or n < 1:
+        raise InvalidArgument(f"the record has n = {n!r}, not an integer >= 1")
     start = payload.get("start_date")
     series = payload.get("observed_series")
     if series is not None and not isinstance(series, list):

@@ -222,6 +222,27 @@ class TestFtrCommand:
         assert status == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--start", "--end"])
+    def test_malformed_date_exits_2_naming_the_flag(self, ftr_paths, tmp_path, capsys, flag):
+        # argparse keeps the last of a repeated flag, but converts each one
+        with pytest.raises(SystemExit) as stop:
+            run_ftr(ftr_paths, tmp_path, extra=(flag, "2021-13-21"))
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: argument {flag}: '2021-13-21' is not a YYYY-MM-DD date"
+        )
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_out_in_a_missing_directory_exits_2_with_one_line(
+        self, ftr_paths, tmp_path, capsys
+    ):
+        out = tmp_path / "missing" / "report.csv"
+        status, _ = run_ftr(ftr_paths, tmp_path, extra=("--out", str(out)))
+        assert status == 2
+        assert capsys.readouterr().err == (
+            f"error: ftr: [Errno 2] No such file or directory: {str(out)!r}\n"
+        )
+
     def test_obj_format_embeds_everything(self, ftr_paths, tmp_path):
         status, out = run_ftr(ftr_paths, tmp_path, fmt="obj")
         assert status == 0
@@ -548,12 +569,16 @@ class TestCurveCommand:
             (_with_unit_field("b", math.inf, "tpl"), "b = inf is not a"),
             (_with_unit_field("kind", "PL", "model"), "kind 'PL' is neither"),
             (_with_unit_field("c", -1, "model"), "is malformed: scale c must be > 0"),
+            (_with_unit_field("baseline", " 1e3 "), "baseline = ' 1e3 ' is not a"),
+            (_with_unit_field("baseline", True), "baseline = True is not a"),
+            (_with_unit_field("n", 0), "has n = 0, not an integer >= 1"),
         ],
         ids=[
             "not_json", "no_units", "top_level_list", "no_model", "no_tpl",
             "no_n", "n_text", "model_list", "series_number", "series_text",
             "series_nan", "baseline_nan", "w_nan", "w_text", "b_inf",
-            "kind_unknown", "c_nonpositive",
+            "kind_unknown", "c_nonpositive", "baseline_text", "baseline_bool",
+            "n_zero",
         ],
     )  # fmt: skip
     def test_malformed_report_exits_2_with_one_line(
@@ -583,9 +608,13 @@ class TestCurveCommand:
                 "--params 5,1,-0.01 --tpl 0,1 --n 25 --unit Nowhere",
                 "--unit cannot be used with --params",
             ),
+            ("--params 5,1,-0.01 --tpl 0,1", "--n is required with --params"),
         ],
-        ids=["n", "baseline", "baseline_zero", "start", "tpl", "no_unit", "params_unit"],
-    )
+        ids=[
+            "n", "baseline", "baseline_zero", "start", "tpl", "no_unit", "params_unit",
+            "params_no_n",
+        ],
+    )  # fmt: skip
     def test_report_rejects_flags_it_would_ignore(
         self, tmp_path, capsys, extra, expect
     ):

@@ -138,6 +138,8 @@ class TestConfidenceBand:
             confidence_band(1.0, None, 0, variance=1.0)
         with pytest.raises(InvalidArgument):
             confidence_band(1.0, None, 0, variance=1.0)
+        with pytest.raises(NonPositiveValue, match="variance must be >= 0, got -1.0"):
+            confidence_band(1.0, None, 1, variance=-1.0)
 
 
 class TestDayIndex:
@@ -319,6 +321,24 @@ class TestCouple:
         observed[6] = value
         with pytest.raises(NonFiniteValue, match="day index 7 is not finite"):
             couple(observed, _tpl_pairs(0.5, 1.2))
+
+    @pytest.mark.parametrize(
+        "n", [0, -3, 2.5, True, np.int64(0)], ids=["0", "-3", "2.5", "bool", "int64_0"]
+    )
+    def test_n_that_is_not_an_integer_of_at_least_one_is_rejected_before_any_fit(
+        self, n, monkeypatch
+    ):
+        def no_fit(points):
+            raise AssertionError("couple fitted a series with a bad n")
+
+        for fitter in ("fit_loglog", "fit_plec", "fit_pl_growth"):
+            monkeypatch.setattr(coupling, fitter, no_fit)
+        with pytest.raises(InvalidArgument, match=re.escape(f"got {n!r}")):
+            couple(list(range(1, 40)), _tpl_pairs(0.5, 1.2), n=n)
+
+    def test_numpy_integer_n_is_kept(self):
+        result = couple([float(5 * t**1.5) for t in range(1, 40)], None, n=np.int64(7))
+        assert result.n == 7
 
     @pytest.mark.parametrize("baseline", [math.nan, math.inf, -math.inf])
     def test_non_finite_baseline_is_rejected(self, baseline):

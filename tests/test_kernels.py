@@ -1,9 +1,12 @@
 """The sparse accumulation kernel against independent oracles."""
 
+import importlib.util
 import math
+import sys
 import threading
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -389,3 +392,17 @@ def test_richness_mean_matches_mao_tau():
     stderr = np.sqrt(np.where(var > 0, var, expected[-1] - expected) / replicates)
     assert np.all(np.abs(curve.mean_diversity - expected) <= 4 * stderr)
     assert curve.mean_diversity[-1] == expected[-1]
+
+
+def test_kernel_benchmark_runs_and_agrees_with_hill_number(monkeypatch, capsys):
+    # benchmarks/bench_accumulation.py at toy size: its main() exits
+    # nonzero if a kernel row disagrees with hill_number beyond 1e-12
+    path = Path(__file__).parents[1] / "benchmarks" / "bench_accumulation.py"
+    spec = importlib.util.spec_from_file_location("bench_accumulation", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    argv = ["--samples", "40", "--taxa", "60", "--replicates", "6", "--repeats", "1"]
+    monkeypatch.setattr(sys, "argv", [str(path), *argv])
+    bench.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[2:]] == ["q=0", "q=1", "q=2"]

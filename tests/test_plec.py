@@ -284,6 +284,21 @@ class TestFitPlec:
         with pytest.raises(SingularNormalEquations, match="maximum damping"):
             fit_plec([(1e-300 * i, float(i)) for i in range(1, 10)])
 
+    def test_non_finite_steps_are_rejected_like_singular_ones(self, monkeypatch):
+        # a log-log slope of about 970 overflows x**w, so the power-law
+        # start's SSR is NaN; _start keeps that start, and every damped
+        # solve from it returns a non-finite step instead of raising
+        real_solve, steps = np.linalg.solve, []
+
+        def solve(matrix, rhs):
+            steps.append(real_solve(matrix, rhs))
+            return steps[-1]
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with pytest.raises(SingularNormalEquations, match="maximum damping"):
+            fit_plec([(1.0, 1e-300), (2.0, 1e-100), (3.0, 1e100), (4.0, 1e300)])
+        assert steps and not any(np.isfinite(step).all() for step in steps)
+
     def test_deterministic(self):
         x = np.arange(1.0, 61.0)
         y = plec_eval(PlecModel(c=7.0, w=0.9, d=-0.02), x) * np.linspace(

@@ -158,6 +158,12 @@ class TestFitPlGrowth:
         )
         assert predicted == pytest.approx(606_878, rel=0.10)
 
+    @pytest.mark.parametrize("x", [0, -2.0])
+    def test_prediction_at_nonpositive_x_rejected(self, x):
+        fit = PlFit(ln_c=0.498, exponent=2.072, r=0.994, p_value=0.0)
+        with pytest.raises(NonPositiveValue, match=f"must be > 0, got {x}"):
+            fit.predict(x)
+
     def test_p_value_matches_t_distribution_oracle(self):
         fit = fit_pl_growth(list(zip(PL_T, PL_Y)))
         # recompute the t statistic from first principles
