@@ -3,13 +3,17 @@
 
 The resampled accumulation curve is the package's hot loop. The kernel
 takes the table's taxon-major nonzero list, as ``AbundanceTable`` keeps
-it. The script first reports the median time of a call with zero
-replicates, which is the kernel's set-up alone. Then, for each order, it
-reports the median wall and CPU time of ``--repeats`` calls and checks a
-few steps of one replicate against ``hill_number`` of the pooled prefix.
-The kernel splits the replicates over one thread per usable CPU; the
-script prints that worker count, and CPU time above wall time is the
-split's cost. Run with defaults, or scale the problem:
+it. The script runs the kernel on the drawn table, which at the default
+size takes the count key (counts read from the sort keys, f(x) from a
+per-call table), and on a copy with every count times 1,000,003, which
+takes the slot key (counts gathered by slot, f(x) computed per
+replicate). For each table it first reports the median time of a call
+with zero replicates, which is the kernel's set-up alone. Then, for
+each order, it reports the median wall and CPU time of ``--repeats``
+calls and checks a few steps of one replicate against ``hill_number`` of
+the pooled prefix. The kernel splits the replicates over one thread per
+usable CPU; the script prints that worker count, and CPU time above wall
+time is the split's cost. Run with defaults, or scale the problem:
 
     python benchmarks/bench_accumulation.py --samples 400 --taxa 4000 --replicates 50
 """
@@ -24,6 +28,7 @@ from tplec import AbundanceTable, _kernels
 from tplec.diversity import hill_number
 
 ORDERS = (0.0, 1.0, 2.0)
+SCALE = 1_000_003  # too wide for a count key, so the copy takes the slot key
 
 
 def build_problem(n_samples, n_taxa, replicates, density, seed=0):
@@ -76,23 +81,24 @@ def main():
 
     counts, perms = build_problem(args.samples, args.taxa, args.replicates, args.density)
     ids = [str(i) for i in range(max(counts.shape))]
-    table = AbundanceTable(ids[: args.samples], ids[: args.taxa], counts)
     print(
         f"problem: {args.samples} samples x {args.taxa} taxa, "
-        f"{args.replicates} replicates, nnz={table.values.size}, "
+        f"{args.replicates} replicates, nnz={np.count_nonzero(counts)}, "
         f"median of {args.repeats}, {_kernels._worker_count(args.replicates)} worker(s)"
     )
-    seconds, _, _ = median_times(table, perms[:0], 1.0, args.repeats)
-    print(f"set-up (0 replicates, q=1): {seconds * 1000:9.2f} ms")
     failed = False
-    for q in ORDERS:
-        wall, cpu, curves = median_times(table, perms, q, args.repeats)
-        err = max_check_error(counts, perms, curves, q)
-        failed |= err > 1e-12
-        print(
-            f"q={q:g}: {wall * 1000:9.2f} ms wall {cpu * 1000:9.2f} ms CPU   "
-            f"max rel err vs hill_number {err:.1e}"
-        )
+    for label, scaled in (("drawn", counts), (f"x{SCALE}", counts * SCALE)):
+        table = AbundanceTable(ids[: args.samples], ids[: args.taxa], scaled)
+        seconds, _, _ = median_times(table, perms[:0], 1.0, args.repeats)
+        print(f"{label} set-up: {seconds * 1000:9.2f} ms (0 replicates, q=1)")
+        for q in ORDERS:
+            wall, cpu, curves = median_times(table, perms, q, args.repeats)
+            err = max_check_error(scaled, perms, curves, q)
+            failed |= err > 1e-12
+            print(
+                f"{label} q={q:g}: {wall * 1000:9.2f} ms wall {cpu * 1000:9.2f} ms CPU   "
+                f"max rel err vs hill_number {err:.1e}"
+            )
     if failed:
         raise SystemExit("kernel disagrees with hill_number beyond 1e-12")
 

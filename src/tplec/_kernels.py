@@ -4,13 +4,20 @@ The table is sparse (most taxa are absent from most samples), so the
 kernel takes the taxon-major (CSC) list of nonzero entries that
 ``AbundanceTable`` keeps, and no layer forms a samples-by-taxa matrix.
 Each taxon owns one segment of that list. A sample ordering only
-reorders the entries inside each segment, so three things are fixed
-once per call:
+reorders the entries inside each segment, so these are fixed once per
+call:
 
 * each taxon's pooled count, one ``np.add.reduceat`` over the segments;
-* every entry's packed key ``segment | slot``, where ``slot`` is the
-  entry's index within its segment (``uint32`` when segment, step and
-  slot fit in 32 bits together, ``uint64`` otherwise);
+* every entry's packed key ``segment | low``. The key is ``uint32``
+  when segment, step and the entry's slot (its index within its
+  segment) fit in 32 bits together, ``uint64`` otherwise. The low field
+  is the entry's count when segment, step and count fit in that same
+  width and the largest pooled count is below nnz (the count key);
+  otherwise it is the slot (the slot key). The choice is read from the
+  table and never widens the key;
+* with the count key at q > 0, the table ``F[x] = f(x)`` for x from 0
+  to the largest pooled count: at most nnz float64, built once per call
+  and read, never written, by every worker;
 * every segment's offset, the sum of the pooled counts of the segments
   before it, which is what a running sum over the list holds on
   entering it.
@@ -18,13 +25,16 @@ once per call:
 For each replicate the kernel then
 
 1. maps each entry's sample to its step through the inverse
-   permutation and packs the step between segment and slot;
-2. sorts the keys in place (they are unique), which puts each taxon's
-   entries in step order;
-3. unpacks the slots, gathers the counts by slot and takes each taxon's
+   permutation and packs the step between segment and low field;
+2. sorts the keys in place (segment and step make them unique), which
+   puts each taxon's entries in step order;
+3. reads each entry's count, from the low field with the count key or
+   by gathering it by slot with the slot key, and takes each taxon's
    running total as one ``cumsum`` minus the segment offsets;
-4. adds ``f(new) - f(old)`` per step with ``bincount`` and ``cumsum``
-   over steps, where ``f(x) = x ln x`` at q = 1 and ``x**q`` otherwise.
+4. takes f of the running totals, ``F[total]`` with the count key and
+   directly with the slot key, where ``f(x) = x ln x`` at q = 1 and
+   ``x**q`` otherwise, and adds ``f(new) - f(old)`` per step with
+   ``bincount`` and ``cumsum`` over steps.
 
 Each of these passes writes into one of four buffers of nnz entries,
 allocated once per worker: 28 bytes per entry with ``uint32`` keys, 32
@@ -36,7 +46,7 @@ be exact only below 2**53.
 Every q runs one worker. At q = 0 it sorts nothing and stops after the
 step keys of pass 1: a taxon enters the curve at its first step, its
 segment's smallest step key (``np.minimum.reduceat``) shifted past the
-slot bits, and one ``bincount`` + ``cumsum`` of those steps is the curve.
+low field, and one ``bincount`` + ``cumsum`` of those steps is the curve.
 
 No replicate reads another's result and numpy releases the GIL in
 every pass, so the replicates are split over one thread per CPU this
@@ -72,6 +82,16 @@ def _hill(s, n, q: float):
     if q == 1.0:
         return np.exp(np.log(n) - s / n)
     return (s / n**q) ** (1.0 / (1.0 - q))
+
+
+def _f(x: np.ndarray, q: float, out: np.ndarray) -> np.ndarray:
+    """The summand of a Hill power sum at q > 0: x ln x at q = 1, x**q otherwise."""
+    if q == 1.0:
+        np.log(x, out=out)
+        out *= x
+    else:
+        np.power(x, q, out=out)
+    return out
 
 
 def hill_direct(pooled: np.ndarray, q: float) -> float:
@@ -160,15 +180,30 @@ def accumulation_curves(
     pooled = np.add.reduceat(values, col_start) if values.size else values
     out[:, last] = hill_direct(pooled, q)
 
-    # key = segment | step | slot, with slot the index within the segment
+    # key = segment | step | low, low the entry's count (count key) or its
+    # index within its segment (slot key); see the module docstring
     lbits = _bits(col_len.max(initial=1))
     sbits = _bits(n_steps)
     gbits = _bits(col_len.size)
     key_type = np.uint32 if gbits + sbits + lbits <= 32 else np.uint64
-    seg_start = np.repeat(col_start, col_len)
+    top = int(pooled.max(initial=0))
+    cbits = int(values.max(initial=0)).bit_length()
+    f_table = None
+    if top < values.size and gbits + sbits + cbits <= np.iinfo(key_type).bits:
+        lbits = cbits
+        low = values
+        if q != 0.0:
+            # f(x) = f_table[x], read-only and shared by the workers
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                x = np.arange(top + 1, dtype=np.float64)
+                f_table = _f(x, q, out=np.empty_like(x))
+            f_table[0] = 0.0  # f(0) = 0, where x ln x gives NaN
+    else:
+        seg_start = np.repeat(col_start, col_len)
+        low = np.arange(samples.size) - seg_start
     base = np.repeat(np.arange(col_len.size, dtype=key_type), col_len)
     base <<= sbits + lbits
-    base |= (np.arange(samples.size) - seg_start).astype(key_type)
+    base |= low.astype(key_type)
     # a segment's entries only change order, so the running sum over the
     # list on entering the segment is the same for every replicate
     offset = np.repeat(np.cumsum(pooled) - pooled, col_len)
@@ -198,19 +233,21 @@ def accumulation_curves(
                 keys |= base
                 # the keys are unique, so any sort gives the (taxon, step) order
                 keys.sort()
-                slots = ints
-                np.bitwise_and(keys, (1 << lbits) - 1, out=slots)
-                slots += seg_start
                 gathered = total.view(np.int64)
-                np.take(values, slots, out=gathered, mode="wrap")
                 running = ints
-                np.cumsum(gathered, out=running)
-                np.subtract(running, offset, out=total)  # exact in int64, then rounded
-                if q == 1.0:
-                    np.log(total, out=f)
-                    f *= total
+                if f_table is None:
+                    slots = ints
+                    np.bitwise_and(keys, (1 << lbits) - 1, out=slots)
+                    slots += seg_start
+                    np.take(values, slots, out=gathered, mode="wrap")
+                    np.cumsum(gathered, out=running)
+                    np.subtract(running, offset, out=total)  # exact in int64, then rounded
+                    _f(total, q, out=f)
                 else:
-                    np.power(total, q, out=f)
+                    np.bitwise_and(keys, (1 << lbits) - 1, out=gathered)
+                    np.cumsum(gathered, out=running)
+                    running -= offset
+                    np.take(f_table, running, out=f, mode="wrap")
                 # each entry's change to its taxon's f; a segment starts from f(0) = 0
                 gain = total
                 np.subtract(f[1:], f[:-1], out=gain[1:])

@@ -105,8 +105,8 @@ def _projected(y, w, d, ln_x, x) -> tuple[np.ndarray, float, np.ndarray, float]:
 def _start(x, y, ln_x, ln_y):
     """The starting (w, d) of ``fit_plec`` and its ``_projected`` result:
     the linearised fit when it is finite and its projected SSR on ``y`` is
-    lower, so never worse than the power law. ``ln_y`` is the log of the
-    unscaled y."""
+    lower, or finite where the power law's is NaN, so never worse than the
+    power law. ``ln_y`` is the log of the unscaled y."""
     design = np.column_stack([np.ones_like(ln_x), ln_x, x])
     _, w = np.linalg.lstsq(design[:, :2], ln_y, rcond=None)[0]
     candidates = [(float(w), min(-1.0 / (2.0 * float(x[-1])), D_CEILING))]
@@ -114,9 +114,9 @@ def _start(x, y, ln_x, ln_y):
     linearised = (float(w), min(float(d), D_CEILING))
     if all(map(math.isfinite, linearised)):
         candidates.append(linearised)
-    # min keeps the power law on a tie or a NaN SSR
+    # min keeps the power law on a tie, and a finite SSR over a NaN one
     starts = [(wd, _projected(y, *wd, ln_x, x)) for wd in candidates]
-    return min(starts, key=lambda start: start[1][3])
+    return min(starts, key=lambda start: (not math.isfinite(start[1][3]), start[1][3]))
 
 
 def _solve(matrix: np.ndarray, rhs: np.ndarray) -> list[float] | None:

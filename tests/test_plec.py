@@ -284,10 +284,36 @@ class TestFitPlec:
         with pytest.raises(SingularNormalEquations, match="maximum damping"):
             fit_plec([(1e-300 * i, float(i)) for i in range(1, 10)])
 
-    def test_non_finite_steps_are_rejected_like_singular_ones(self, monkeypatch):
+    def test_a_finite_start_is_kept_over_one_whose_ssr_is_nan(self):
         # a log-log slope of about 970 overflows x**w, so the power-law
-        # start's SSR is NaN; _start keeps that start, and every damped
-        # solve from it returns a non-finite step instead of raising
+        # start's SSR is NaN while the linearised start's is finite
+        points = [(1.0, 1e-300), (2.0, 1e-100), (3.0, 1e100), (4.0, 1e300)]
+        x, y = np.array(points).T
+        ln_x, ln_y = np.log(x), np.log(y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            (w, d), (*_, ssr) = plec._start(x, np.ldexp(y, -997), ln_x, ln_y)
+        assert d == D_CEILING and abs(w) < 1e-6 and math.isfinite(ssr)
+        # the fit then runs from that start and ends past the float range
+        with pytest.raises(SingularNormalEquations, match="out of range"):
+            fit_plec(points)
+
+    def test_a_tie_keeps_the_power_law_start(self, monkeypatch):
+        projected = plec._projected
+
+        def tied(y, w, d, ln_x, x):
+            base, c, resid, _ = projected(y, w, d, ln_x, x)
+            return base, c, resid, 1.0
+
+        monkeypatch.setattr(plec, "_projected", tied)
+        x, y = np.array(noisy_draw(0, 1)[0]).T
+        (_, d), _ = plec._start(x, y, np.log(x), np.log(y))
+        assert d == -1.0 / (2.0 * x[-1])
+
+    def test_non_finite_steps_are_rejected_like_singular_ones(self, monkeypatch):
+        # y = e**-690 * x**970: both log-scale fits have a slope of 970,
+        # which overflows x**w, so both starts' SSRs are NaN; _start keeps
+        # the power law, and every damped solve from it returns a
+        # non-finite step instead of raising
         real_solve, steps = np.linalg.solve, []
 
         def solve(matrix, rhs):
@@ -295,8 +321,9 @@ class TestFitPlec:
             return steps[-1]
 
         monkeypatch.setattr(np.linalg, "solve", solve)
+        points = [(float(i), math.exp(970.0 * math.log(i) - 690.0)) for i in range(1, 5)]
         with pytest.raises(SingularNormalEquations, match="maximum damping"):
-            fit_plec([(1.0, 1e-300), (2.0, 1e-100), (3.0, 1e100), (4.0, 1e300)])
+            fit_plec(points)
         assert steps and not any(np.isfinite(step).all() for step in steps)
 
     def test_deterministic(self):
