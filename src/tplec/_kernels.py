@@ -18,42 +18,61 @@ call:
 * with the count key at q > 0, the table ``F[x] = f(x)`` for x from 0
   to the largest pooled count: at most nnz float64, built once per call
   and read, never written, by every worker;
-* every segment's offset, the sum of the pooled counts of the segments
-  before it, which is what a running sum over the list holds on
-  entering it.
+* at q > 0, the list laid out as rows of whole segments (``_rows``),
+  each padded to the longest row with the key type's maximum, which
+  sorts after every real key. Rows are filled in list order up to W
+  entries: 2 KiB of keys (512 ``uint32`` or 256 ``uint64`` keys, the
+  longest run numpy's AVX-512 sort orders with one in-register sorting
+  network), or twice the longest segment where that is more. So every
+  row but the last is more than half full, the rows hold fewer than
+  2 nnz + W slots, and a table whose longest segment is half its
+  entries or more is one row. On the ``dar-shannon`` table (nnz 81,979,
+  longest segment 124) that is 169 rows of 512, 5.5% padding. The set-up
+  keeps each entry's sample and its key without the step in that
+  layout, and each entry's place in it, ``row_of``.
 
 For each replicate the kernel then
 
 1. maps each entry's sample to its step through the inverse
-   permutation and packs the step between segment and low field;
-2. sorts the keys in place (segment and step make them unique), which
-   puts each taxon's entries in step order;
+   permutation, in the row layout, and ORs in the padded keys;
+2. sorts each row (segment and step make the keys unique, and no
+   segment spans two rows), which puts each taxon's entries in step
+   order, and takes the keys back into list order through ``row_of``:
+   the flat sort's result, with no sort longer than a row;
 3. reads each entry's count, from the low field with the count key or
-   by gathering it by slot with the slot key, and takes each taxon's
-   running total as one ``cumsum`` minus the segment offsets;
+   by gathering it by slot with the slot key, takes off each segment's
+   first count the pooled total of the segments before it, and takes
+   each taxon's running total as one ``cumsum`` over the whole list;
 4. takes f of the running totals, ``F[total]`` with the count key and
    directly with the slot key, where ``f(x) = x ln x`` at q = 1 and
    ``x**q`` otherwise, and adds ``f(new) - f(old)`` per step with
    ``bincount`` and ``cumsum`` over steps.
 
-Each of these passes writes into one of four buffers of nnz entries,
-allocated once per worker: 28 bytes per entry with ``uint32`` keys, 32
-with ``uint64`` keys. Every integer sum (running totals, sample
-totals, offsets) is formed in int64 and is at most the table's total,
-which ``AbundanceTable`` bounds by the int64 maximum; a float sum would
-be exact only below 2**53.
+Each of these passes writes into one of the worker's buffers, allocated
+once per worker: 28 bytes per entry (keys, and three of int64 or
+float64) and 4 per row slot with ``uint32`` keys, 32 and 8 with
+``uint64`` keys, and each replicate adds temporaries of O(segments +
+steps). The shared set-up holds 24 bytes per segment, 8 per entry
+(``row_of``), 12 per row slot (16 with ``uint64`` keys), and ``F`` or,
+with the slot key, each entry's segment start (8 bytes per entry).
+Every integer sum (running totals, sample totals) is formed in int64
+and lies between minus and plus the table's total, which
+``AbundanceTable`` bounds by the int64 maximum; a float sum would be
+exact only below 2**53.
 
-Every q runs one worker. At q = 0 it sorts nothing and stops after the
-step keys of pass 1: a taxon enters the curve at its first step, its
-segment's smallest step key (``np.minimum.reduceat``) shifted past the
-low field, and one ``bincount`` + ``cumsum`` of those steps is the curve.
+Every q runs one worker. At q = 0 it sorts nothing and builds no rows:
+it maps the list's samples to step keys in list order, and a taxon
+enters the curve at its first step, its segment's smallest step key
+(``np.minimum.reduceat``) shifted past the low field; one ``bincount``
++ ``cumsum`` of those steps is the curve. Then the set-up holds a copy
+of the samples (8 bytes per entry) and each worker only its keys.
 
 No replicate reads another's result and numpy releases the GIL in
-every pass, so the replicates are split over one thread per CPU this
-process may use (``_split``). Each worker owns its buffers and its rows
-of the output and shares the read-only set-up, so memory is
-O(nnz x workers) and every row is bit-identical however the replicates
-are split. The final step is evaluated directly from the fully pooled
+every pass over the list, so the replicates are split over one thread
+per CPU this process may use (``_split``). Each worker owns its buffers
+and its rows of the output and shares the read-only set-up, so memory
+is O(nnz x workers) and every row is bit-identical however the
+replicates are split. The final step is evaluated directly from the fully pooled
 count vector, so every replicate ends on the bit-identical value.
 
 A Hill sum that overflows float64, as ``x**q`` does for large counts at
@@ -65,12 +84,17 @@ thread, so no RuntimeWarning is printed on the way.
 
 from __future__ import annotations
 
+import bisect
 import os
 import threading
 
 import numpy as np
 
 from .errors import NonFiniteValue
+
+# the widest row of keys numpy's AVX-512 sort orders with one in-register
+# sorting network: 512 uint32 or 256 uint64 keys
+_ROW_BYTES = 2048
 
 
 def _overflow(q: float) -> str:
@@ -114,6 +138,21 @@ def hill_direct(pooled: np.ndarray, q: float) -> float:
 def _bits(n: int) -> int:
     """Bits needed to store every integer in 0..n-1."""
     return max(int(n) - 1, 0).bit_length()
+
+
+def _rows(col_len: np.ndarray, itemsize: int) -> np.ndarray:
+    """Each row's length when the segments are laid out as rows of whole segments.
+
+    Rows are filled greedily in list order up to ``_ROW_BYTES`` of keys,
+    or twice the longest segment's entries where that is more, so every
+    row but the last is more than half full. One Python step per row.
+    """
+    ends = np.cumsum(col_len).tolist()
+    cap = max(_ROW_BYTES // itemsize, 2 * int(col_len.max(initial=0)))
+    bounds = [0]
+    while bounds[-1] < (ends[-1] if ends else 0):
+        bounds.append(ends[bisect.bisect_right(ends, bounds[-1] + cap) - 1])
+    return np.diff(bounds)
 
 
 def _worker_count(replicates: int) -> int:
@@ -188,26 +227,40 @@ def accumulation_curves(
     key_type = np.uint32 if gbits + sbits + lbits <= 32 else np.uint64
     top = int(pooled.max(initial=0))
     cbits = int(values.max(initial=0)).bit_length()
-    f_table = None
-    if top < values.size and gbits + sbits + cbits <= np.iinfo(key_type).bits:
+    count_key = top < values.size and gbits + sbits + cbits <= np.iinfo(key_type).bits
+    if count_key:
         lbits = cbits
-        low = values
-        if q != 0.0:
-            # f(x) = f_table[x], read-only and shared by the workers
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                x = np.arange(top + 1, dtype=np.float64)
-                f_table = _f(x, q, out=np.empty_like(x))
-            f_table[0] = 0.0  # f(0) = 0, where x ln x gives NaN
-    else:
-        seg_start = np.repeat(col_start, col_len)
-        low = np.arange(samples.size) - seg_start
-    base = np.repeat(np.arange(col_len.size, dtype=key_type), col_len)
-    base <<= sbits + lbits
-    base |= low.astype(key_type)
-    # a segment's entries only change order, so the running sum over the
-    # list on entering the segment is the same for every replicate
-    offset = np.repeat(np.cumsum(pooled) - pooled, col_len)
     step_keys = np.arange(n_steps, dtype=key_type) << lbits
+    f_table = None
+    if q == 0.0:
+        # np.take copies an index it may not write to on every call, and
+        # the table's arrays are read-only
+        samples = samples.copy()
+    else:
+        if count_key:
+            low = values
+            # f(x) = f_table[x], read-only and shared by the workers
+            f_table = np.empty(top + 1, dtype=np.float64)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                _f(np.arange(top + 1, dtype=np.float64), q, out=f_table)
+            f_table[0] = 0.0  # f(0) = 0, where x ln x gives NaN
+        else:
+            seg_start = np.repeat(col_start, col_len)
+            low = np.arange(samples.size) - seg_start
+        # the entries laid out as rows of whole segments, each padded with
+        # the key type's maximum, which sorts after every real key; entry i
+        # sits at row_of[i] of the flattened rows
+        row_len = _rows(col_len, np.dtype(key_type).itemsize)
+        filled = np.arange(row_len.max(initial=0)) < row_len[:, None]
+        row_of = np.flatnonzero(filled)
+        row_samples = np.zeros(filled.shape, dtype=samples.dtype)
+        row_samples[filled] = samples
+        base = np.repeat(np.arange(col_len.size, dtype=key_type), col_len)
+        base <<= sbits + lbits
+        base |= low.astype(key_type)
+        row_base = np.full(filled.shape, np.iinfo(key_type).max, dtype=key_type)
+        row_base[filled] = base
+        del filled, base, low
 
     def work(rows):
         # per-worker buffers, reused: each pass writes into one of them. A
@@ -215,24 +268,29 @@ def accumulation_curves(
         # int64 (intp) index is taken without a cast; every index is in range.
         inv = np.empty(n_steps, dtype=key_type)
         keys = np.empty(samples.size, dtype=key_type)
-        ints = np.empty(samples.size, dtype=np.int64)  # slots, running sums, steps
-        total = np.empty(samples.size, dtype=np.float64)  # then each entry's gain
-        f = np.empty_like(total)
+        if q != 0.0:
+            row_keys = np.empty_like(row_base)
+            ints = np.empty(samples.size, dtype=np.int64)  # slots, running sums, steps
+            total = np.empty(samples.size, dtype=np.float64)  # then each entry's gain
+            f = np.empty_like(total)
         # numpy's error state is per thread, so each worker sets its own
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for r in rows:
                 perm = perms[r]
                 inv[perm] = step_keys
-                np.take(inv, samples, out=keys, mode="wrap")
                 if q == 0.0:
                     # a taxon enters the curve at its first step, the
                     # smallest step key over its segment
+                    np.take(inv, samples, out=keys, mode="wrap")
                     firsts = np.minimum.reduceat(keys, col_start) >> lbits
                     out[r, :last] = np.cumsum(np.bincount(firsts, minlength=n_steps)[:last])
                     continue
-                keys |= base
-                # the keys are unique, so any sort gives the (taxon, step) order
-                keys.sort()
+                np.take(inv, row_samples, out=row_keys, mode="wrap")
+                row_keys |= row_base
+                # the keys are unique and no segment spans two rows, so
+                # sorting each row gives the (taxon, step) order of the list
+                row_keys.sort(axis=1)
+                np.take(row_keys, row_of, out=keys, mode="wrap")
                 gathered = total.view(np.int64)
                 running = ints
                 if f_table is None:
@@ -240,13 +298,16 @@ def accumulation_curves(
                     np.bitwise_and(keys, (1 << lbits) - 1, out=slots)
                     slots += seg_start
                     np.take(values, slots, out=gathered, mode="wrap")
-                    np.cumsum(gathered, out=running)
-                    np.subtract(running, offset, out=total)  # exact in int64, then rounded
-                    _f(total, q, out=f)
                 else:
                     np.bitwise_and(keys, (1 << lbits) - 1, out=gathered)
-                    np.cumsum(gathered, out=running)
-                    running -= offset
+                # a running sum over the whole list restarts at each segment
+                # once its first count has the pooled total before it taken off
+                np.subtract.at(gathered, col_start[1:], pooled[:-1])
+                np.cumsum(gathered, out=running)
+                if f_table is None:
+                    np.copyto(total, running)  # exact in int64, then rounded
+                    _f(total, q, out=f)
+                else:
                     np.take(f_table, running, out=f, mode="wrap")
                 # each entry's change to its taxon's f; a segment starts from f(0) = 0
                 gain = total

@@ -4,6 +4,7 @@ import importlib.util
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -399,6 +400,140 @@ def test_an_overflowing_order_raises_in_both_key_layouts(monkeypatch, f_calls, s
         with pytest.raises(NonFiniteValue, match="at q = 120 "):
             resample_accumulation(table, 4, 120.0, seed=0)
     assert len(f_calls) == (1 if scale == 1 else workers)
+
+
+FULL_WIDTH_SAMPLE = 77
+
+
+def row_table(name):
+    """A table for each edge of the q > 0 row layout (``_kernels._rows``)."""
+    rng = np.random.default_rng(37)
+    if name == "rows_widen":
+        # taxon 0's 600 entries outgrow the 512 uint32 keys of the
+        # narrowest row, so the rows widen to hold it
+        counts = random_table(rng, n_samples=600, n_taxa=200, density=0.02)
+        counts[:, 0] = rng.integers(1, 6, size=600)
+        return counts
+    if name == "one_segment":
+        return rng.integers(1, 9, size=(30, 1))
+    if name == "one_entry_segments":
+        counts = np.zeros((40, 300), dtype=np.int64)
+        counts[np.arange(300) % 40, np.arange(300)] = rng.integers(1, 9, size=300)
+        return counts
+    if name == "full_width":
+        # 4096 segments, 128 steps and a largest count of 8191 fill the
+        # 12 + 7 + 13 bits of a uint32 count key, so the last taxon's 8191
+        # at the last step is the key 2**32 - 1, the rows' pad value
+        counts = np.zeros((128, 4096), dtype=np.int64)
+        for taxon in range(4095):
+            counts[rng.choice(128, 3, replace=False), taxon] = rng.integers(1, 6, 3)
+        counts[FULL_WIDTH_SAMPLE, 4095] = 8191
+        return counts
+    if name == "uint64":
+        return wide_key_table(np.random.default_rng(34), n_samples=1100)
+    return build_saturating_table()[0].counts * 1_000_003  # the slot key
+
+
+ROW_TABLES = ["rows_widen", "one_segment", "one_entry_segments", "full_width", "uint64", "slot_key"]
+
+
+@pytest.mark.parametrize("name", ROW_TABLES)
+def test_rows_hold_whole_segments(name):
+    counts = row_table(name)
+    col_len = np.count_nonzero(counts, axis=0)
+    col_len = col_len[col_len > 0]
+    itemsize = 8 if name == "uint64" else 4
+    assert (key_bits(counts) > 32) == (name == "uint64")
+    row_len = _kernels._rows(col_len, itemsize)
+    cap = max(2048 // itemsize, 2 * col_len.max())
+    # every row ends on a segment boundary, holds at most cap entries, and
+    # every row but the last is more than half full
+    assert set(np.cumsum(row_len).tolist()) <= set(np.cumsum(col_len).tolist())
+    assert row_len.sum() == col_len.sum()
+    assert row_len.max() <= cap and np.all(row_len[:-1] > cap // 2)
+    if name == "rows_widen":
+        assert row_len.max() > 512
+    if col_len.sum() <= cap:
+        assert row_len.size == 1
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", ROW_TABLES)
+def test_row_layout_edges_match_oracles(monkeypatch, f_calls, name, q):
+    counts = row_table(name)
+    perms = random_perms(np.random.default_rng(38), 3, counts.shape[0])
+    if name == "full_width":
+        # replicate 0 ends on the sample whose key equals the pad value
+        perm = perms[0]
+        at = int(np.flatnonzero(perm == FULL_WIDTH_SAMPLE)[0])
+        perm[[at, -1]] = perm[[-1, at]]
+    curves = {}
+    for workers in (1, 2):
+        set_workers(monkeypatch, workers)
+        curves[workers] = kernel_curves(counts, perms, q)
+    assert np.array_equal(curves[1], curves[2])
+    assert np.array_equal(curves[1], argsort_curves(counts, perms, q))
+    want = [[hill_number(prefix, q) for prefix in np.cumsum(counts[perm], axis=0)]
+            for perm in perms]
+    np.testing.assert_allclose(curves[1], want, rtol=1e-12, atol=0)
+    # the count key builds one f table per call, the slot key takes f per
+    # replicate
+    if name == "full_width":
+        assert len(f_calls) == 2
+    if name == "slot_key":
+        assert len(f_calls) == 6
+
+
+@pytest.mark.parametrize(
+    "q, scale", [(0.0, 1), (1.0, 1), (1.0, 1_000_003)], ids=["q0", "count_key", "slot_key"]
+)
+def test_memory_per_call_is_as_documented(monkeypatch, q, scale):
+    # the _kernels docstring's bytes per segment, entry and row slot, with
+    # uint32 keys; numpy reports its buffers to tracemalloc
+    counts = long_tailed_table(np.random.default_rng(33)) * scale
+    assert key_bits(counts) <= 32
+    ids = tuple(str(i) for i in range(max(counts.shape)))
+    table = AbundanceTable(ids[: counts.shape[0]], ids[: counts.shape[1]], counts)
+    perms = random_perms(np.random.default_rng(39), 8, counts.shape[0])
+    nnz = table.values.size
+    col_len = table.lengths[table.lengths > 0]
+    row_len = _kernels._rows(col_len, 4)
+    slots = row_len.size * row_len.max()
+    if q == 0.0:
+        shared, worker = 24 * col_len.size + 8 * nnz, 4 * nnz
+    else:
+        f_or_starts = 8 * (counts.sum(axis=0).max() + 1) if scale == 1 else 8 * nnz
+        shared = 24 * col_len.size + 8 * nnz + 12 * slots + f_or_starts
+        worker = 28 * nnz + 4 * slots
+    # what the call holds when its workers start is the shared set-up
+    real_split = _kernels._split
+    live = {}
+
+    def split(work, replicates):
+        live[workers] = tracemalloc.get_traced_memory()[0] - out_bytes
+        real_split(work, replicates)
+
+    monkeypatch.setattr(_kernels, "_split", split)
+    out_bytes = perms.size * 8
+    peaks = {}
+    for workers in (1, 2):
+        set_workers(monkeypatch, workers)
+        tracemalloc.start()
+        try:
+            _kernels.accumulation_curves(
+                table.values, perms, q, table.lengths, table.samples, table.sample_totals
+            )
+            peaks[workers] = tracemalloc.get_traced_memory()[1] - out_bytes
+        finally:
+            tracemalloc.stop()
+    # each replicate's temporaries, O(segments + steps), and numpy's
+    # casting buffers: under 1.5 B per entry here, where a missing or an
+    # extra buffer of nnz entries is 4 B or more
+    slack = 64 * 1024 + 16 * col_len.size
+    assert abs(live[1] - shared) <= slack and abs(live[2] - shared) <= slack
+    assert abs(peaks[1] - live[1] - worker) <= slack
+    # a second worker holds its own buffers, at most while the first does
+    assert worker - slack <= peaks[2] - live[2] <= 2 * worker + 2 * slack
 
 
 def test_one_ordering_starts_no_thread(thread_starts):
