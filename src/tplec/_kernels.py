@@ -45,8 +45,15 @@ For each replicate the kernel then
    each taxon's running total as one ``cumsum`` over the whole list;
 4. takes f of the running totals, ``F[total]`` with the count key and
    directly with the slot key, where ``f(x) = x ln x`` at q = 1 and
-   ``x**q`` otherwise, and adds ``f(new) - f(old)`` per step with
-   ``bincount`` and ``cumsum`` over steps.
+   ``x**q`` otherwise, and writes each step's sum of ``f(new) - f(old)``
+   into the replicate's row of the output with one weighted
+   ``bincount`` over steps.
+
+The workers only scatter these per-step increments. Once every
+replicate is done, one tail on the calling thread forms every curve, a
+block of about nnz / (8 x steps) replicates at a time: an in-place
+``cumsum`` over steps and, at q > 0, the Hill number of each sum and
+the running sample total.
 
 Each of these passes writes into one of the worker's buffers, allocated
 once per worker: 28 bytes per entry (keys, and three of int64 or
@@ -54,7 +61,10 @@ float64) and 4 per row slot with ``uint32`` keys, 32 and 8 with
 ``uint64`` keys, and each replicate adds temporaries of O(segments +
 steps). The shared set-up holds 24 bytes per segment, 8 per entry
 (``row_of``), 12 per row slot (16 with ``uint64`` keys), and ``F`` or,
-with the slot key, each entry's segment start (8 bytes per entry).
+with the slot key, each entry's segment start (8 bytes per entry). The
+tail's block is about nnz / 8 cells, so each of its few int64 and
+float64 temporaries holds about 1 byte per entry, and it runs once the
+workers' buffers are freed.
 Every integer sum (running totals, sample totals) is formed in int64
 and lies between minus and plus the table's total, which
 ``AbundanceTable`` bounds by the int64 maximum; a float sum would be
@@ -64,8 +74,9 @@ Every q runs one worker. At q = 0 it sorts nothing and builds no rows:
 it maps the list's samples to step keys in list order, and a taxon
 enters the curve at its first step, its segment's smallest step key
 (``np.minimum.reduceat``) shifted past the low field; one ``bincount``
-+ ``cumsum`` of those steps is the curve. Then the set-up holds a copy
-of the samples (8 bytes per entry) and each worker only its keys.
+of those steps is the row of increments, and the tail's ``cumsum`` the
+curve. Then the set-up holds a copy of the samples (8 bytes per entry)
+and each worker only its keys.
 
 No replicate reads another's result and numpy releases the GIL in
 every pass over the list, so the replicates are split over one thread
@@ -77,9 +88,10 @@ count vector, so every replicate ends on the bit-identical value.
 
 A Hill sum that overflows float64, as ``x**q`` does for large counts at
 a large q, raises ``NonFiniteValue`` naming q instead of giving inf or
-NaN. ``hill_direct`` checks its sums and its result, each worker the
-rows it writes, each under its own ``np.errstate``, which numpy keeps per
-thread, so no RuntimeWarning is printed on the way.
+NaN. ``hill_direct`` checks its sums and its result, and the tail every
+curve it forms. Each worker and the tail run under their own
+``np.errstate``, which numpy keeps per thread, so no RuntimeWarning is
+printed on the way, and no ``TplecError`` is raised on a helper thread.
 """
 
 from __future__ import annotations
@@ -271,57 +283,60 @@ def accumulation_curves(
         if q != 0.0:
             row_keys = np.empty_like(row_base)
             ints = np.empty(samples.size, dtype=np.int64)  # slots, running sums, steps
-            total = np.empty(samples.size, dtype=np.float64)  # then each entry's gain
-            f = np.empty_like(total)
+            gain = np.empty(samples.size, dtype=np.float64)  # counts, totals, gains
+            f = np.empty_like(gain)
         # numpy's error state is per thread, so each worker sets its own
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for r in rows:
-                perm = perms[r]
-                inv[perm] = step_keys
+                inv[perms[r]] = step_keys
                 if q == 0.0:
                     # a taxon enters the curve at its first step, the
                     # smallest step key over its segment
                     np.take(inv, samples, out=keys, mode="wrap")
-                    firsts = np.minimum.reduceat(keys, col_start) >> lbits
-                    out[r, :last] = np.cumsum(np.bincount(firsts, minlength=n_steps)[:last])
-                    continue
-                np.take(inv, row_samples, out=row_keys, mode="wrap")
-                row_keys |= row_base
-                # the keys are unique and no segment spans two rows, so
-                # sorting each row gives the (taxon, step) order of the list
-                row_keys.sort(axis=1)
-                np.take(row_keys, row_of, out=keys, mode="wrap")
-                gathered = total.view(np.int64)
-                running = ints
-                if f_table is None:
-                    slots = ints
-                    np.bitwise_and(keys, (1 << lbits) - 1, out=slots)
-                    slots += seg_start
-                    np.take(values, slots, out=gathered, mode="wrap")
+                    steps, gain = np.minimum.reduceat(keys, col_start) >> lbits, None
                 else:
-                    np.bitwise_and(keys, (1 << lbits) - 1, out=gathered)
-                # a running sum over the whole list restarts at each segment
-                # once its first count has the pooled total before it taken off
-                np.subtract.at(gathered, col_start[1:], pooled[:-1])
-                np.cumsum(gathered, out=running)
-                if f_table is None:
-                    np.copyto(total, running)  # exact in int64, then rounded
-                    _f(total, q, out=f)
-                else:
-                    np.take(f_table, running, out=f, mode="wrap")
-                # each entry's change to its taxon's f; a segment starts from f(0) = 0
-                gain = total
-                np.subtract(f[1:], f[:-1], out=gain[1:])
-                gain[col_start] = f[col_start]
-                steps = ints
-                np.right_shift(keys, lbits, out=steps)
-                steps &= (1 << sbits) - 1
-                gains = np.bincount(steps, weights=gain, minlength=n_steps)
-                acc = np.cumsum(gains[:last])
-                n_k = np.cumsum(sample_totals[perm[:last]]).astype(np.float64)
-                out[r, :last] = _hill(acc, n_k, q)
-                if not np.isfinite(out[r, :last]).all():
-                    raise NonFiniteValue(_overflow(q))
+                    np.take(inv, row_samples, out=row_keys, mode="wrap")
+                    row_keys |= row_base
+                    # the keys are unique and no segment spans two rows, so
+                    # sorting each row gives the (taxon, step) order of the list
+                    row_keys.sort(axis=1)
+                    np.take(row_keys, row_of, out=keys, mode="wrap")
+                    counts = gain.view(np.int64)
+                    if f_table is None:
+                        np.bitwise_and(keys, (1 << lbits) - 1, out=ints)
+                        ints += seg_start
+                        np.take(values, ints, out=counts, mode="wrap")
+                    else:
+                        np.bitwise_and(keys, (1 << lbits) - 1, out=counts)
+                    # a running sum over the whole list restarts at each segment
+                    # once its first count has the pooled total before it taken off
+                    np.subtract.at(counts, col_start[1:], pooled[:-1])
+                    np.cumsum(counts, out=ints)
+                    if f_table is None:
+                        np.copyto(gain, ints)  # exact in int64, then rounded
+                        _f(gain, q, out=f)
+                    else:
+                        np.take(f_table, ints, out=f, mode="wrap")
+                    # each entry's change to its taxon's f; a segment starts from f(0) = 0
+                    np.subtract(f[1:], f[:-1], out=gain[1:])
+                    gain[col_start] = f[col_start]
+                    steps = np.right_shift(keys, lbits, out=ints)
+                    steps &= (1 << sbits) - 1
+                # each step's increment: the taxa it adds, or the f it adds
+                out[r, :last] = np.bincount(steps, weights=gain, minlength=n_steps)[:last]
 
     _split(work, n_rep)
+    # one tail forms every curve from its increments, a block of replicates
+    # at a time: about nnz / 8 cells, so that its temporaries stay within
+    # one worker's buffers
+    block = max(1, samples.size // (8 * n_steps))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, n_rep, block):
+            acc = out[start : start + block, :last]
+            np.cumsum(acc, axis=1, out=acc)
+            if q != 0.0:
+                n_k = np.cumsum(sample_totals[perms[start : start + block, :last]], axis=1)
+                acc[...] = _hill(acc, n_k.astype(np.float64), q)
+            if not np.isfinite(acc).all():
+                raise NonFiniteValue(_overflow(q))
     return out

@@ -184,17 +184,22 @@ def decode_utf8(text: str | bytes) -> str:
     return _utf8(_input_bytes(text))
 
 
-def _csv_record(lines: Iterable[str], row: int, strict: bool = False) -> list[str] | None:
-    """The next record ``csv`` reads from ``lines``, or None at their end.
+def _csv_records(
+    lines: Iterable[str], row: int = 1, strict: bool = False
+) -> Iterator[list[str]]:
+    """Each record one ``csv.reader`` reads from ``lines``, the first on ``row``.
 
     This is the one place the package calls ``csv.reader``. The reader
-    takes only the lines its record spans, so the caller can go on
-    reading ``lines``. A ``csv.Error`` becomes ``MalformedCsv`` naming
-    ``row``; ``strict`` makes a quote left open at the end of ``lines``,
-    or text after a closing quote, one too.
+    takes only the lines each record spans, so a caller that takes one
+    record can go on reading ``lines``. A ``csv.Error`` becomes
+    ``MalformedCsv`` naming the record's row; ``strict`` makes a quote
+    left open at the end of ``lines``, or text after a closing quote, one
+    too.
     """
     try:
-        return next(csv.reader(lines, strict=strict), None)
+        for record in csv.reader(lines, strict=strict):
+            yield record
+            row += 1
     except csv.Error as exc:
         raise MalformedCsv(f"row {row}: {exc}") from None
 
@@ -214,7 +219,7 @@ def _leading_cells(line: bytes, row: int) -> tuple[list[str], bytes] | None:
     if line[end : end + 1] != b"," or b"\0" in line or len(rest) > csv.field_size_limit():
         return None
     try:
-        cells = _csv_record([_utf8(line[:end])], row, strict=True)
+        cells = next(_csv_records([_utf8(line[:end])], row, strict=True))
     except MalformedCsv:
         return None
     return (cells, rest) if len(cells) <= 4 else None
@@ -239,7 +244,7 @@ def _jhu_records(data: bytes) -> Iterator[tuple[list[str], bytes | None]]:
             split = ([], line) if line != b"\n" else None
         if split is None:
             texts = (_utf8(raw) for raw in itertools.chain([line], lines))
-            yield _csv_record(texts, row), None
+            yield next(_csv_records(texts, row)), None
             continue
         leading, rest = split
         cells = rest.split(b",", 4 - len(leading))
@@ -564,10 +569,7 @@ def parse_continent_map(text: str | bytes) -> dict[str, str]:
 
     Each country may appear once; a repeat raises ``DuplicateCountry``.
     """
-    lines = io.StringIO(decode_utf8(text))
-    rows: list[list[str]] = []
-    while (record := _csv_record(lines, len(rows) + 1)) is not None:
-        rows.append(record)
+    rows = list(_csv_records(io.StringIO(decode_utf8(text))))
     if not rows or [h.strip() for h in rows[0]] != ["country", "continent"]:
         raise MalformedHeader("expected header 'country,continent'")
     mapping: dict[str, str] = {}

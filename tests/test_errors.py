@@ -379,7 +379,7 @@ def test_method_call_guard_finds_each_call(source, found):
 def test_csv_is_read_in_one_place():
     uses = {path.name: _csv_reader_uses(path.read_text()) for path in SOURCES}
     assert {name: found for name, found in uses.items() if found} == {
-        "ingest.py": ["_csv_record"]
+        "ingest.py": ["_csv_records"]
     }
 
 

@@ -655,13 +655,13 @@ def test_quoted_lines_read_as_before(rows, expect, said, whole, monkeypatch):
     quote, and the whole record otherwise; either way the table, the
     warnings and the first error are the same."""
     records = []
-    read = ingest._csv_record
+    read = ingest._csv_records
 
     def spy(lines, row, strict=False):
         records.append((row, strict))
         return read(lines, row, strict)
 
-    monkeypatch.setattr(ingest, "_csv_record", spy)
+    monkeypatch.setattr(ingest, "_csv_records", spy)
     text = JHU_HEAD + rows
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -1075,7 +1075,7 @@ def test_benchmark_deaths_lines_are_split_without_a_whole_csv_read(
     # quoted lines, strictly, and no record whole, so that every block
     # reaches the converter and no cell is read on its own
     led, reads = [], []
-    leading_cells, csv_record = ingest._leading_cells, ingest._csv_record
+    leading_cells, csv_records = ingest._leading_cells, ingest._csv_records
 
     def leading_spy(line, row):
         led.append(line)
@@ -1083,10 +1083,10 @@ def test_benchmark_deaths_lines_are_split_without_a_whole_csv_read(
 
     def csv_spy(lines, row, strict=False):
         reads.append(strict)
-        return csv_record(lines, row, strict)
+        return csv_records(lines, row, strict)
 
     monkeypatch.setattr(ingest, "_leading_cells", leading_spy)
-    monkeypatch.setattr(ingest, "_csv_record", csv_spy)
+    monkeypatch.setattr(ingest, "_csv_records", csv_spy)
     workloads.prepare_ftr(7, tmp_path)
     data = (tmp_path / "deaths.csv").read_bytes()
     parse_jhu_deaths(data)

@@ -385,9 +385,11 @@ def test_both_key_layouts_match_hill_number(monkeypatch, f_calls, name, q):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("scale", [1, 1_000_003], ids=["counts", "wide_counts"])
-def test_an_overflowing_order_raises_in_both_key_layouts(monkeypatch, f_calls, scale, workers):
+def test_an_overflowing_order_raises_in_both_key_layouts(
+    monkeypatch, f_calls, thread_starts, scale, workers
+):
     # 1000**120 overflows float64; with the pooled check passed over, the
-    # rows the workers write must raise, under their own error state
+    # tail that forms the curves must raise, with no warning from any thread
     counts = np.ones((40, 60), dtype=np.int64)
     counts[7, 3] = 1000
     table = AbundanceTable(
@@ -399,7 +401,12 @@ def test_an_overflowing_order_raises_in_both_key_layouts(monkeypatch, f_calls, s
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValue, match="at q = 120 "):
             resample_accumulation(table, 4, 120.0, seed=0)
-    assert len(f_calls) == (1 if scale == 1 else workers)
+    # every helper has been joined
+    assert len(thread_starts) == workers - 1
+    assert not any(thread.is_alive() for thread in thread_starts)
+    # every replicate runs before the tail checks the curves: the count key
+    # builds one f table per call, the slot key takes f once per replicate
+    assert len(f_calls) == (1 if scale == 1 else 4)
 
 
 FULL_WIDTH_SAMPLE = 77
@@ -566,9 +573,10 @@ def test_helper_error_reaches_the_caller(monkeypatch, q):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_each_worker_checks_its_rows_without_warnings(monkeypatch, workers):
-    # with the pooled check passed over, every worker meets the overflow
-    # itself, under its own thread's numpy error state
+def test_the_tail_checks_every_row_without_warnings(monkeypatch, workers):
+    # with the pooled check passed over, the workers' passes and the tail
+    # that forms the curves each meet the overflow under their own thread's
+    # numpy error state
     table, _ = build_saturating_table()
     set_workers(monkeypatch, workers)
     monkeypatch.setattr(_kernels, "hill_direct", lambda pooled, q: 1.0)
